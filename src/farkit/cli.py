@@ -27,11 +27,13 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .errors import InsufficientDataError
 from .evaluate import (
     BenchmarkConfig,
     TheoryProbe,
@@ -296,55 +298,70 @@ def cmd_benchmark(args) -> int:
 # rolling
 
 
-def cmd_rolling(args) -> int:
-    out = _out_dir(args)
-    pipeline = PipelineConfig()
-    records = load_halfhourly_csv(args.raw)
-    complete = filter_and_interpolate(records, pipeline)
-    prepared = preprocess_curves(complete, pipeline)
+def _regret_pct(mean: float, best: float) -> float:
+    """Percent excess over the best mean; NaN when the best is zero or missing."""
+    if not (np.isfinite(best) and best > 0):
+        return float("nan")
+    return 100.0 * (mean - best) / best
 
+
+def cmd_rolling(args) -> int:
+    pipeline = PipelineConfig()
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    forecast_rows = []
-    summary = []
-    for label in methods:
+    try:
         config = RollingConfig(
             window=args.window,
             refit_interval=args.refit,
-            method=label,
+            methods=methods,
             gap_policy=args.gap_policy,
         )
+        complete = filter_and_interpolate(load_halfhourly_csv(args.raw), pipeline)
+        prepared = preprocess_curves(complete, pipeline)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         result = rolling_forecast(prepared.sample, config, dates=prepared.dates)
-        ises = np.array([r.ise for r in result.records if r.error is None])
-        failures = sum(1 for r in result.records if r.error is not None)
-        for r in result.records:
-            forecast_rows.append(
-                [
-                    r.date.isoformat() if r.date else _fmt(r.index),
-                    label,
-                    _fmt(r.ise),
-                    _fmt(r.tuning),
-                    "1" if r.refit else "0",
-                ]
-            )
+    except InsufficientDataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out = _out_dir(args)
+
+    summary = []
+    for label in methods:
+        rows = [r for r in result.records if r.method == label]
+        ises = np.array([r.ise for r in rows if r.error is None])
+        failures = Counter(r.error.partition(":")[0] for r in rows if r.error is not None)
         summary.append(
             {
                 "method": label,
                 "mean_ise": float(ises.mean()) if ises.size else float("nan"),
                 "median_ise": float(np.median(ises)) if ises.size else float("nan"),
                 "evaluations": int(ises.size),
-                "failures": failures,
+                "failures": sum(failures.values()),
+                "failures_by_class": dict(sorted(failures.items())),
                 "skipped_gaps": result.skipped_gaps,
             }
         )
 
-    best = min(s["mean_ise"] for s in summary if np.isfinite(s["mean_ise"]))
+    best = min((s["mean_ise"] for s in summary if np.isfinite(s["mean_ise"])), default=float("nan"))
     for s in summary:
-        s["regret_pct"] = 100.0 * (s["mean_ise"] - best) / best
+        s["regret_pct"] = _regret_pct(s["mean_ise"], best)
 
+    # rows are streamed: the records are method-major already
     _write_csv(
         out / "forecasts.csv",
         ["date", "method", "ise", "alpha_or_k", "refit_flag"],
-        forecast_rows,
+        (
+            [
+                r.date.isoformat() if r.date else _fmt(r.index),
+                r.method,
+                _fmt(r.ise),
+                _fmt(r.tuning),
+                "1" if r.refit else "0",
+            ]
+            for r in result.records
+        ),
     )
     _write_csv(
         out / "summary.csv",
@@ -375,6 +392,7 @@ def cmd_rolling(args) -> int:
             "refit_interval": args.refit,
             "gap_policy": args.gap_policy,
             "methods": methods,
+            "span_rank": result.span_rank,
             "summary": summary,
         },
     )

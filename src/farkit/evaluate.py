@@ -9,6 +9,7 @@ inequality without any linear solves.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -17,10 +18,12 @@ import numpy as np
 
 from .errors import (
     DegenerateSpectrumError,
+    GridError,
     InsufficientDataError,
     NumericalError,
+    SingularSystemError,
 )
-from .fpca import SpectralDecomposition, eigendecompose, fpca_far_fit
+from .fpca import SpectralDecomposition, eigendecompose, fpca_far_fit, usable_directions
 from .grid import Curve, uniform_grid
 from .moments import (
     FunctionalSample,
@@ -41,7 +44,10 @@ from .tikhonov import (
 __all__ = [
     "MethodSpec",
     "parse_method",
+    "FIT_ERRORS",
+    "FitOutcome",
     "fit_method",
+    "fit_methods",
     "CellResult",
     "BenchmarkConfig",
     "BenchmarkReport",
@@ -52,6 +58,7 @@ __all__ = [
     "regret_table",
     "worst_case_table",
     "tuning_summary",
+    "tuning_value",
     "rate_slope",
     "rate_slope_from_report",
     "run_benchmark",
@@ -67,8 +74,9 @@ _REGIME_CODES = {"I": 1, "II": 2, "III": 3}
 _TRAIN_TAG = 0
 _TEST_TAG = 1
 
-# exceptions recorded as failed fits instead of aborting a benchmark run
-_FIT_ERRORS = (NumericalError, DegenerateSpectrumError, InsufficientDataError, ValueError)
+# estimator failures, recorded as failed fits instead of aborting a benchmark
+# or rolling run; GridError covers moments or a kernel that came out non-finite
+FIT_ERRORS = (NumericalError, DegenerateSpectrumError, InsufficientDataError, GridError)
 
 
 # ---------------------------------------------------------------------------
@@ -91,27 +99,38 @@ def parse_method(label: str) -> MethodSpec:
     """Parse an estimator id.
 
     Accepted forms: ``fpca:TAU`` (variance threshold in (0, 1]),
-    ``fpca:K=INT`` (explicit truncation), ``tikhonov:ALPHA`` (fixed
-    strength), and ``tikhonov:cv`` (cross-validated strength).
+    ``fpca:K=INT`` (explicit truncation, K >= 1), ``tikhonov:ALPHA``
+    (fixed positive finite strength), and ``tikhonov:cv``
+    (cross-validated strength). Anything else raises ValueError.
     """
     kind, _, arg = label.partition(":")
     if not arg:
         raise ValueError(f"malformed method id {label!r}; expected 'kind:argument'")
     if kind == "fpca":
         if arg.startswith("K="):
-            return MethodSpec("fpca", k=int(arg[2:]), label=label)
-        tau = float(arg)
+            k = _parse_number(label, arg[2:], int)
+            if k < 1:
+                raise ValueError(f"method id {label!r}: truncation level must be at least 1")
+            return MethodSpec("fpca", k=k, label=label)
+        tau = _parse_number(label, arg, float)
         if not 0 < tau <= 1:
-            raise ValueError(f"variance threshold must lie in (0, 1], got {tau}")
+            raise ValueError(f"method id {label!r}: variance threshold must lie in (0, 1]")
         return MethodSpec("fpca", tau=tau, label=label)
     if kind == "tikhonov":
         if arg == "cv":
             return MethodSpec("tikhonov", cv=True, label=label)
-        alpha = float(arg)
-        if alpha <= 0:
-            raise ValueError(f"ridge strength must be positive, got {alpha}")
+        alpha = _parse_number(label, arg, float)
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise ValueError(f"method id {label!r}: ridge strength must be positive and finite")
         return MethodSpec("tikhonov", alpha=alpha, label=label)
-    raise ValueError(f"unknown method kind {kind!r}")
+    raise ValueError(f"unknown method kind {kind!r} in method id {label!r}")
+
+
+def _parse_number(label: str, text: str, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"method id {label!r}: {text!r} is not a valid {kind.__name__}") from None
 
 
 def fit_method(
@@ -136,12 +155,20 @@ def fit_method(
         method = parse_method(method)
     if moments is None:
         moments = weighted_moments(sample)
+    if decomposition is None:
+        decomposition = eigendecompose(moments)
     if method.kind == "fpca":
+        if method.k is not None:
+            # one failure class for every K beyond the covariance's usable
+            # directions, whatever the grid size and the sample length
+            usable = usable_directions(decomposition.eigenvalues)
+            if method.k > usable:
+                raise SingularSystemError(
+                    f"K={method.k} exceeds the {usable} usable covariance directions"
+                )
         return fpca_far_fit(
             sample, tau=method.tau, k=method.k, moments=moments, decomposition=decomposition
         )
-    if decomposition is None:
-        decomposition = eigendecompose(moments)
     if not method.cv:
         return tikhonov_fit(moments, method.alpha, decomposition=decomposition)
     if alpha_grid is None:
@@ -157,6 +184,59 @@ def fit_method(
     tuning = dict(est.tuning)
     tuning["selected_by"] = cv.scheme
     return replace(est, tuning=tuning)
+
+
+@dataclass(frozen=True, eq=False)
+class FitOutcome:
+    """One method fitted to one sample: the estimate, or the error that stopped it."""
+
+    estimate: OperatorEstimate | None
+    error: str | None
+    seconds: float  # this method's own fit time, shared decomposition excluded
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def fit_methods(
+    sample: FunctionalSample,
+    methods,
+    *,
+    cv_scheme: str = "holdout",
+    cv_folds: int = 5,
+):
+    """Fit every method to one sample from one shared moment/eigen decomposition.
+
+    Yields one FitOutcome per method, in order, each fitted only when it
+    is asked for, so a caller that scores and drops each estimate holds
+    one at a time. Estimator failures (``FIT_ERRORS``) become outcomes
+    with the error text, including a failed shared decomposition, which
+    fails every method; any other exception propagates.
+    """
+    methods = [parse_method(m) if isinstance(m, str) else m for m in methods]
+    try:
+        moments = weighted_moments(sample)
+        decomposition = eigendecompose(moments)
+    except FIT_ERRORS as exc:
+        for _ in methods:
+            yield FitOutcome(None, _error_text(exc), 0.0)
+        return
+    for method in methods:
+        t0 = time.perf_counter()
+        try:
+            est = fit_method(
+                sample,
+                method,
+                moments=moments,
+                decomposition=decomposition,
+                cv_scheme=cv_scheme,
+                cv_folds=cv_folds,
+            )
+        except FIT_ERRORS as exc:
+            yield FitOutcome(None, _error_text(exc), time.perf_counter() - t0)
+        else:
+            yield FitOutcome(est, None, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +368,9 @@ def _path_seed(master_seed, regime, n, replication, tag) -> np.random.SeedSequen
     )
 
 
-def _tuning_value(method: MethodSpec, est: OperatorEstimate) -> float:
-    if method.kind == "fpca":
+def tuning_value(est: OperatorEstimate) -> float:
+    """Resolved K of a truncation estimate, or the strength of a ridge estimate."""
+    if est.method == "fpca":
         return float(est.tuning["k"])
     return float(est.tuning["alpha"])
 
@@ -330,38 +411,21 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
             config.test_length,
             _path_seed(config.master_seed, regime, n, rep, _TEST_TAG),
         )
-        mom = weighted_moments(train)
-        dec = eigendecompose(mom)
         results = []
-        for method in methods:
-            t0 = time.perf_counter()
-            try:
-                est = fit_method(train, method, moments=mom, decomposition=dec)
-                value = misfe(est, test)
-                results.append(
-                    CellResult(
-                        regime,
-                        n,
-                        method.label,
-                        rep,
-                        misfe=value,
-                        tuning=_tuning_value(method, est),
-                        seconds=time.perf_counter() - t0,
-                    )
+        for method, outcome in zip(methods, fit_methods(train, methods)):
+            est = outcome.estimate
+            results.append(
+                CellResult(
+                    regime,
+                    n,
+                    method.label,
+                    rep,
+                    misfe=float("nan") if est is None else misfe(est, test),
+                    tuning=float("nan") if est is None else tuning_value(est),
+                    seconds=outcome.seconds,
+                    error=outcome.error,
                 )
-            except _FIT_ERRORS as exc:
-                results.append(
-                    CellResult(
-                        regime,
-                        n,
-                        method.label,
-                        rep,
-                        misfe=float("nan"),
-                        tuning=float("nan"),
-                        seconds=time.perf_counter() - t0,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+            )
         return results
 
     if config.threads > 1:

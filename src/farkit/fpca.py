@@ -39,6 +39,7 @@ __all__ = [
     "SpectralDecomposition",
     "eigendecompose",
     "select_k",
+    "usable_directions",
     "component_scores",
     "fpca_far_fit",
     "GRAM_CONDITION_LIMIT",
@@ -107,6 +108,20 @@ def select_k(eigenvalues, tau: float) -> int:
     return int(np.searchsorted(shares, tau - 1e-12) + 1)
 
 
+def usable_directions(eigenvalues) -> int:
+    """Number of leading eigenvalues a truncation can keep without a singular score Gram.
+
+    A direction counts when its eigenvalue is positive and within
+    GRAM_CONDITION_LIMIT of the leading one; eigenvalues are nonincreasing,
+    so the usable directions are a prefix.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    positive = lam[lam > 0]
+    if positive.size == 0:
+        return 0
+    return int(np.count_nonzero(positive[0] / positive <= GRAM_CONDITION_LIMIT))
+
+
 def component_scores(
     sample: FunctionalSample,
     decomposition: SpectralDecomposition,
@@ -162,15 +177,14 @@ def fpca_far_fit(
         raise InsufficientDataError(
             f"need at least K+2 = {k + 2} curves to fit a rank-{k} autoregression"
         )
-    lam_k = lam[:k]
-    if lam_k[-1] <= 0 or lam_k[0] / lam_k[-1] > GRAM_CONDITION_LIMIT:
+    if k > usable_directions(lam):
         raise SingularSystemError(
             f"score Gram matrix is numerically singular at K={k} "
             f"(condition above {GRAM_CONDITION_LIMIT:.0e})"
         )
     q_k = decomposition.vectors[:, :k]
     # prediction-form coefficient matrix: new scores = a_pred @ old scores
-    a_pred = (q_k.T @ moments.c1_tilde @ q_k) / lam_k[None, :]
+    a_pred = (q_k.T @ moments.c1_tilde @ q_k) / lam[None, :k]
     psi_tilde = q_k @ a_pred @ q_k.T
     tuning = {"k": k}
     if tau is not None:

@@ -18,13 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import BSpline
 
-from .errors import (
-    DegenerateSpectrumError,
-    InsufficientDataError,
-    NumericalError,
-)
-from .evaluate import fit_method, ise, parse_method
-from .grid import uniform_grid
+from .errors import InsufficientDataError, NumericalError
+from .evaluate import fit_methods, ise, parse_method, tuning_value
+from .grid import Curve, QuadratureGrid, uniform_grid
 from .moments import FunctionalSample
 
 __all__ = [
@@ -39,6 +35,7 @@ __all__ = [
     "filter_and_interpolate",
     "preprocess_curves",
     "smooth_days",
+    "span_coordinates",
     "rolling_forecast",
 ]
 
@@ -98,23 +95,33 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class RollingConfig:
-    """Sliding-window forecast protocol parameters."""
+    """Sliding-window forecast protocol parameters; every method shares the windows."""
 
     window: int = 100
     refit_interval: int = 20
-    method: str = "tikhonov:cv"
+    methods: tuple = ("tikhonov:cv",)
     gap_policy: str = "exclude-cross-gap"
     cv_scheme: str = "k-fold-forward"
     cv_folds: int = 5
 
     def __post_init__(self):
+        object.__setattr__(self, "methods", tuple(self.methods))
         if self.window < 10:
             raise ValueError("rolling window must hold at least 10 curves")
         if self.refit_interval < 1:
             raise ValueError("refit interval must be at least 1")
         if self.gap_policy not in ("exclude-cross-gap", "contiguous"):
             raise ValueError("gap_policy must be 'exclude-cross-gap' or 'contiguous'")
-        parse_method(self.method)
+        if self.cv_scheme not in ("holdout", "k-fold-forward"):
+            raise ValueError("cv_scheme must be 'holdout' or 'k-fold-forward'")
+        if self.cv_folds < 2:
+            raise ValueError("cross-validation needs at least 2 folds")
+        if not self.methods:
+            raise ValueError("rolling needs at least one method")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"duplicate method ids in {list(self.methods)}")
+        for label in self.methods:
+            parse_method(label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +133,14 @@ class PreprocessedCurves:
     dates: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForecastOutcome:
-    """One evaluated day of the rolling protocol."""
+    """One evaluated day of the rolling protocol for one method.
 
+    Slotted: a backtest holds one per method and evaluation day at once.
+    """
+
+    method: str
     index: int
     date: dt.date | None
     ise: float
@@ -140,8 +151,11 @@ class ForecastOutcome:
 
 @dataclass(frozen=True)
 class RollingResult:
+    """Forecast rows, method-major in config order, plus run diagnostics."""
+
     records: tuple
-    skipped_gaps: int
+    skipped_gaps: int  # evaluation days skipped by the gap policy, per method
+    span_rank: int  # numerical rank of the sample's centred sqrt-weighted curves
 
 
 def load_halfhourly_csv(path) -> list:
@@ -281,20 +295,53 @@ def preprocess_curves(records, config: PipelineConfig) -> PreprocessedCurves:
     return PreprocessedCurves(sample, weekday_means, tuple(r.date for r in records))
 
 
+def span_coordinates(sample: FunctionalSample):
+    """Orthonormal coordinates of a sample in the span of its centred sqrt-weighted curves.
+
+    A thin SVD of the curves, centred at the sample mean and scaled by the
+    square roots of the quadrature weights, gives an orthonormal basis V
+    of their span, with the rank r cut by numpy's default ``matrix_rank``
+    tolerance. Every window's centred curves lie in that span, so on a grid
+    of unit weights the coordinates ``((x - mean) * sqrt(w)) @ V`` give the
+    window moments, eigenvalues and fits of the original grid, and an
+    estimate there predicts from a lag curve x through ``(x * sqrt(w)) @ V``
+    and maps back to grid values as ``(V @ y) / sqrt(w)``. A full-rank
+    sample gets r = M, a plain rotation. Centring first keeps an exactly
+    constant sample at exactly zero coordinates, as on the grid. The basis
+    keeps at least two directions, because a grid needs two points; a
+    surplus direction carries only rounding.
+
+    Returns (r, V, coordinate sample).
+    """
+    z = sample.values - sample.values.mean(axis=0)
+    z *= sample.grid.sqrt_weights
+    # the M x M triangular factor has the singular values and right singular
+    # vectors of z, without an n x M left factor
+    _, s, vt = np.linalg.svd(np.linalg.qr(z, mode="r"))
+    rank = int(np.count_nonzero(s > s.max() * max(z.shape) * np.finfo(float).eps))
+    basis = vt[: max(rank, 2)].T
+    dim = basis.shape[1]
+    grid = QuadratureGrid(np.arange(dim, dtype=float), np.ones(dim))
+    return rank, basis, FunctionalSample(z @ basis, grid)
+
+
 def rolling_forecast(
     sample: FunctionalSample,
     config: RollingConfig,
     dates=None,
 ) -> RollingResult:
-    """One-step-ahead forecasts from a sliding window with periodic refits.
+    """One-step-ahead forecasts of every method from a sliding window with periodic refits.
 
     Evaluation days are the curves after the first ``config.window``. The
-    estimator is refitted every ``config.refit_interval`` evaluation days
-    on the ``window`` curves immediately before the refit day, and each
-    evaluation day is forecast by applying the current estimator to the
-    previous day's curve. Under the ``exclude-cross-gap`` policy, pairs of
-    days more than one calendar day apart are skipped and counted (the
-    refit cadence still advances on those days). A failed refit marks its
+    estimators are refitted every ``config.refit_interval`` evaluation days
+    on the ``window`` curves immediately before the refit day, all methods
+    from one shared decomposition of that window, and each evaluation day
+    is forecast by applying the current estimator to the previous day's
+    curve. Fits and forecasts run in the coordinates of
+    ``span_coordinates``; each forecast is mapped back to the grid for its
+    error. Under the ``exclude-cross-gap`` policy, pairs of days more than
+    one calendar day apart are skipped and counted (the refit cadence
+    still advances on those days). A failed refit marks its method's
     whole block as failed without stopping the run.
     """
     n = sample.n
@@ -309,26 +356,22 @@ def rolling_forecast(
     if config.gap_policy == "exclude-cross-gap" and dates is None:
         raise ValueError("exclude-cross-gap policy needs the curve dates")
 
-    method = parse_method(config.method)
-    estimator = None
-    fit_error = None
-    records = []
+    methods = [parse_method(label) for label in config.methods]
+    rank, basis, coords = span_coordinates(sample)
+    sw = sample.grid.sqrt_weights
+    rows = {method.label: [] for method in methods}
     skipped = 0
     for step, t in enumerate(range(config.window, n)):
         refit = step % config.refit_interval == 0
         if refit:
-            window_sample = sample.subsample(t - config.window, t)
-            try:
-                estimator = fit_method(
-                    window_sample,
-                    method,
+            outcomes = list(
+                fit_methods(
+                    coords.subsample(t - config.window, t),
+                    methods,
                     cv_scheme=config.cv_scheme,
                     cv_folds=config.cv_folds,
                 )
-                fit_error = None
-            except (NumericalError, DegenerateSpectrumError, InsufficientDataError) as exc:
-                estimator = None
-                fit_error = f"{type(exc).__name__}: {exc}"
+            )
         date = dates[t] if dates is not None else None
         if (
             config.gap_policy == "exclude-cross-gap"
@@ -336,14 +379,20 @@ def rolling_forecast(
         ):
             skipped += 1
             continue
-        if estimator is None:
-            records.append(
-                ForecastOutcome(t, date, float("nan"), float("nan"), refit, fit_error)
-            )
-            continue
-        forecast = estimator.predict(sample.curve(t - 1))
-        tuning = estimator.tuning.get("k", estimator.tuning.get("alpha", float("nan")))
-        records.append(
-            ForecastOutcome(t, date, ise(forecast, sample.curve(t)), float(tuning), refit)
-        )
-    return RollingResult(tuple(records), skipped)
+        actual = sample.curve(t)
+        lag = Curve((sample.values[t - 1] * sw) @ basis, coords.grid)
+        for method, outcome in zip(methods, outcomes):
+            est = outcome.estimate
+            if est is None:
+                row = ForecastOutcome(
+                    method.label, t, date, float("nan"), float("nan"), refit, outcome.error
+                )
+            else:
+                predicted = est.predict(lag).values
+                forecast = Curve(basis @ predicted / sw, sample.grid)
+                row = ForecastOutcome(
+                    method.label, t, date, ise(forecast, actual), tuning_value(est), refit
+                )
+            rows[method.label].append(row)
+    records = tuple(row for method in methods for row in rows[method.label])
+    return RollingResult(records, skipped, rank)

@@ -341,7 +341,7 @@ def test_criterion_10_pipeline_properties():
             uniform_grid(25),
         )
         rolling = RollingConfig(
-            window=100, refit_interval=20, method="tikhonov:0.05", gap_policy="contiguous"
+            window=100, refit_interval=20, methods=("tikhonov:0.05",), gap_policy="contiguous"
         )
         result = rolling_forecast(sample, rolling)
         assert len(result.records) == 150 - 100
@@ -360,11 +360,11 @@ def test_criterion_11_application_soft_check():
         records = load_halfhourly_csv(os.environ["FARKIT_PM10_CSV"])
         prepared = preprocess_curves(filter_and_interpolate(records, cfg), cfg)
         methods = ["fpca:0.80", "fpca:0.85", "fpca:0.90", "fpca:0.95", "fpca:0.99", "tikhonov:cv"]
+        rolling = RollingConfig(window=100, refit_interval=20, methods=methods)
+        result = rolling_forecast(prepared.sample, rolling, dates=prepared.dates)
         means = {}
         for label in methods:
-            rolling = RollingConfig(window=100, refit_interval=20, method=label)
-            result = rolling_forecast(prepared.sample, rolling, dates=prepared.dates)
-            ises = np.array([r.ise for r in result.records if r.error is None])
+            ises = np.array([r.ise for r in result.records if r.method == label and r.error is None])
             means[label] = float(ises.mean())
         best = min(means, key=means.get)
         worst = max(means, key=means.get)

@@ -147,8 +147,11 @@ class TestBenchmarkCommand:
             main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "x")])
 
 
-def write_raw_days(path, count=150):
-    """Synthetic half-hourly file: consecutive in-season days, no exclusions."""
+def write_raw_days(path, count=150, level=6.0):
+    """Synthetic half-hourly file: consecutive in-season days, no exclusions.
+
+    ``level=0`` writes readings that are all zero.
+    """
     rows = []
     date = dt.date(2020, 1, 8)
     written = 0
@@ -158,8 +161,9 @@ def write_raw_days(path, count=150):
         if date.month in (10, 11, 12, 1, 2, 3) and not (
             (date.month == 12 and date.day >= 28) or (date.month == 1 and date.day <= 7)
         ):
-            level = 6.0 + np.sin(written / 9.0)
-            values = (level + np.sin(2 * np.pi * slots / 48) + 0.1 * rng.standard_normal(48)) ** 2
+            day_level = 6.0 + np.sin(written / 9.0)
+            values = (day_level + np.sin(2 * np.pi * slots / 48) + 0.1 * rng.standard_normal(48)) ** 2
+            values *= level / 6.0
             rows.append(f"{date.isoformat()}," + ",".join(f"{v:.6f}" for v in values))
             written += 1
         date += dt.timedelta(days=1)
@@ -193,6 +197,81 @@ class TestRollingCommand:
         rows = read_csv_rows(out / "forecasts.csv")[1:]
         flags = [r.split(",")[4] for r in rows]
         assert [i for i, f in enumerate(flags) if f == "1"] == [0, 20, 40]
+
+
+    def test_k_beyond_directions_recorded_as_failures(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        write_raw_days(raw, 130)
+        out = tmp_path / "roll"
+        assert main(["rolling", "--raw", str(raw), "--out", str(out), "--refit", "10",
+                     "--methods", "fpca:K=5000,fpca:K=50,fpca:0.9",
+                     "--gap-policy", "contiguous"]) == 0
+        meta = json.loads((out / "rolling.meta.json").read_text())
+        assert meta["span_rank"] == 10  # the 10-function B-spline span
+        by_method = {s["method"]: s for s in meta["summary"]}
+        for label in ("fpca:K=5000", "fpca:K=50"):
+            assert by_method[label]["evaluations"] == 0
+            assert by_method[label]["failures_by_class"] == {"SingularSystemError": 30}
+        assert by_method["fpca:0.9"]["failures_by_class"] == {}
+        rows = [r.split(",") for r in read_csv_rows(out / "forecasts.csv")[1:]]
+        assert [r[2] for r in rows if r[1] == "fpca:K=5000"] == ["nan"] * 30
+
+    def test_all_methods_failing_writes_nan_regret(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        write_raw_days(raw, 150)
+        out = tmp_path / "roll"
+        # forward 5-fold CV needs 35 curves, so every refit on 20 fails
+        assert main(["rolling", "--raw", str(raw), "--out", str(out), "--window", "20",
+                     "--methods", "tikhonov:cv", "--gap-policy", "contiguous"]) == 0
+        summary = read_csv_rows(out / "summary.csv")
+        assert summary[1].split(",") == ["tikhonov:cv", "nan", "nan", "nan", "0", "130"]
+        meta = json.loads((out / "rolling.meta.json").read_text())
+        assert meta["summary"][0]["failures_by_class"] == {"InsufficientDataError": 130}
+
+    def test_zero_best_mean_gives_nan_regret(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        write_raw_days(raw, 120, level=0.0)
+        out = tmp_path / "roll"
+        assert main(["rolling", "--raw", str(raw), "--out", str(out),
+                     "--methods", "tikhonov:0.1,fpca:0.9", "--gap-policy", "contiguous"]) == 0
+        summary = [r.split(",") for r in read_csv_rows(out / "summary.csv")[1:]]
+        # zero curves: the ridge forecasts them exactly, truncation has no spectrum
+        assert summary[0][:4] == ["tikhonov:0.1", "0.0", "0.0", "nan"]
+        assert summary[1][:4] == ["fpca:0.9", "nan", "nan", "nan"]
+
+    @pytest.mark.parametrize(
+        "label", ["fpca:K=0", "fpca:K=-2", "tikhonov:nan", "tikhonov:inf", "fpca:abc"]
+    )
+    def test_bad_method_id_is_usage_error(self, tmp_path, capsys, label):
+        raw = tmp_path / "raw.csv"
+        write_raw_days(raw, 120)
+        out = tmp_path / "roll"
+        code = main(["rolling", "--raw", str(raw), "--out", str(out),
+                     "--methods", f"fpca:0.9,{label}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and label in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("h48", "h49", 1),  # header
+            lambda text: text.replace("\n2020-01-08,", "\n2020-01-08,x", 1),  # reading
+            lambda text: text + text.split("\n")[1] + "\n",  # duplicate date
+            None,  # missing file
+        ],
+        ids=["header", "reading", "duplicate-date", "missing-file"],
+    )
+    def test_bad_raw_file_is_usage_error(self, tmp_path, capsys, edit):
+        raw = tmp_path / "raw.csv"
+        if edit is not None:
+            write_raw_days(raw, 120)
+            raw.write_text(edit(raw.read_text()))
+        code = main(["rolling", "--raw", str(raw), "--out", str(tmp_path / "roll")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerifyCommand:

@@ -7,6 +7,8 @@ from farkit.evaluate import (
     BenchmarkReport,
     CellResult,
     TheoryProbe,
+    fit_method,
+    fit_methods,
     ise,
     mean_misfe_table,
     misfe,
@@ -33,9 +35,34 @@ class TestParseMethod:
         assert parse_method("tikhonov:cv").cv is True
 
     def test_rejects_malformed(self):
-        for bad in ("fpca", "fpca:1.5", "tikhonov:-1", "ridge:0.1", "fpca:"):
+        for bad in (
+            "fpca", "fpca:1.5", "tikhonov:-1", "ridge:0.1", "fpca:",
+            "fpca:K=0", "fpca:K=-3", "fpca:K=abc", "fpca:K=2.5", "fpca:abc", "fpca:nan",
+            "tikhonov:nan", "tikhonov:inf", "tikhonov:abc",
+        ):
             with pytest.raises(ValueError):
                 parse_method(bad)
+
+
+class TestFitMethods:
+    def test_shared_decomposition_matches_single_fits(self, rng):
+        sample = FunctionalSample(rng.standard_normal((60, 9)), uniform_grid(9))
+        labels = ["fpca:0.9", "fpca:K=2", "tikhonov:0.1", "tikhonov:cv"]
+        for label, outcome in zip(labels, fit_methods(sample, labels)):
+            assert outcome.error is None
+            assert np.array_equal(outcome.estimate.kernel, fit_method(sample, label).kernel)
+
+    def test_non_finite_moments_recorded_as_grid_error(self, rng):
+        sample = FunctionalSample(rng.standard_normal((60, 8)) * 1e156, uniform_grid(8))
+        with np.errstate(over="ignore"):
+            outcomes = list(fit_methods(sample, ["tikhonov:0.1", "fpca:0.9"]))
+        assert [o.estimate for o in outcomes] == [None, None]
+        assert all(o.error.startswith("GridError:") for o in outcomes)
+
+    def test_programming_errors_propagate(self, rng):
+        sample = FunctionalSample(rng.standard_normal((60, 8)), uniform_grid(8))
+        with pytest.raises(ValueError):
+            list(fit_methods(sample, ["tikhonov:cv"], cv_scheme="leave-one-out"))
 
 
 class TestMisfe:
@@ -276,6 +303,18 @@ class TestRunBenchmark:
         assert np.isnan(failed[0].misfe)
         ok = [r for r in report.records if not r.failed]
         assert len(ok) == 1
+
+    def test_k_methods_fail_with_one_class(self):
+        # regime I curves span 40 directions of the 101-point grid: K=60
+        # (enough curves) and K=500 (beyond the grid) fail alike
+        config = BenchmarkConfig(
+            regimes=("I",), n_values=(100,), methods=("fpca:K=60", "fpca:K=500", "fpca:K=3"),
+            replications=1,
+        )
+        errors = [r.error for r in run_benchmark(config).records]
+        assert errors[0].startswith("SingularSystemError:")
+        assert errors[1].startswith("SingularSystemError:")
+        assert errors[2] is None
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from farkit.errors import InsufficientDataError
+from farkit.errors import InsufficientDataError, SingularSystemError
+from farkit.evaluate import fit_method, ise
 from farkit.grid import uniform_grid
 from farkit.moments import FunctionalSample
 from farkit.preprocess import (
@@ -16,6 +17,7 @@ from farkit.preprocess import (
     preprocess_curves,
     rolling_forecast,
     smooth_days,
+    span_coordinates,
 )
 
 HEADER = "date," + ",".join(f"h{i:02d}" for i in range(1, 49))
@@ -231,7 +233,7 @@ def drifting_sample(n, m=30, seed=0):
 class TestRollingForecast:
     def test_window_arithmetic_150_days(self):
         sample = drifting_sample(150)
-        config = RollingConfig(window=100, refit_interval=20, method="tikhonov:0.05",
+        config = RollingConfig(window=100, refit_interval=20, methods=("tikhonov:0.05",),
                                gap_policy="contiguous")
         result = rolling_forecast(sample, config)
         assert len(result.records) == 50
@@ -241,7 +243,7 @@ class TestRollingForecast:
 
     def test_evaluation_day_count_contiguous(self):
         sample = drifting_sample(123)
-        config = RollingConfig(window=100, refit_interval=7, method="fpca:0.90",
+        config = RollingConfig(window=100, refit_interval=7, methods=("fpca:0.90",),
                                gap_policy="contiguous")
         result = rolling_forecast(sample, config)
         assert len(result.records) == 23
@@ -251,7 +253,7 @@ class TestRollingForecast:
         dates = winter_dates(105) + [
             dt.date(2019, 6, 1) + dt.timedelta(days=i) for i in range(5)
         ]
-        config = RollingConfig(window=100, refit_interval=20, method="tikhonov:0.05")
+        config = RollingConfig(window=100, refit_interval=20, methods=("tikhonov:0.05",))
         result = rolling_forecast(sample, config, dates=dates)
         # the pair crossing index 104 -> 105 spans months: skipped once
         assert result.skipped_gaps == 1
@@ -260,7 +262,7 @@ class TestRollingForecast:
 
     def test_deterministic(self):
         sample = drifting_sample(140)
-        config = RollingConfig(window=100, refit_interval=20, method="tikhonov:cv",
+        config = RollingConfig(window=100, refit_interval=20, methods=("tikhonov:cv",),
                                gap_policy="contiguous")
         a = rolling_forecast(sample, config)
         b = rolling_forecast(sample, config)
@@ -272,7 +274,7 @@ class TestRollingForecast:
         g = uniform_grid(20)
         level = 3.0
         sample = FunctionalSample(np.full((120, 20), level), g)
-        config = RollingConfig(window=100, refit_interval=20, method="tikhonov:0.1",
+        config = RollingConfig(window=100, refit_interval=20, methods=("tikhonov:0.1",),
                                gap_policy="contiguous")
         result = rolling_forecast(sample, config)
         # degenerate series: the ridge fit is the zero operator, so the
@@ -284,7 +286,7 @@ class TestRollingForecast:
         g = uniform_grid(10)
         sample = FunctionalSample(np.full((130, 10), 1.0), g)
         # variance-threshold selection is impossible on a zero spectrum
-        config = RollingConfig(window=100, refit_interval=20, method="fpca:0.90",
+        config = RollingConfig(window=100, refit_interval=20, methods=("fpca:0.90",),
                                gap_policy="contiguous")
         result = rolling_forecast(sample, config)
         assert len(result.records) == 30
@@ -293,12 +295,114 @@ class TestRollingForecast:
 
     def test_needs_more_than_window(self):
         sample = drifting_sample(100)
-        config = RollingConfig(window=100, method="fpca:0.90", gap_policy="contiguous")
+        config = RollingConfig(window=100, methods=("fpca:0.90",), gap_policy="contiguous")
         with pytest.raises(InsufficientDataError):
             rolling_forecast(sample, config)
 
     def test_gap_policy_requires_dates(self):
         sample = drifting_sample(110)
-        config = RollingConfig(window=100, method="fpca:0.90")
+        config = RollingConfig(window=100, methods=("fpca:0.90",))
         with pytest.raises(ValueError):
             rolling_forecast(sample, config)
+
+
+def spline_sample(n, seed=0):
+    """Curves in the 10-dimensional B-spline span of the pipeline: AR(1) days, smoothed."""
+    rng = np.random.default_rng(seed)
+    days = np.empty((n, SLOTS_PER_DAY))
+    days[0] = rng.standard_normal(SLOTS_PER_DAY)
+    for t in range(1, n):
+        days[t] = 0.6 * days[t - 1] + rng.standard_normal(SLOTS_PER_DAY)
+    curves = smooth_days(days + 2.0, PipelineConfig())  # a nonzero mean, too
+    return FunctionalSample(curves, uniform_grid(curves.shape[1]))
+
+
+def comparable(records):
+    """Row fields with NaN made comparable."""
+    return [
+        (r.method, r.index, r.date, repr(r.ise), repr(r.tuning), r.refit, r.error)
+        for r in records
+    ]
+
+
+COORDINATE_METHODS = ("fpca:0.80", "fpca:0.95", "fpca:K=3", "tikhonov:0.05", "tikhonov:cv")
+
+
+class TestSpanCoordinates:
+    @pytest.mark.parametrize(
+        "sample, rank",
+        [(spline_sample(130), 10), (drifting_sample(130), 30)],
+        ids=["bspline-rank-10-of-100", "noisy-full-rank-30"],
+    )
+    def test_matches_direct_grid_fits(self, sample, rank):
+        config = RollingConfig(window=100, refit_interval=10, methods=COORDINATE_METHODS,
+                               gap_policy="contiguous")
+        result = rolling_forecast(sample, config)
+        assert result.span_rank == rank
+        rows = {(r.method, r.index): r for r in result.records}
+        assert len(rows) == len(COORDINATE_METHODS) * 30
+        for label in COORDINATE_METHODS:
+            for start in (100, 110, 120):
+                window = sample.subsample(start - 100, start)
+                est = fit_method(window, label, cv_scheme="k-fold-forward", cv_folds=5)
+                for t in range(start, start + 10):
+                    row = rows[(label, t)]
+                    assert row.error is None
+                    if label.startswith("fpca"):
+                        assert row.tuning == est.tuning["k"]
+                    else:
+                        assert row.tuning == pytest.approx(est.tuning["alpha"], rel=1e-9)
+                    expected = ise(est.predict(sample.curve(t - 1)), sample.curve(t))
+                    assert row.ise == pytest.approx(expected, rel=1e-10)
+
+    def test_exactly_constant_sample_has_zero_coordinates(self):
+        sample = FunctionalSample(np.full((30, 12), 3.0), uniform_grid(12))
+        rank, basis, coords = span_coordinates(sample)
+        assert rank == 0
+        assert basis.shape == (12, 2)
+        assert not coords.values.any()
+
+
+class TestRollingMethods:
+    def test_multi_method_run_equals_single_method_runs(self):
+        sample = drifting_sample(140)
+        labels = ("fpca:0.90", "fpca:K=40", "tikhonov:cv", "tikhonov:0.05")
+        common = dict(window=100, refit_interval=9, gap_policy="contiguous")
+        joint = rolling_forecast(sample, RollingConfig(methods=labels, **common))
+        # method-major rows, in config order
+        assert [r.method for r in joint.records] == [m for m in labels for _ in range(40)]
+        for label in labels:
+            single = rolling_forecast(sample, RollingConfig(methods=(label,), **common))
+            assert comparable(single.records) == comparable(
+                [r for r in joint.records if r.method == label]
+            )
+
+    @pytest.mark.parametrize("label", ["fpca:K=11", "fpca:K=50", "fpca:K=99", "fpca:K=5000"])
+    def test_k_beyond_usable_directions_is_one_failure_class(self, label):
+        # rank 10 on a 100-point grid: K in (r, M] and K > M fail alike,
+        # whether or not the window holds K + 2 curves
+        sample = spline_sample(130)
+        config = RollingConfig(window=100, refit_interval=10, methods=(label, "fpca:0.9"),
+                               gap_policy="contiguous")
+        result = rolling_forecast(sample, config)
+        failed = [r for r in result.records if r.method == label]
+        assert len(failed) == 30
+        assert all(r.error.startswith("SingularSystemError:") for r in failed)
+        assert all(np.isnan(r.ise) for r in failed)
+        assert all(r.error is None for r in result.records if r.method == "fpca:0.9")
+        with pytest.raises(SingularSystemError):
+            fit_method(sample.subsample(0, 100), label)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"methods": ()},
+            {"methods": ("fpca:0.9", "fpca:0.9")},
+            {"methods": ("fpca:K=0",)},
+            {"cv_scheme": "leave-one-out"},
+            {"cv_folds": 1},
+        ],
+    )
+    def test_config_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            RollingConfig(**kwargs)
