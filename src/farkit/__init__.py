@@ -37,7 +37,7 @@ from .moments import (
     FunctionalSample,
     OperatorEstimate,
     WeightedMomentPair,
-    apply_kernel,
+    apply_kernel_matrix,
     sample_moments,
     to_weighted,
     unweight_kernel,

@@ -37,7 +37,7 @@ from .errors import InsufficientDataError
 from .evaluate import (
     BenchmarkConfig,
     TheoryProbe,
-    fit_method,
+    fit_methods,
     mean_misfe_table,
     operator_error_slope,
     parse_method,
@@ -48,9 +48,8 @@ from .evaluate import (
     tuning_summary,
     worst_case_table,
 )
-from .fpca import eigendecompose
 from .grid import make_trapezoid_grid, uniform_grid
-from .moments import FunctionalSample, weighted_moments
+from .moments import FunctionalSample
 from .preprocess import (
     PipelineConfig,
     RollingConfig,
@@ -60,12 +59,6 @@ from .preprocess import (
     rolling_forecast,
 )
 from .simulate import REGIMES, draw_regime_operator, simulate_far1
-from .tikhonov import (
-    application_alpha_grid,
-    cv_select_alpha,
-    default_alpha_grid,
-    tikhonov_fit,
-)
 
 SCHEMA_VERSION = 1
 
@@ -101,7 +94,7 @@ def _read_meta(path: Path) -> dict | None:
         return None
     with open(path) as handle:
         meta = json.load(handle)
-    version = meta.get("schema_version")
+    version = meta.get("schema_version") if isinstance(meta, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {version!r}")
     return meta
@@ -159,27 +152,23 @@ def _load_sample(path: Path) -> FunctionalSample:
 
 
 def cmd_fit(args) -> int:
+    """Fit one method; a bad method id, input or sidecar, or a failed fit, exits 1."""
     out = _out_dir(args)
     try:
         method = parse_method(args.method)
+        if args.cv_folds < 2:
+            raise ValueError("--cv-folds must be at least 2")
         sample = _load_sample(Path(args.input))
-        moments = weighted_moments(sample)
-        decomposition = eigendecompose(moments)
-        cv = None
-        if method.kind == "tikhonov" and method.cv:
-            if args.cv_scheme == "holdout":
-                grid = default_alpha_grid()
-            else:
-                grid = application_alpha_grid(float(decomposition.eigenvalues[0]))
-            cv = cv_select_alpha(sample, grid, scheme=args.cv_scheme, n_folds=args.cv_folds)
-            est = tikhonov_fit(moments, cv.selected_alpha, decomposition=decomposition)
-            est = replace(est, tuning={**est.tuning, "selected_by": cv.scheme})
-        else:
-            est = fit_method(sample, method, moments=moments, decomposition=decomposition)
-    except Exception as exc:
-        _write_json(out / "fit.meta.json", {"kind": "error", "error": str(exc)})
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        error = str(exc)
+    else:
+        (outcome,) = fit_methods(sample, [method], cv_scheme=args.cv_scheme, cv_folds=args.cv_folds)
+        error = outcome.error
+    if error is not None:
+        _write_json(out / "fit.meta.json", {"kind": "error", "error": error})
+        print(f"error: {error}", file=sys.stderr)
         return 1
+    est, cv = outcome.estimate, outcome.cv
     _write_matrix(out / "kernel.csv", est.kernel)
     meta = {
         "kind": "operator_fit",
@@ -203,15 +192,10 @@ def _load_benchmark_config(args) -> BenchmarkConfig:
     if args.config:
         with open(args.config) as handle:
             data = json.load(handle)
-        data.pop("schema_version", None)
+    config = BenchmarkConfig.from_dict(data)
     # command-line flags override config-file values override defaults
-    if args.replications is not None:
-        data["replications"] = args.replications
-    if args.seed is not None:
-        data["master_seed"] = args.seed
-    if args.threads is not None:
-        data["threads"] = args.threads
-    return BenchmarkConfig.from_dict(data)
+    flags = dict(replications=args.replications, master_seed=args.seed, threads=args.threads)
+    return replace(config, **{key: value for key, value in flags.items() if value is not None})
 
 
 def write_records_csv(report, path: Path) -> None:
@@ -227,9 +211,19 @@ def write_records_csv(report, path: Path) -> None:
     )
 
 
+def _failures_by_class(records) -> dict:
+    """Failed records counted by the class prefix of their error text."""
+    failures = Counter(r.error.partition(":")[0] for r in records if r.error is not None)
+    return dict(sorted(failures.items()))
+
+
 def cmd_benchmark(args) -> int:
+    try:
+        config = _load_benchmark_config(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = _out_dir(args)
-    config = _load_benchmark_config(args)
     report = run_benchmark(config)
     write_records_csv(report, out / "records.csv")
 
@@ -284,6 +278,7 @@ def cmd_benchmark(args) -> int:
             "wall_clock_seconds": report.wall_clock_seconds,
             "fit_seconds_by_method": seconds_by_method,
             "failed_fits": sum(1 for r in report.records if r.failed),
+            "failures_by_class": _failures_by_class(report.records),
         },
     )
     slope_text = "n/a" if slope is None else f"{slope:.3f}"
@@ -331,7 +326,7 @@ def cmd_rolling(args) -> int:
     for label in methods:
         rows = [r for r in result.records if r.method == label]
         ises = np.array([r.ise for r in rows if r.error is None])
-        failures = Counter(r.error.partition(":")[0] for r in rows if r.error is not None)
+        failures = _failures_by_class(rows)
         summary.append(
             {
                 "method": label,
@@ -339,7 +334,7 @@ def cmd_rolling(args) -> int:
                 "median_ise": float(np.median(ises)) if ises.size else float("nan"),
                 "evaluations": int(ises.size),
                 "failures": sum(failures.values()),
-                "failures_by_class": dict(sorted(failures.items())),
+                "failures_by_class": failures,
                 "skipped_gaps": result.skipped_gaps,
             }
         )
@@ -521,7 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # argparse drops an option value of exactly "--" and passes on an empty list
+    if [] in vars(args).values():
+        parser.error("an option value cannot be '--'")
     return args.func(args)
 
 

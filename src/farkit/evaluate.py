@@ -9,6 +9,7 @@ inequality without any linear solves.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +35,7 @@ from .moments import (
 )
 from .simulate import REGIMES, draw_regime_operator, operator_kernel, simulate_far1
 from .tikhonov import (
-    AlphaGrid,
+    CvResult,
     application_alpha_grid,
     cv_select_alpha,
     default_alpha_grid,
@@ -140,16 +141,15 @@ def fit_method(
     moments: WeightedMomentPair | None = None,
     decomposition: SpectralDecomposition | None = None,
     cv_scheme: str = "holdout",
-    alpha_grid: AlphaGrid | None = None,
     cv_folds: int = 5,
-) -> OperatorEstimate:
-    """Fit one estimator id to a sample.
+) -> tuple[OperatorEstimate, CvResult | None]:
+    """Fit one estimator id to a sample; returns ``(estimate, cv)``.
 
     For ``tikhonov:cv`` the strength is selected with ``cv_scheme`` and the
-    estimator is refitted on the full sample. When no alpha grid is given,
-    the holdout scheme searches the fixed default grid and the forward
-    k-fold scheme searches the grid scaled to the sample's leading
-    covariance eigenvalue.
+    estimator is refitted on the full sample; ``cv`` is that selection's
+    ``CvResult`` (None for every other method). The holdout scheme
+    searches the fixed default grid and the forward k-fold scheme searches
+    the grid scaled to the sample's leading covariance eigenvalue.
     """
     if isinstance(method, str):
         method = parse_method(method)
@@ -166,24 +166,22 @@ def fit_method(
                 raise SingularSystemError(
                     f"K={method.k} exceeds the {usable} usable covariance directions"
                 )
-        return fpca_far_fit(
+        est = fpca_far_fit(
             sample, tau=method.tau, k=method.k, moments=moments, decomposition=decomposition
         )
+        return est, None
     if not method.cv:
-        return tikhonov_fit(moments, method.alpha, decomposition=decomposition)
-    if alpha_grid is None:
-        if cv_scheme == "holdout":
-            alpha_grid = default_alpha_grid()
-        else:
-            lam1 = float(decomposition.eigenvalues[0])
-            if lam1 <= 0:
-                raise DegenerateSpectrumError("covariance spectrum is identically zero")
-            alpha_grid = application_alpha_grid(lam1)
+        return tikhonov_fit(moments, method.alpha, decomposition=decomposition), None
+    if cv_scheme == "holdout":
+        alpha_grid = default_alpha_grid()
+    else:
+        lam1 = float(decomposition.eigenvalues[0])
+        if lam1 <= 0:
+            raise DegenerateSpectrumError("covariance spectrum is identically zero")
+        alpha_grid = application_alpha_grid(lam1)
     cv = cv_select_alpha(sample, alpha_grid, scheme=cv_scheme, n_folds=cv_folds)
     est = tikhonov_fit(moments, cv.selected_alpha, decomposition=decomposition)
-    tuning = dict(est.tuning)
-    tuning["selected_by"] = cv.scheme
-    return replace(est, tuning=tuning)
+    return replace(est, tuning={**est.tuning, "selected_by": cv.scheme}), cv
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,6 +191,7 @@ class FitOutcome:
     estimate: OperatorEstimate | None
     error: str | None
     seconds: float  # this method's own fit time, shared decomposition excluded
+    cv: CvResult | None = None  # the strength selection of a tikhonov:cv fit
 
 
 def _error_text(exc: Exception) -> str:
@@ -225,7 +224,7 @@ def fit_methods(
     for method in methods:
         t0 = time.perf_counter()
         try:
-            est = fit_method(
+            est, cv = fit_method(
                 sample,
                 method,
                 moments=moments,
@@ -236,7 +235,7 @@ def fit_methods(
         except FIT_ERRORS as exc:
             yield FitOutcome(None, _error_text(exc), time.perf_counter() - t0)
         else:
-            yield FitOutcome(est, None, time.perf_counter() - t0)
+            yield FitOutcome(est, None, time.perf_counter() - t0, cv)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +316,15 @@ class BenchmarkConfig:
         object.__setattr__(self, "regimes", tuple(self.regimes))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "methods", tuple(self.methods))
+        if not (self.regimes and self.n_values and self.methods):
+            raise ValueError("regimes, n_values and methods must not be empty")
         for regime in self.regimes:
             if regime not in REGIMES:
                 raise ValueError(f"unknown regime id {regime!r}")
+        if min(self.n_values) < 2:
+            raise ValueError("training paths need at least 2 curves")
+        if self.master_seed < 0:
+            raise ValueError("master seed must be nonnegative")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.test_length < 2:
@@ -341,11 +346,30 @@ class BenchmarkConfig:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "BenchmarkConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+    def from_dict(cls, data) -> "BenchmarkConfig":
+        """Config from a parsed JSON object; a top-level ``schema_version`` is ignored.
+
+        Anything but an object of known keys whose values have the JSON
+        types of the defaults raises ValueError.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("benchmark config must be a JSON object")
+        data = {key: value for key, value in data.items() if key != "schema_version"}
+        defaults = cls().to_dict()
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(f"unknown benchmark config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            default = defaults[key]
+            # exact types: JSON true/false parse to bool, an int subclass
+            if isinstance(default, list):
+                ok = isinstance(value, list) and all(type(v) is type(default[0]) for v in value)
+            else:
+                ok = type(value) is type(default)
+            if not ok:
+                raise ValueError(
+                    f"benchmark config {key!r}: {value!r} is not typed like {default!r}"
+                )
         return cls(**data)
 
 
@@ -439,7 +463,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
 
 
 def _cells(records):
-    """Group successful records by (regime, n, method), preserving order."""
+    """Group records by (regime, n, method), preserving order."""
     grouped: dict = {}
     for record in records:
         grouped.setdefault((record.regime, record.n, record.method), []).append(record)
@@ -449,12 +473,16 @@ def _cells(records):
 def mean_misfe_table(report: BenchmarkReport) -> dict:
     """Per-cell mean forecast error with its Monte Carlo standard error.
 
-    Returns {(regime, n, method): (mean, stderr, count)} over successful
-    replications only; failed fits reduce the count and are never imputed.
+    Returns {(regime, n, method): (mean, stderr, count)} for every cell of
+    the config, over successful replications only; failed fits reduce the
+    count and are never imputed, and a cell without any success gets
+    (NaN, NaN, 0).
     """
+    cells = _cells(report.records)
+    config = report.config
     table = {}
-    for key, cell in _cells(report.records).items():
-        values = np.array([r.misfe for r in cell if not r.failed])
+    for key in itertools.product(config.regimes, config.n_values, config.methods):
+        values = np.array([r.misfe for r in cells.get(key, ()) if not r.failed])
         if values.size == 0:
             table[key] = (float("nan"), float("nan"), 0)
         else:
@@ -476,46 +504,38 @@ def regret_table(report: BenchmarkReport) -> dict:
     """Percent excess mean forecast error over the best truncation rule per cell.
 
     The oracle in each (regime, n) cell is the smallest mean error among
-    the variance-threshold methods, so the best of them has regret exactly
-    0 and a ridge method may land below 0.
+    the variance-threshold methods with at least one successful
+    replication, so the best of them has regret exactly 0 and a ridge
+    method may land below 0. The regret is NaN for a method without
+    successes and for every method of a cell without an oracle.
     """
     fpca_labels = _fpca_tau_methods(report)
-    if not fpca_labels:
-        raise ValueError("regret needs at least one variance-threshold method")
     means = mean_misfe_table(report)
     regrets = {}
     for regime in report.config.regimes:
         for n in report.config.n_values:
-            oracle_values = []
-            for label in fpca_labels:
-                entry = means.get((regime, n, label))
-                if entry is None or entry[2] == 0:
-                    raise ValueError(
-                        f"cell ({regime}, {n}) is missing results for {label}"
-                    )
-                oracle_values.append(entry[0])
-            oracle = min(oracle_values)
+            oracle = min(
+                (means[(regime, n, label)][0] for label in fpca_labels
+                 if means[(regime, n, label)][2] > 0),
+                default=float("nan"),
+            )
             for label in report.config.methods:
-                entry = means.get((regime, n, label))
-                if entry is None:
-                    continue
-                regrets[(regime, n, label)] = 100.0 * (entry[0] - oracle) / oracle
+                mean = means[(regime, n, label)][0]
+                regrets[(regime, n, label)] = 100.0 * (mean - oracle) / oracle
     return regrets
 
 
 def worst_case_table(report: BenchmarkReport) -> dict:
-    """Worst per-regime mean forecast error for each (method, n)."""
+    """Worst per-regime mean forecast error for each (method, n).
+
+    NaN when any regime of that (method, n) has no successful replication.
+    """
     means = mean_misfe_table(report)
     table = {}
     for label in report.config.methods:
         for n in report.config.n_values:
-            cell_means = []
-            for regime in report.config.regimes:
-                entry = means.get((regime, n, label))
-                if entry is None or entry[2] == 0:
-                    raise ValueError(f"missing regime {regime} at n={n} for {label}")
-                cell_means.append(entry[0])
-            table[(label, n)] = max(cell_means)
+            cell_means = [means[(regime, n, label)][0] for regime in report.config.regimes]
+            table[(label, n)] = float(np.max(cell_means))
     return table
 
 
@@ -661,7 +681,7 @@ def operator_error_slope(
             train = simulate_far1(
                 op, spec, n, _path_seed(master_seed, regime, n, rep, _TRAIN_TAG)
             )
-            est = fit_method(train, "tikhonov:cv")
+            est, _ = fit_method(train, "tikhonov:cv")
             truth = operator_kernel(op, train.grid)
             w = train.grid.weights
             scale = np.sqrt(np.outer(w, w))

@@ -22,7 +22,6 @@ __all__ = [
     "sample_moments",
     "to_weighted",
     "weighted_moments",
-    "apply_kernel",
     "apply_kernel_matrix",
     "unweight_kernel",
 ]
@@ -49,16 +48,6 @@ class FunctionalSample:
             raise GridError("sample values must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_curves(cls, curves) -> "FunctionalSample":
-        curves = list(curves)
-        if not curves:
-            raise InsufficientDataError("a functional sample needs at least 2 curves")
-        grid = curves[0].grid
-        for c in curves[1:]:
-            require_same_grid(grid, c.grid)
-        return cls(np.vstack([c.values for c in curves]), grid)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -119,7 +108,9 @@ class OperatorEstimate:
         object.__setattr__(self, "kernel", kernel)
 
     def predict(self, x: Curve) -> Curve:
-        return apply_kernel(self, x)
+        """Apply the kernel to one curve: the one-row case of ``apply_kernel_matrix``."""
+        require_same_grid(self.grid, x.grid)
+        return Curve(apply_kernel_matrix(self, x.values[None, :])[0], self.grid)
 
 
 def sample_moments(sample: FunctionalSample):
@@ -163,15 +154,8 @@ def weighted_moments(sample: FunctionalSample) -> WeightedMomentPair:
     return to_weighted(c0, c1, mean, sample.grid)
 
 
-def apply_kernel(op: OperatorEstimate, x: Curve) -> Curve:
-    """Apply an estimated kernel to a curve by trapezoidal integration."""
-    require_same_grid(op.grid, x.grid)
-    out = op.kernel @ (op.grid.weights * x.values)
-    return Curve(out, op.grid)
-
-
 def apply_kernel_matrix(op: OperatorEstimate, values: np.ndarray) -> np.ndarray:
-    """Apply the kernel to every row of an (n, M) array of curve values."""
+    """Apply the kernel to every row of an (n, M) array of curve values by quadrature."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != op.grid.size:
         raise GridError("values must be (n, M) matching the operator grid")

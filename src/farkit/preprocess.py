@@ -101,8 +101,6 @@ class RollingConfig:
     refit_interval: int = 20
     methods: tuple = ("tikhonov:cv",)
     gap_policy: str = "exclude-cross-gap"
-    cv_scheme: str = "k-fold-forward"
-    cv_folds: int = 5
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -112,10 +110,6 @@ class RollingConfig:
             raise ValueError("refit interval must be at least 1")
         if self.gap_policy not in ("exclude-cross-gap", "contiguous"):
             raise ValueError("gap_policy must be 'exclude-cross-gap' or 'contiguous'")
-        if self.cv_scheme not in ("holdout", "k-fold-forward"):
-            raise ValueError("cv_scheme must be 'holdout' or 'k-fold-forward'")
-        if self.cv_folds < 2:
-            raise ValueError("cross-validation needs at least 2 folds")
         if not self.methods:
             raise ValueError("rolling needs at least one method")
         if len(set(self.methods)) != len(self.methods):
@@ -337,7 +331,9 @@ def rolling_forecast(
     on the ``window`` curves immediately before the refit day, all methods
     from one shared decomposition of that window, and each evaluation day
     is forecast by applying the current estimator to the previous day's
-    curve. Fits and forecasts run in the coordinates of
+    curve. The ridge strength of ``tikhonov:cv`` is selected by forward
+    5-fold cross-validation over the eigenvalue-scaled grid. Fits and
+    forecasts run in the coordinates of
     ``span_coordinates``; each forecast is mapped back to the grid for its
     error. Under the ``exclude-cross-gap`` policy, pairs of days more than
     one calendar day apart are skipped and counted (the refit cadence
@@ -368,8 +364,8 @@ def rolling_forecast(
                 fit_methods(
                     coords.subsample(t - config.window, t),
                     methods,
-                    cv_scheme=config.cv_scheme,
-                    cv_folds=config.cv_folds,
+                    cv_scheme="k-fold-forward",
+                    cv_folds=5,
                 )
             )
         date = dates[t] if dates is not None else None

@@ -107,12 +107,6 @@ def application_alpha_grid(lambda1: float) -> AlphaGrid:
     return AlphaGrid(lambda1 * np.logspace(-4.0, 1.0, 30), provenance="eigenvalue-scaled")
 
 
-def _holdout_split(n: int):
-    """Validation block size and training length for the holdout scheme."""
-    n_v = max(n // 5, 20)
-    return n - n_v, n_v
-
-
 def _fast_cv_losses(train: FunctionalSample, lag_values, target_values, alphas):
     """Mean squared L2 one-step errors for every alpha, via one eigendecomposition.
 
@@ -159,40 +153,28 @@ def cv_select_alpha(
 ) -> CvResult:
     """Pick the ridge strength by one-step-ahead cross-validation.
 
-    Two deterministic schemes:
+    Both deterministic schemes are forward splits: each validation block
+    is predicted one step ahead, every curve from its actual predecessor,
+    by a fit on all curves strictly before the block, and the per-block
+    mean losses are averaged.
 
     ``holdout``
-        The last max(floor(0.2 n), 20) curves form the validation block;
-        the estimator is fitted once on the curves before it. Each
-        validation curve is predicted from its actual predecessor, so the
-        first prediction uses the final training curve as its lag.
-        Requires n >= 30.
+        One block: the last max(floor(0.2 n), 20) curves. Requires n >= 30.
 
     ``k-fold-forward``
         The sample is split into ``n_folds`` contiguous, chronologically
-        ordered folds. Every fold after the first is validated one step
-        ahead using a fit on all curves strictly before it (the first fold
-        only ever serves as training data), and the per-fold mean losses
-        are averaged. Requires n >= 5 * n_folds + 10.
+        ordered folds; every fold after the first is a block (the first
+        fold only ever serves as training data). Requires
+        n >= 5 * n_folds + 10.
 
     The returned loss curve covers the whole grid; refitting on the full
     sample at the selected alpha is the caller's responsibility.
     """
     n = sample.n
-    alphas = grid.values
     if scheme == "holdout":
         if n < 30:
             raise InsufficientDataError(f"holdout cross-validation needs n >= 30, got {n}")
-        n_tr, n_v = _holdout_split(n)
-        train = sample.subsample(0, n_tr)
-        losses = _fast_cv_losses(
-            train,
-            lag_values=sample.values[n_tr - 1 : n - 1],
-            target_values=sample.values[n_tr:n],
-            alphas=alphas,
-        )
-        train_idx = tuple(range(n_tr))
-        val_idx = tuple(range(n_tr, n))
+        blocks = [np.arange(n - max(n // 5, 20), n)]
     elif scheme == "k-fold-forward":
         if n_folds < 2:
             raise ValueError("k-fold-forward needs at least 2 folds")
@@ -200,27 +182,25 @@ def cv_select_alpha(
             raise InsufficientDataError(
                 f"k-fold-forward cross-validation needs n >= {5 * n_folds + 10}, got {n}"
             )
-        folds = np.array_split(np.arange(n), n_folds)
-        fold_losses = []
-        val_idx = []
-        for fold in folds[1:]:
-            start = int(fold[0])
-            train = sample.subsample(0, start)
-            fold_losses.append(
-                _fast_cv_losses(
-                    train,
-                    lag_values=sample.values[fold - 1],
-                    target_values=sample.values[fold],
-                    alphas=alphas,
-                )
-            )
-            val_idx.extend(int(t) for t in fold)
-        losses = np.mean(fold_losses, axis=0)
-        train_idx = tuple(int(t) for t in folds[0])
-        val_idx = tuple(val_idx)
+        blocks = np.array_split(np.arange(n), n_folds)[1:]
     else:
         raise ValueError(f"unknown cross-validation scheme: {scheme!r}")
 
+    alphas = grid.values
+    losses = np.mean(
+        [
+            _fast_cv_losses(
+                sample.subsample(0, int(block[0])),
+                lag_values=sample.values[block - 1],
+                target_values=sample.values[block],
+                alphas=alphas,
+            )
+            for block in blocks
+        ],
+        axis=0,
+    )
     selected = _select_from_losses(alphas, losses)
     curve = tuple((float(a), float(l)) for a, l in zip(alphas, losses))
+    train_idx = tuple(range(int(blocks[0][0])))
+    val_idx = tuple(int(t) for block in blocks for t in block)
     return CvResult(selected, curve, train_idx, val_idx, scheme=scheme)

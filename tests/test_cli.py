@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from farkit.cli import main
+from farkit.evaluate import parse_method
 from farkit.grid import uniform_grid
 
 HEADER = "date," + ",".join(f"h{i:02d}" for i in range(1, 49))
@@ -140,11 +143,44 @@ class TestBenchmarkCommand:
         config_echo = json.loads((a / "summary.json").read_text())["config"]
         assert config_echo["replications"] == 2 and config_echo["master_seed"] == 4
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,
+            "{not json",
+            "[1, 2]",
+            json.dumps({"replicas": 2}),
+            json.dumps({"replications": "2"}),
+            json.dumps({"replications": 0}),
+            json.dumps({"methods": ["fpca:K=0"]}),
+        ],
+        ids=["missing-file", "invalid-json", "array", "unknown-key", "string-count",
+             "zero-replications", "bad-method-id"],
+    )
+    def test_config_error_is_usage_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"replicas": 2}))
-        with pytest.raises(ValueError):
-            main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_cells_without_results_are_nan(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"regimes": ["I"], "n_values": [100],
+                                   "methods": ["fpca:0.90", "fpca:K=200"], "replications": 2}))
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        regret = [r.split(",") for r in read_csv_rows(out / "regret.csv")[1:]]
+        assert regret[0][:3] == ["I", "100", "fpca:0.90"] and regret[0][5] == "0.0"
+        assert regret[1] == ["I", "100", "fpca:K=200", "nan", "0", "nan"]
+        worst = [r.split(",") for r in read_csv_rows(out / "worst_case.csv")[1:]]
+        assert worst[1] == ["fpca:K=200", "100", "nan"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failed_fits"] == 2
+        assert summary["failures_by_class"] == {"SingularSystemError": 2}
 
 
 def write_raw_days(path, count=150, level=6.0):
@@ -296,3 +332,54 @@ class TestVerifyCommand:
         probes.write_text(json.dumps({"probes": []}))
         code = main(["verify", "--out", str(tmp_path / "v"), "--probes", str(probes)])
         assert code == 2
+
+
+# every token of the method-id grammar, recombined at random, plus ids that
+# keep the grammar's shape so that valid ones are drawn too
+METHOD_ID_TOKENS = ["fpca:", "tikhonov:", "K=", *"0123456789", ".", "-", "cv", "nan", "inf"]
+METHOD_IDS = st.one_of(
+    st.lists(st.sampled_from(METHOD_ID_TOKENS), max_size=8).map("".join),
+    st.tuples(
+        st.sampled_from(["fpca:", "tikhonov:"]),
+        st.sampled_from(["", "K="]),
+        st.one_of(st.text(alphabet="0123456789.-", min_size=1, max_size=6),
+                  st.sampled_from(["cv", "nan", "inf"])),
+    ).map("".join),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    spectrum_sample_csv(root / "sample.csv", [0.6, 0.3, 0.1], m=6, n=40)
+    write_raw_days(root / "raw.csv", 45)
+    return root
+
+
+def exit_code(argv) -> int:
+    """The process exit status of ``farkit ARGV``, argparse's usage exits included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(label=METHOD_IDS)
+@example(label="--")  # argparse passed this value on as an empty list
+@example(label="fpca:1")
+@example(label="tikhonov:cv")
+def test_fuzzed_method_ids_exit_cleanly(fuzz_inputs, label):
+    try:
+        parse_method(label)
+        valid = True
+    except ValueError:
+        valid = False
+    fit_code = exit_code(["fit", "--input", str(fuzz_inputs / "sample.csv"),
+                          f"--method={label}", "--out", str(fuzz_inputs / "fit")])
+    # a rejected id: 1 from the fit command, 2 if argparse refuses it first
+    assert fit_code in ((0, 1) if valid else (1, 2))
+    roll_code = exit_code(["rolling", "--raw", str(fuzz_inputs / "raw.csv"), "--window", "20",
+                           f"--methods={label}", "--gap-policy", "contiguous",
+                           "--out", str(fuzz_inputs / "roll")])
+    assert roll_code == (0 if valid else 2)

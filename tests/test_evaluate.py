@@ -50,7 +50,12 @@ class TestFitMethods:
         labels = ["fpca:0.9", "fpca:K=2", "tikhonov:0.1", "tikhonov:cv"]
         for label, outcome in zip(labels, fit_methods(sample, labels)):
             assert outcome.error is None
-            assert np.array_equal(outcome.estimate.kernel, fit_method(sample, label).kernel)
+            est, cv = fit_method(sample, label)
+            assert np.array_equal(outcome.estimate.kernel, est.kernel)
+            # only the cross-validated fit carries its strength selection
+            assert (outcome.cv is None) == (cv is None) == (label != "tikhonov:cv")
+            if cv is not None:
+                assert outcome.cv.cv_curve == cv.cv_curve
 
     def test_non_finite_moments_recorded_as_grid_error(self, rng):
         sample = FunctionalSample(rng.standard_normal((60, 8)) * 1e156, uniform_grid(8))
@@ -187,15 +192,21 @@ class TestTables:
         regrets = regret_table(report)
         assert all(abs(v) <= 1e-12 for v in regrets.values())
 
-    def test_missing_fpca_method_raises(self):
+    def test_cells_without_results_are_nan(self):
         report = synthetic_report(
             {
                 ("I", 100, "fpca:0.80"): [1.0],
                 ("I", 200, "fpca:0.80"): [],
             }
         )
-        with pytest.raises(ValueError):
-            regret_table(report)
+        regrets = regret_table(report)
+        assert regrets[("I", 100, "fpca:0.80")] == 0.0
+        assert np.isnan(regrets[("I", 200, "fpca:0.80")])
+        worst = worst_case_table(report)
+        assert worst[("fpca:0.80", 100)] == 1.0
+        assert np.isnan(worst[("fpca:0.80", 200)])
+        mean, _, count = mean_misfe_table(report)[("I", 200, "fpca:0.80")]
+        assert np.isnan(mean) and count == 0
 
     def test_worst_case_single_regime(self):
         report = synthetic_report({("II", 100, "fpca:0.80"): [0.4, 0.6]})

@@ -16,7 +16,7 @@ from farkit.fpca import (
     select_k,
 )
 from farkit.grid import Curve, inner_product, l2_norm, uniform_grid
-from farkit.moments import FunctionalSample, apply_kernel, weighted_moments
+from farkit.moments import FunctionalSample, weighted_moments
 from farkit.tikhonov import tikhonov_fit
 
 PM10_SHARES = np.array([0.804, 0.091, 0.043, 0.03, 0.012, 0.008, 0.007, 0.005])
@@ -117,7 +117,7 @@ def ar1_like_sample(rng, n, direction, coeff=0.0, noise=1.0):
 
 def fitted_scalar_coefficient(est, direction_curve):
     """<phi, Psi phi> / <phi, phi> for a rank-one fit along direction_curve."""
-    image = apply_kernel(est, direction_curve)
+    image = est.predict(direction_curve)
     return inner_product(direction_curve, image) / inner_product(
         direction_curve, direction_curve
     )
@@ -156,7 +156,7 @@ class TestFpcaFarFit:
         x = rng.standard_normal(12)
         scores = phi.T @ (g.weights * x)
         oracle = phi @ (a_pred @ scores)
-        got = apply_kernel(est, Curve(x, g)).values
+        got = est.predict(Curve(x, g)).values
         assert np.linalg.norm(got - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
     def test_rank_at_most_k(self, rng):
@@ -189,8 +189,8 @@ class TestFpcaFarFit:
         full = fpca_far_fit(sample, k=7, moments=mom, decomposition=dec)
         ridge = tikhonov_fit(mom, 1e-12 * dec.eigenvalues[0], decomposition=dec)
         x = sample.curve(sample.n - 1)
-        a = apply_kernel(full, x).values
-        b = apply_kernel(ridge, x).values
+        a = full.predict(x).values
+        b = ridge.predict(x).values
         assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(b)
 
     def test_tau_resolves_k_and_records_both(self, rng):

@@ -7,7 +7,6 @@ from farkit.grid import Curve, uniform_grid
 from farkit.moments import (
     FunctionalSample,
     OperatorEstimate,
-    apply_kernel,
     apply_kernel_matrix,
     sample_moments,
     to_weighted,
@@ -135,13 +134,13 @@ class TestApplyKernel:
     def test_zero_kernel(self):
         g = uniform_grid(5)
         op = OperatorEstimate(np.zeros((5, 5)), g, method="fpca")
-        out = apply_kernel(op, Curve(np.arange(5.0), g))
+        out = op.predict(Curve(np.arange(5.0), g))
         assert np.allclose(out.values, 0)
 
     def test_ones_kernel_constant_input(self):
         g = uniform_grid(7)  # weights sum to 1
         op = OperatorEstimate(np.ones((7, 7)), g, method="fpca")
-        out = apply_kernel(op, Curve(np.ones(7), g))
+        out = op.predict(Curve(np.ones(7), g))
         assert np.allclose(out.values, 1.0, atol=1e-14)
 
     def test_single_row_hand_values(self):
@@ -150,7 +149,7 @@ class TestApplyKernel:
         kernel[1] = [2.0, -1.0, 4.0]
         op = OperatorEstimate(kernel, g, method="fpca")
         x = Curve(np.array([1.0, 3.0, 5.0]), g)
-        out = apply_kernel(op, x)
+        out = op.predict(x)
         # row quadrature: 2*1*0.25 - 1*3*0.5 + 4*5*0.25
         assert out.values[1] == pytest.approx(0.5 - 1.5 + 5.0, rel=1e-14)
         assert out.values[0] == out.values[2] == 0.0
@@ -161,8 +160,8 @@ class TestApplyKernel:
         x = Curve(rng.standard_normal(6), g)
         y = Curve(rng.standard_normal(6), g)
         combo = Curve(1.5 * x.values - 0.3 * y.values, g)
-        expected = 1.5 * apply_kernel(op, x).values - 0.3 * apply_kernel(op, y).values
-        got = apply_kernel(op, combo).values
+        expected = 1.5 * op.predict(x).values - 0.3 * op.predict(y).values
+        got = op.predict(combo).values
         assert np.abs(got - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
 
     def test_matrix_variant_matches_curve_variant(self, rng):
@@ -171,12 +170,12 @@ class TestApplyKernel:
         values = rng.standard_normal((4, 5))
         rows = apply_kernel_matrix(op, values)
         for t in range(4):
-            assert np.allclose(rows[t], apply_kernel(op, Curve(values[t], g)).values)
+            assert np.allclose(rows[t], op.predict(Curve(values[t], g)).values)
 
     def test_grid_mismatch(self):
         op = OperatorEstimate(np.zeros((3, 3)), uniform_grid(3), method="fpca")
         with pytest.raises(GridError):
-            apply_kernel(op, Curve(np.zeros(4), uniform_grid(4)))
+            op.predict(Curve(np.zeros(4), uniform_grid(4)))
 
 
 class TestUnweightKernel:
