@@ -31,16 +31,15 @@ from .evaluate import (
     verify_bias_bound,
     worst_case_table,
 )
-from .fpca import SpectralDecomposition, component_scores, eigendecompose, fpca_far_fit, select_k
+from .fpca import SpectralDecomposition, eigendecompose, fpca_far_fit, select_k
 from .grid import Curve, QuadratureGrid, inner_product, l2_norm, make_trapezoid_grid, uniform_grid
 from .moments import (
     FunctionalSample,
     OperatorEstimate,
+    SpanCoordinates,
     WeightedMomentPair,
     apply_kernel_matrix,
-    sample_moments,
-    to_weighted,
-    unweight_kernel,
+    span_coordinates,
     weighted_moments,
 )
 from .preprocess import (

@@ -49,7 +49,7 @@ from .evaluate import (
     worst_case_table,
 )
 from .grid import make_trapezoid_grid, uniform_grid
-from .moments import FunctionalSample
+from .moments import FunctionalSample, span_coordinates
 from .preprocess import (
     PipelineConfig,
     RollingConfig,
@@ -158,11 +158,11 @@ def cmd_fit(args) -> int:
         method = parse_method(args.method)
         if args.cv_folds < 2:
             raise ValueError("--cv-folds must be at least 2")
-        sample = _load_sample(Path(args.input))
+        coords = span_coordinates(_load_sample(Path(args.input)))
     except (ValueError, OSError) as exc:
         error = str(exc)
     else:
-        (outcome,) = fit_methods(sample, [method], cv_scheme=args.cv_scheme, cv_folds=args.cv_folds)
+        (outcome,) = fit_methods(coords, [method], cv_scheme=args.cv_scheme, cv_folds=args.cv_folds)
         error = outcome.error
     if error is not None:
         _write_json(out / "fit.meta.json", {"kind": "error", "error": error})

@@ -29,8 +29,10 @@ from .grid import Curve, uniform_grid
 from .moments import (
     FunctionalSample,
     OperatorEstimate,
+    SpanCoordinates,
     WeightedMomentPair,
     apply_kernel_matrix,
+    span_coordinates,
     weighted_moments,
 )
 from .simulate import REGIMES, draw_regime_operator, operator_kernel, simulate_far1
@@ -135,7 +137,7 @@ def _parse_number(label: str, text: str, kind):
 
 
 def fit_method(
-    sample: FunctionalSample,
+    coords: SpanCoordinates,
     method: MethodSpec | str,
     *,
     moments: WeightedMomentPair | None = None,
@@ -143,7 +145,7 @@ def fit_method(
     cv_scheme: str = "holdout",
     cv_folds: int = 5,
 ) -> tuple[OperatorEstimate, CvResult | None]:
-    """Fit one estimator id to a sample; returns ``(estimate, cv)``.
+    """Fit one estimator id to a sample in span coordinates; returns ``(estimate, cv)``.
 
     For ``tikhonov:cv`` the strength is selected with ``cv_scheme`` and the
     estimator is refitted on the full sample; ``cv`` is that selection's
@@ -154,7 +156,7 @@ def fit_method(
     if isinstance(method, str):
         method = parse_method(method)
     if moments is None:
-        moments = weighted_moments(sample)
+        moments = weighted_moments(coords)
     if decomposition is None:
         decomposition = eigendecompose(moments)
     if method.kind == "fpca":
@@ -167,11 +169,12 @@ def fit_method(
                     f"K={method.k} exceeds the {usable} usable covariance directions"
                 )
         est = fpca_far_fit(
-            sample, tau=method.tau, k=method.k, moments=moments, decomposition=decomposition
+            coords, tau=method.tau, k=method.k, moments=moments, decomposition=decomposition
         )
         return est, None
     if not method.cv:
-        return tikhonov_fit(moments, method.alpha, decomposition=decomposition), None
+        est = tikhonov_fit(coords, method.alpha, moments=moments, decomposition=decomposition)
+        return est, None
     if cv_scheme == "holdout":
         alpha_grid = default_alpha_grid()
     else:
@@ -179,8 +182,8 @@ def fit_method(
         if lam1 <= 0:
             raise DegenerateSpectrumError("covariance spectrum is identically zero")
         alpha_grid = application_alpha_grid(lam1)
-    cv = cv_select_alpha(sample, alpha_grid, scheme=cv_scheme, n_folds=cv_folds)
-    est = tikhonov_fit(moments, cv.selected_alpha, decomposition=decomposition)
+    cv = cv_select_alpha(coords, alpha_grid, scheme=cv_scheme, n_folds=cv_folds)
+    est = tikhonov_fit(coords, cv.selected_alpha, moments=moments, decomposition=decomposition)
     return replace(est, tuning={**est.tuning, "selected_by": cv.scheme}), cv
 
 
@@ -199,13 +202,13 @@ def _error_text(exc: Exception) -> str:
 
 
 def fit_methods(
-    sample: FunctionalSample,
+    coords: SpanCoordinates,
     methods,
     *,
     cv_scheme: str = "holdout",
     cv_folds: int = 5,
 ):
-    """Fit every method to one sample from one shared moment/eigen decomposition.
+    """Fit every method to one sample in span coordinates from one shared decomposition.
 
     Yields one FitOutcome per method, in order, each fitted only when it
     is asked for, so a caller that scores and drops each estimate holds
@@ -215,7 +218,7 @@ def fit_methods(
     """
     methods = [parse_method(m) if isinstance(m, str) else m for m in methods]
     try:
-        moments = weighted_moments(sample)
+        moments = weighted_moments(coords)
         decomposition = eigendecompose(moments)
     except FIT_ERRORS as exc:
         for _ in methods:
@@ -225,7 +228,7 @@ def fit_methods(
         t0 = time.perf_counter()
         try:
             est, cv = fit_method(
-                sample,
+                coords,
                 method,
                 moments=moments,
                 decomposition=decomposition,
@@ -245,8 +248,8 @@ def fit_methods(
 def misfe(op: OperatorEstimate, test: FunctionalSample) -> float:
     """Mean integrated squared one-step forecast error along a path.
 
-    Every curve after the first is predicted from its predecessor via the
-    kernel; squared errors are integrated with the grid's quadrature
+    Every curve after the first is predicted from its predecessor by the
+    estimate; squared errors are integrated with the grid's quadrature
     weights and averaged over the T-1 forecast pairs.
     """
     if test.n < 2:
@@ -316,8 +319,12 @@ class BenchmarkConfig:
         object.__setattr__(self, "regimes", tuple(self.regimes))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if not (self.regimes and self.n_values and self.methods):
-            raise ValueError("regimes, n_values and methods must not be empty")
+        for name in ("regimes", "n_values", "methods"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate entries in {name}: {list(values)}")
         for regime in self.regimes:
             if regime not in REGIMES:
                 raise ValueError(f"unknown regime id {regime!r}")
@@ -436,7 +443,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
             _path_seed(config.master_seed, regime, n, rep, _TEST_TAG),
         )
         results = []
-        for method, outcome in zip(methods, fit_methods(train, methods)):
+        for method, outcome in zip(methods, fit_methods(span_coordinates(train), methods)):
             est = outcome.estimate
             results.append(
                 CellResult(
@@ -681,7 +688,7 @@ def operator_error_slope(
             train = simulate_far1(
                 op, spec, n, _path_seed(master_seed, regime, n, rep, _TRAIN_TAG)
             )
-            est, _ = fit_method(train, "tikhonov:cv")
+            est, _ = fit_method(span_coordinates(train), "tikhonov:cv")
             truth = operator_kernel(op, train.grid)
             w = train.grid.weights
             scale = np.sqrt(np.outer(w, w))
@@ -733,17 +740,13 @@ def run_verification_suite(probes=None, seed: int = 1234) -> list:
     spectral_ok, spectral_worst = True, 0.0
     for _ in range(5):
         n, m = int(rng.integers(40, 90)), int(rng.integers(8, 24))
-        sample = FunctionalSample(rng.standard_normal((n, m)), uniform_grid(m))
-        mom = weighted_moments(sample)
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((n, m)), uniform_grid(m)))
+        mom = weighted_moments(coords)
         dec = eigendecompose(mom)
         for alpha in alphas[::6]:
-            est = tikhonov_fit(mom, alpha, decomposition=dec)
-            dense = np.linalg.solve(
-                (mom.c0_tilde + alpha * np.eye(m)).T, mom.c1_tilde.T
-            ).T
-            sw = sample.grid.sqrt_weights
-            spectral = est.kernel * np.outer(sw, sw)
-            rel = float(np.linalg.norm(spectral - dense)) / max(
+            est = tikhonov_fit(coords, alpha, moments=mom, decomposition=dec)
+            dense = np.linalg.solve((mom.c0 + alpha * np.eye(coords.dim)).T, mom.c1.T).T
+            rel = float(np.linalg.norm(est.matrix - dense)) / max(
                 float(np.linalg.norm(dense)), 1e-300
             )
             spectral_worst = max(spectral_worst, rel)
@@ -761,10 +764,13 @@ def run_verification_suite(probes=None, seed: int = 1234) -> list:
         m = int(rng.integers(6, 12))
         n = 4 * m
         sample = FunctionalSample(rng.standard_normal((n, m)), uniform_grid(m))
-        mom = weighted_moments(sample)
+        coords = span_coordinates(sample)
+        mom = weighted_moments(coords)
         dec = eigendecompose(mom)
-        full = fpca_far_fit(sample, k=m, moments=mom, decomposition=dec)
-        ridge = tikhonov_fit(mom, 1e-12 * float(dec.eigenvalues[0]), decomposition=dec)
+        full = fpca_far_fit(coords, k=m, moments=mom, decomposition=dec)
+        ridge = tikhonov_fit(
+            coords, 1e-12 * float(dec.eigenvalues[0]), moments=mom, decomposition=dec
+        )
         x = sample.curve(sample.n - 1)
         a = full.predict(x).values
         b = ridge.predict(x).values

@@ -1,9 +1,9 @@
 """Principal-component truncation estimator for first-order curve autoregressions.
 
-The fit has three stages: eigendecompose the weighted sample covariance,
-keep the leading K directions (picked directly or through a cumulative
-variance threshold), and estimate the score-space autoregression whose
-coefficients are rebuilt into a rank-K kernel on the grid.
+The fit has three stages: eigendecompose the sample covariance in span
+coordinates, keep the leading K directions (picked directly or through a
+cumulative variance threshold), and estimate the score-space
+autoregression whose coefficients are rebuilt into a rank-K operator.
 
 The score autoregression is estimated from the spectral projections of the
 sample moment matrices: the score Gram matrix is the projected covariance
@@ -26,12 +26,12 @@ from .errors import (
     NumericalError,
     SingularSystemError,
 )
-from .grid import QuadratureGrid
 from .moments import (
     FunctionalSample,
     OperatorEstimate,
+    SpanCoordinates,
     WeightedMomentPair,
-    unweight_kernel,
+    span_coordinates,
     weighted_moments,
 )
 
@@ -40,7 +40,6 @@ __all__ = [
     "eigendecompose",
     "select_k",
     "usable_directions",
-    "component_scores",
     "fpca_far_fit",
     "GRAM_CONDITION_LIMIT",
 ]
@@ -55,29 +54,23 @@ NEGATIVE_EIGENVALUE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (nonincreasing, clamped >= 0) and eigenvectors of C0-tilde."""
+    """Eigenvalues (nonincreasing, clamped >= 0) and eigenvectors of the covariance."""
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray  # orthonormal columns in the weighted representation
-    grid: QuadratureGrid
-
-    @property
-    def eigenfunctions(self) -> np.ndarray:
-        """Grid values of the L2-orthonormal eigenfunctions, one per column."""
-        return self.vectors / self.grid.sqrt_weights[:, None]
+    vectors: np.ndarray  # orthonormal columns in span coordinates
 
 
 def eigendecompose(moments: WeightedMomentPair) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition of the weighted covariance matrix.
+    """Full symmetric eigendecomposition of the covariance matrix.
 
     Eigenvalues are sorted nonincreasing. Small negative values (above
     -1e-10 relative to the leading eigenvalue) are rounding artefacts and
     are clamped to zero; anything more negative raises NumericalError.
     """
-    c0 = moments.c0_tilde
+    c0 = moments.c0
     scale = np.abs(c0).max()
     if scale > 0 and np.abs(c0 - c0.T).max() > 1e-8 * scale:
-        raise NumericalError("weighted covariance matrix is not symmetric")
+        raise NumericalError("covariance matrix is not symmetric")
     try:
         lam, vectors = np.linalg.eigh((c0 + c0.T) / 2.0)
     except np.linalg.LinAlgError as exc:
@@ -91,7 +84,7 @@ def eigendecompose(moments: WeightedMomentPair) -> SpectralDecomposition:
             f"covariance eigenvalues below the PSD tolerance (min {lam.min():.3e})"
         )
     lam = np.maximum(lam, 0.0)
-    return SpectralDecomposition(lam, vectors, moments.grid)
+    return SpectralDecomposition(lam, vectors)
 
 
 def select_k(eigenvalues, tau: float) -> int:
@@ -122,26 +115,8 @@ def usable_directions(eigenvalues) -> int:
     return int(np.count_nonzero(positive[0] / positive <= GRAM_CONDITION_LIMIT))
 
 
-def component_scores(
-    sample: FunctionalSample,
-    decomposition: SpectralDecomposition,
-    k: int,
-    mean=None,
-) -> np.ndarray:
-    """Quadrature inner products of centered curves with the leading k eigenfunctions.
-
-    Returns an (n, k) array; row t holds the scores of curve t.
-    """
-    if mean is None:
-        mean = sample.values.mean(axis=0)
-    else:
-        mean = np.asarray(mean, dtype=float)
-    sw = sample.grid.sqrt_weights
-    return ((sample.values - mean) * sw) @ decomposition.vectors[:, :k]
-
-
 def fpca_far_fit(
-    sample: FunctionalSample,
+    coords: SpanCoordinates | FunctionalSample,
     tau: float | None = None,
     k: int | None = None,
     *,
@@ -153,27 +128,30 @@ def fpca_far_fit(
     Exactly one of ``tau`` (cumulative variance threshold) and ``k``
     (explicit truncation level) must be given. Precomputed moments and/or
     the eigendecomposition can be passed to avoid repeating the dominant
-    O(M^3) work when several truncation levels are fitted to one sample.
+    O(r^3) work when several truncation levels are fitted to one sample.
 
-    The returned kernel applied by quadrature reproduces the score-space
-    prediction: scoring a curve against the leading eigenfunctions,
-    advancing the scores one step with the fitted autoregression matrix,
-    and re-expanding in the eigenfunction basis.
+    The returned estimate reproduces the score-space prediction: scoring a
+    curve against the leading eigenfunctions, advancing the scores one step
+    with the fitted autoregression matrix, and re-expanding in the
+    eigenfunction basis. A grid sample is accepted too and is projected
+    with ``span_coordinates`` first.
     """
     if (tau is None) == (k is None):
         raise ValueError("give exactly one of tau and k")
+    if isinstance(coords, FunctionalSample):
+        coords = span_coordinates(coords)
     if moments is None:
-        moments = weighted_moments(sample)
+        moments = weighted_moments(coords)
     if decomposition is None:
         decomposition = eigendecompose(moments)
     lam = decomposition.eigenvalues
     if tau is not None:
         k = select_k(lam, tau)
     k = int(k)
-    m = sample.grid.size
+    m = coords.grid.size
     if not 1 <= k <= m:
         raise ValueError(f"truncation level {k} outside 1..{m}")
-    if sample.n < k + 2:
+    if coords.n < k + 2:
         raise InsufficientDataError(
             f"need at least K+2 = {k + 2} curves to fit a rank-{k} autoregression"
         )
@@ -184,9 +162,8 @@ def fpca_far_fit(
         )
     q_k = decomposition.vectors[:, :k]
     # prediction-form coefficient matrix: new scores = a_pred @ old scores
-    a_pred = (q_k.T @ moments.c1_tilde @ q_k) / lam[None, :k]
-    psi_tilde = q_k @ a_pred @ q_k.T
+    a_pred = (q_k.T @ moments.c1 @ q_k) / lam[None, :k]
     tuning = {"k": k}
     if tau is not None:
         tuning["tau"] = float(tau)
-    return unweight_kernel(psi_tilde, sample.grid, method="fpca", tuning=tuning)
+    return OperatorEstimate(q_k @ a_pred @ q_k.T, coords, method="fpca", tuning=tuning)

@@ -57,10 +57,6 @@ class QuadratureGrid:
         return self.points.size
 
     @property
-    def span(self) -> float:
-        return float(self.points[-1] - self.points[0])
-
-    @property
     def sqrt_weights(self) -> np.ndarray:
         return np.sqrt(self.weights)
 

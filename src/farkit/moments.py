@@ -1,14 +1,15 @@
-"""Sample covariance / lag-one cross-covariance matrices and kernel application.
+"""Functional samples, their span coordinates, moment matrices and operator estimates.
 
-The raw moment matrices are plain outer-product averages on the grid values;
-the weighted representation conjugates them by the square root of the
-quadrature weight matrix so that Euclidean operations on the weighted
-matrices agree with L2 operations on curves.
+Every fit runs in L2-orthonormal coordinates of the span of a sample's
+centred curves, built once by ``span_coordinates``: there the L2 inner
+product is the Euclidean one, so the moment matrices and estimators see
+unit weights, and the quadrature weights enter only where curves are
+encoded, forecasts decoded, or a grid kernel is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,13 +18,12 @@ from .grid import Curve, QuadratureGrid, require_same_grid
 
 __all__ = [
     "FunctionalSample",
+    "SpanCoordinates",
+    "span_coordinates",
     "WeightedMomentPair",
     "OperatorEstimate",
-    "sample_moments",
-    "to_weighted",
     "weighted_moments",
     "apply_kernel_matrix",
-    "unweight_kernel",
 ]
 
 
@@ -65,118 +65,162 @@ class FunctionalSample:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedMomentPair:
-    """Weighted covariance and lag-one cross-covariance with the sample mean."""
+class SpanCoordinates:
+    """A sample in L2-orthonormal coordinates: the input of every estimator.
 
-    c0_tilde: np.ndarray
-    c1_tilde: np.ndarray
-    mean_curve: Curve
+    ``basis`` (M x r) has orthonormal columns spanning the sample's centred
+    curves scaled by the square roots of the quadrature weights, and row t
+    of ``values`` (n x r) holds the coordinates of centred curve t. The L2
+    inner product of curves is the Euclidean one of their coordinates, so
+    the estimators work with unit weights; the quadrature weights enter
+    only where ``span_coordinates`` builds the basis and through
+    ``encode``, ``decode`` and ``kernel``. ``rank`` is the
+    numerical rank of the centred curves; the basis keeps one column more
+    only when that rank is 0. Built by ``span_coordinates``.
+    """
+
+    values: np.ndarray
+    basis: np.ndarray
     grid: QuadratureGrid
+    rank: int
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+    def subsample(self, start: int, stop: int) -> "SpanCoordinates":
+        """Contiguous rows [start, stop) in the same coordinates."""
+        return replace(self, values=self.values[start:stop])
+
+    def encode(self, values) -> np.ndarray:
+        """Coordinates ``(x * sqrt(w)) @ V`` of grid curves, one per row.
+
+        A curve outside the span loses its orthogonal part, which every
+        estimate's kernel maps to zero.
+        """
+        return (np.asarray(values, dtype=float) * self.grid.sqrt_weights) @ self.basis
+
+    def decode(self, coords) -> np.ndarray:
+        """Grid values ``(y @ V^T) / sqrt(w)`` of coordinate rows."""
+        return (coords @ self.basis.T) / self.grid.sqrt_weights
+
+    def kernel(self, matrix) -> np.ndarray:
+        """Grid kernel ``V A V^T / sqrt(w w^T)`` of an r x r operator matrix A."""
+        sw = self.grid.sqrt_weights
+        return self.basis @ matrix @ self.basis.T / np.outer(sw, sw)
+
+
+def span_coordinates(sample: FunctionalSample) -> SpanCoordinates:
+    """Orthonormal coordinates of a sample in the span of its centred sqrt-weighted curves.
+
+    A thin SVD of the curves, centred at the sample mean and scaled by the
+    square roots of the quadrature weights, gives an orthonormal basis V
+    of their span, with the rank r cut by numpy's default ``matrix_rank``
+    tolerance. Every subsample's centred curves lie in that span, so its
+    moments, eigenvalues and fits in these coordinates are those of the
+    grid, and the fitted kernels vanish outside the span. A full-rank
+    sample gets r = M, a plain rotation. Centring first keeps an exactly
+    constant sample at exactly zero coordinates, as on the grid; the basis
+    then keeps one direction, which carries only rounding.
+    """
+    z = sample.values - sample.values.mean(axis=0)
+    z *= sample.grid.sqrt_weights
+    # the M x M triangular factor has the singular values and right singular
+    # vectors of z, without an n x M left factor
+    _, s, vt = np.linalg.svd(np.linalg.qr(z, mode="r"))
+    rank = int(np.count_nonzero(s > s.max() * max(z.shape) * np.finfo(float).eps))
+    basis = vt[: max(rank, 1)].T
+    return SpanCoordinates(z @ basis, basis, sample.grid, rank)
+
+
+@dataclass(frozen=True, eq=False)
+class WeightedMomentPair:
+    """Covariance and lag-one cross-covariance in span coordinates, with the mean.
+
+    The coordinates are L2-orthonormal, so these are the sample covariance
+    operators of the curves restricted to their span.
+    """
+
+    c0: np.ndarray
+    c1: np.ndarray
+    mean: np.ndarray
 
     def __post_init__(self):
-        m = self.grid.size
-        for name in ("c0_tilde", "c1_tilde"):
+        r = np.size(self.mean)
+        for name in ("c0", "c1"):
             mat = np.asarray(getattr(self, name), dtype=float)
-            if mat.shape != (m, m):
-                raise GridError(f"{name} must be {m}x{m} to match the grid")
+            if mat.shape != (r, r):
+                raise GridError(f"{name} must be {r}x{r} to match the mean")
             if not np.all(np.isfinite(mat)):
                 raise GridError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, mat)
-        require_same_grid(self.grid, self.mean_curve.grid)
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorEstimate:
-    """An M x M kernel matrix estimating the autoregression kernel on the grid.
+    """An r x r matrix estimating the autoregression operator in span coordinates.
 
-    ``kernel[i, j]`` estimates the kernel at (points[i], points[j]); applying
-    the operator to a curve is a quadrature sum over the second index.
+    Applying the estimate to a grid curve encodes the curve, applies
+    ``matrix`` and decodes the result. ``kernel`` is the M x M grid kernel,
+    formed on demand: ``kernel[i, j]`` estimates the kernel at
+    (points[i], points[j]), and applying it to a curve is a quadrature sum
+    over the second index.
     """
 
-    kernel: np.ndarray
-    grid: QuadratureGrid
+    matrix: np.ndarray
+    coordinates: SpanCoordinates
     method: str
     tuning: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        kernel = np.asarray(self.kernel, dtype=float)
-        m = self.grid.size
-        if kernel.shape != (m, m):
-            raise GridError(f"kernel must be {m}x{m} to match the grid")
-        if not np.all(np.isfinite(kernel)):
-            raise GridError("kernel contains non-finite entries")
-        object.__setattr__(self, "kernel", kernel)
+        matrix = np.asarray(self.matrix, dtype=float)
+        r = self.coordinates.dim
+        if matrix.shape != (r, r):
+            raise GridError(f"operator matrix must be {r}x{r} to match the coordinates")
+        if not np.all(np.isfinite(matrix)):
+            raise GridError("operator matrix contains non-finite entries")
+        object.__setattr__(self, "matrix", matrix)
+
+    @property
+    def kernel(self) -> np.ndarray:
+        return self.coordinates.kernel(self.matrix)
 
     def predict(self, x: Curve) -> Curve:
-        """Apply the kernel to one curve: the one-row case of ``apply_kernel_matrix``."""
-        require_same_grid(self.grid, x.grid)
-        return Curve(apply_kernel_matrix(self, x.values[None, :])[0], self.grid)
+        """Apply the estimate to one curve: the one-row case of ``apply_kernel_matrix``."""
+        grid = self.coordinates.grid
+        require_same_grid(grid, x.grid)
+        return Curve(apply_kernel_matrix(self, x.values[None, :])[0], grid)
 
 
-def sample_moments(sample: FunctionalSample):
-    """Centered sample covariance and lag-one cross-covariance matrices.
+def weighted_moments(coords: SpanCoordinates) -> WeightedMomentPair:
+    """Centred sample covariance and lag-one cross-covariance in span coordinates.
 
-    Returns
-    -------
-    c0 : ndarray, shape (M, M)
-        (1/n) sum_t (x_t - xbar)(x_t - xbar)^T.
-    c1 : ndarray, shape (M, M)
-        (1/(n-1)) sum_{t<n} (x_{t+1} - xbar)(x_t - xbar)^T; entry (i, j)
-        couples the lead curve at point i with the lagged curve at point j.
-    mean : Curve
-        The sample mean curve xbar used for centering both moments.
+    ``c0`` is (1/n) sum_t (z_t - zbar)(z_t - zbar)^T and ``c1`` is
+    (1/(n-1)) sum_{t<n} (z_{t+1} - zbar)(z_t - zbar)^T, whose entry (i, j)
+    couples the lead curve's coordinate i with the lagged curve's
+    coordinate j; ``mean`` is zbar.
     """
-    n = sample.n
+    n = coords.n
     if n < 2:
         raise InsufficientDataError("moment estimation needs at least 2 curves")
-    xbar = sample.values.mean(axis=0)
-    centered = sample.values - xbar
+    zbar = coords.values.mean(axis=0)
+    centered = coords.values - zbar
     c0 = centered.T @ centered / n
     c1 = centered[1:].T @ centered[:-1] / (n - 1)
-    return c0, c1, Curve(xbar, sample.grid)
-
-
-def to_weighted(c0, c1, mean: Curve, grid: QuadratureGrid) -> WeightedMomentPair:
-    """Conjugate raw moment matrices by diag(sqrt(w)) on both sides."""
-    c0 = np.asarray(c0, dtype=float)
-    c1 = np.asarray(c1, dtype=float)
-    m = grid.size
-    if c0.shape != (m, m) or c1.shape != (m, m):
-        raise GridError("moment matrices must be MxM matching the grid")
-    sw = grid.sqrt_weights
-    scale = np.outer(sw, sw)
-    return WeightedMomentPair(c0 * scale, c1 * scale, mean, grid)
-
-
-def weighted_moments(sample: FunctionalSample) -> WeightedMomentPair:
-    """Sample moments of a functional sample in the weighted representation."""
-    c0, c1, mean = sample_moments(sample)
-    return to_weighted(c0, c1, mean, sample.grid)
+    return WeightedMomentPair(c0, c1, zbar)
 
 
 def apply_kernel_matrix(op: OperatorEstimate, values: np.ndarray) -> np.ndarray:
-    """Apply the kernel to every row of an (n, M) array of curve values by quadrature."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != op.grid.size:
-        raise GridError("values must be (n, M) matching the operator grid")
-    return (values * op.grid.weights) @ op.kernel.T
+    """Apply an estimate to every row of an (n, M) array of curve values.
 
-
-def unweight_kernel(
-    psi_tilde: np.ndarray,
-    grid: QuadratureGrid,
-    method: str = "",
-    tuning: dict | None = None,
-) -> OperatorEstimate:
-    """Map a weighted-space operator matrix back to a grid-point kernel.
-
-    The entry-wise inverse of the weighted conjugation:
-    ``kernel[i, j] = psi_tilde[i, j] / sqrt(w_i * w_j)``.
+    Equal to the quadrature application of ``op.kernel``, without forming it.
     """
-    psi_tilde = np.asarray(psi_tilde, dtype=float)
-    m = grid.size
-    if psi_tilde.shape != (m, m):
-        raise GridError("weighted kernel must be MxM matching the grid")
-    sw = grid.sqrt_weights
-    kernel = psi_tilde / np.outer(sw, sw)
-    return OperatorEstimate(kernel, grid, method=method, tuning=dict(tuning or {}))
+    values = np.asarray(values, dtype=float)
+    coords = op.coordinates
+    if values.ndim != 2 or values.shape[1] != coords.grid.size:
+        raise GridError("values must be (n, M) matching the operator grid")
+    return coords.decode(coords.encode(values) @ op.matrix.T)

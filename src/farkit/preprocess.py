@@ -20,8 +20,8 @@ from scipy.interpolate import BSpline
 
 from .errors import InsufficientDataError, NumericalError
 from .evaluate import fit_methods, ise, parse_method, tuning_value
-from .grid import Curve, QuadratureGrid, uniform_grid
-from .moments import FunctionalSample
+from .grid import uniform_grid
+from .moments import FunctionalSample, span_coordinates
 
 __all__ = [
     "SLOTS_PER_DAY",
@@ -35,7 +35,6 @@ __all__ = [
     "filter_and_interpolate",
     "preprocess_curves",
     "smooth_days",
-    "span_coordinates",
     "rolling_forecast",
 ]
 
@@ -289,36 +288,6 @@ def preprocess_curves(records, config: PipelineConfig) -> PreprocessedCurves:
     return PreprocessedCurves(sample, weekday_means, tuple(r.date for r in records))
 
 
-def span_coordinates(sample: FunctionalSample):
-    """Orthonormal coordinates of a sample in the span of its centred sqrt-weighted curves.
-
-    A thin SVD of the curves, centred at the sample mean and scaled by the
-    square roots of the quadrature weights, gives an orthonormal basis V
-    of their span, with the rank r cut by numpy's default ``matrix_rank``
-    tolerance. Every window's centred curves lie in that span, so on a grid
-    of unit weights the coordinates ``((x - mean) * sqrt(w)) @ V`` give the
-    window moments, eigenvalues and fits of the original grid, and an
-    estimate there predicts from a lag curve x through ``(x * sqrt(w)) @ V``
-    and maps back to grid values as ``(V @ y) / sqrt(w)``. A full-rank
-    sample gets r = M, a plain rotation. Centring first keeps an exactly
-    constant sample at exactly zero coordinates, as on the grid. The basis
-    keeps at least two directions, because a grid needs two points; a
-    surplus direction carries only rounding.
-
-    Returns (r, V, coordinate sample).
-    """
-    z = sample.values - sample.values.mean(axis=0)
-    z *= sample.grid.sqrt_weights
-    # the M x M triangular factor has the singular values and right singular
-    # vectors of z, without an n x M left factor
-    _, s, vt = np.linalg.svd(np.linalg.qr(z, mode="r"))
-    rank = int(np.count_nonzero(s > s.max() * max(z.shape) * np.finfo(float).eps))
-    basis = vt[: max(rank, 2)].T
-    dim = basis.shape[1]
-    grid = QuadratureGrid(np.arange(dim, dtype=float), np.ones(dim))
-    return rank, basis, FunctionalSample(z @ basis, grid)
-
-
 def rolling_forecast(
     sample: FunctionalSample,
     config: RollingConfig,
@@ -332,9 +301,9 @@ def rolling_forecast(
     from one shared decomposition of that window, and each evaluation day
     is forecast by applying the current estimator to the previous day's
     curve. The ridge strength of ``tikhonov:cv`` is selected by forward
-    5-fold cross-validation over the eigenvalue-scaled grid. Fits and
-    forecasts run in the coordinates of
-    ``span_coordinates``; each forecast is mapped back to the grid for its
+    5-fold cross-validation over the eigenvalue-scaled grid. Every window
+    is fitted in the coordinates of the whole sample's
+    ``span_coordinates``, and each forecast comes back on the grid for its
     error. Under the ``exclude-cross-gap`` policy, pairs of days more than
     one calendar day apart are skipped and counted (the refit cadence
     still advances on those days). A failed refit marks its method's
@@ -353,8 +322,7 @@ def rolling_forecast(
         raise ValueError("exclude-cross-gap policy needs the curve dates")
 
     methods = [parse_method(label) for label in config.methods]
-    rank, basis, coords = span_coordinates(sample)
-    sw = sample.grid.sqrt_weights
+    coords = span_coordinates(sample)
     rows = {method.label: [] for method in methods}
     skipped = 0
     for step, t in enumerate(range(config.window, n)):
@@ -375,8 +343,7 @@ def rolling_forecast(
         ):
             skipped += 1
             continue
-        actual = sample.curve(t)
-        lag = Curve((sample.values[t - 1] * sw) @ basis, coords.grid)
+        lag, actual = sample.curve(t - 1), sample.curve(t)
         for method, outcome in zip(methods, outcomes):
             est = outcome.estimate
             if est is None:
@@ -384,11 +351,9 @@ def rolling_forecast(
                     method.label, t, date, float("nan"), float("nan"), refit, outcome.error
                 )
             else:
-                predicted = est.predict(lag).values
-                forecast = Curve(basis @ predicted / sw, sample.grid)
                 row = ForecastOutcome(
-                    method.label, t, date, ise(forecast, actual), tuning_value(est), refit
+                    method.label, t, date, ise(est.predict(lag), actual), tuning_value(est), refit
                 )
             rows[method.label].append(row)
     records = tuple(row for method in methods for row in rows[method.label])
-    return RollingResult(records, skipped, rank)
+    return RollingResult(records, skipped, coords.rank)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, NumericalError
 from .grid import QuadratureGrid, uniform_grid
-from .moments import FunctionalSample, OperatorEstimate
+from .moments import FunctionalSample, OperatorEstimate, span_coordinates
 
 __all__ = [
     "RegimeSpec",
@@ -192,7 +192,15 @@ def simulate_far1(
 
 
 def operator_kernel(op: TrueOperator, grid: QuadratureGrid) -> OperatorEstimate:
-    """Exact kernel of the simulated operator on a grid (for error metrics)."""
+    """The simulated operator as an estimate on a grid (for error metrics).
+
+    Its coordinates span the Fourier basis functions: together with their
+    negatives they form a sample centred at zero, whose centred span is
+    theirs. With E the coordinates of the basis functions, the operator's
+    matrix is E^T A E, and its grid kernel is B^T A B for the coefficient
+    matrix A and the basis values B.
+    """
     basis = fourier_basis(op.spec.basis_dim, grid)
-    kernel = basis.T @ op.coefficients @ basis
-    return OperatorEstimate(kernel, grid, method="true", tuning={})
+    coords = span_coordinates(FunctionalSample(np.vstack([basis, -basis]), grid))
+    fourier = coords.encode(basis)
+    return OperatorEstimate(fourier.T @ op.coefficients @ fourier, coords, method="true")

@@ -16,13 +16,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .fpca import SpectralDecomposition, eigendecompose
-from .moments import (
-    FunctionalSample,
-    OperatorEstimate,
-    WeightedMomentPair,
-    unweight_kernel,
-    weighted_moments,
-)
+from .moments import OperatorEstimate, SpanCoordinates, WeightedMomentPair, weighted_moments
 
 __all__ = [
     "AlphaGrid",
@@ -68,29 +62,29 @@ class CvResult:
 
 
 def tikhonov_fit(
-    moments: WeightedMomentPair,
+    coords: SpanCoordinates,
     alpha: float,
     *,
+    moments: WeightedMomentPair | None = None,
     decomposition: SpectralDecomposition | None = None,
 ) -> OperatorEstimate:
-    """Ridge estimate of the autoregression kernel at a fixed strength.
+    """Ridge estimate of the autoregression operator at a fixed strength.
 
-    Computes C1 (C0 + alpha I)^{-1} in the weighted representation through
-    the spectral decomposition of C0, then maps back to a grid-point kernel.
-    Passing a precomputed decomposition of ``moments.c0_tilde`` skips the
-    O(M^3) eigendecomposition.
+    Computes C1 (C0 + alpha I)^{-1} in span coordinates through the
+    spectral decomposition of C0. Precomputed moments of ``coords`` and
+    the decomposition of their ``c0`` skip the O(r^3) work.
     """
     alpha = float(alpha)
     if not alpha > 0:
         raise ValueError(f"ridge strength must be positive, got {alpha}")
+    if moments is None:
+        moments = weighted_moments(coords)
     if decomposition is None:
         decomposition = eigendecompose(moments)
     lam = decomposition.eigenvalues
     q = decomposition.vectors
-    psi_tilde = ((moments.c1_tilde @ q) / (lam + alpha)[None, :]) @ q.T
-    return unweight_kernel(
-        psi_tilde, moments.grid, method="tikhonov", tuning={"alpha": alpha}
-    )
+    psi = ((moments.c1 @ q) / (lam + alpha)[None, :]) @ q.T
+    return OperatorEstimate(psi, coords, method="tikhonov", tuning={"alpha": alpha})
 
 
 def default_alpha_grid(scale: float = 1.0) -> AlphaGrid:
@@ -107,26 +101,25 @@ def application_alpha_grid(lambda1: float) -> AlphaGrid:
     return AlphaGrid(lambda1 * np.logspace(-4.0, 1.0, 30), provenance="eigenvalue-scaled")
 
 
-def _fast_cv_losses(train: FunctionalSample, lag_values, target_values, alphas):
+def _fast_cv_losses(train: SpanCoordinates, lag_values, target_values, alphas):
     """Mean squared L2 one-step errors for every alpha, via one eigendecomposition.
 
     The estimator is fitted on ``train``; each row of ``target_values`` is
-    predicted from the matching row of ``lag_values``. Both are centered at
-    the training mean before rotation, because the fitted operator models
-    fluctuations around that mean.
+    predicted from the matching row of ``lag_values``, both in the
+    coordinates of ``train``. Both are centered at the training mean before
+    rotation, because the fitted operator models fluctuations around that
+    mean.
     """
     mom = weighted_moments(train)
     dec = eigendecompose(mom)
     lam = dec.eigenvalues
     q = dec.vectors
-    sw = train.grid.sqrt_weights
-    mean = mom.mean_curve.values
 
-    z_tgt = (target_values - mean) * sw
-    rotated_lags = ((lag_values - mean) * sw) @ q
-    b = mom.c1_tilde @ q
+    z_tgt = target_values - mom.mean
+    rotated_lags = (lag_values - mom.mean) @ q
+    b = mom.c1 @ q
 
-    # ||z - B diag(d) r||^2 expanded once; per-alpha cost is O(M^2)
+    # ||z - B diag(d) r||^2 expanded once; per-alpha cost is O(r^2)
     const = float(np.sum(z_tgt**2))
     linear = np.sum((z_tgt @ b) * rotated_lags, axis=0)
     quad = (b.T @ b) * (rotated_lags.T @ rotated_lags)
@@ -146,7 +139,7 @@ def _select_from_losses(alphas, losses) -> float:
 
 
 def cv_select_alpha(
-    sample: FunctionalSample,
+    coords: SpanCoordinates,
     grid: AlphaGrid,
     scheme: str = "holdout",
     n_folds: int = 5,
@@ -170,7 +163,7 @@ def cv_select_alpha(
     The returned loss curve covers the whole grid; refitting on the full
     sample at the selected alpha is the caller's responsibility.
     """
-    n = sample.n
+    n = coords.n
     if scheme == "holdout":
         if n < 30:
             raise InsufficientDataError(f"holdout cross-validation needs n >= 30, got {n}")
@@ -190,9 +183,9 @@ def cv_select_alpha(
     losses = np.mean(
         [
             _fast_cv_losses(
-                sample.subsample(0, int(block[0])),
-                lag_values=sample.values[block - 1],
-                target_values=sample.values[block],
+                coords.subsample(0, int(block[0])),
+                lag_values=coords.values[block - 1],
+                target_values=coords.values[block],
                 alphas=alphas,
             )
             for block in blocks

@@ -40,7 +40,7 @@ from farkit.evaluate import (
 )
 from farkit.fpca import eigendecompose, fpca_far_fit, select_k
 from farkit.grid import uniform_grid
-from farkit.moments import FunctionalSample, weighted_moments
+from farkit.moments import FunctionalSample, span_coordinates, weighted_moments
 from farkit.preprocess import (
     PipelineConfig,
     RawDayRecord,
@@ -104,8 +104,10 @@ def forecast_error_sweep(train, test, alphas):
     targets at the training mean; shifting both by that mean first makes the
     centring cancel, so the CV sweep computes the forecast error itself.
     """
-    mean = train.values.mean(axis=0)
-    return _fast_cv_losses(train, test.values[:-1] + mean, test.values[1:] + mean, alphas)
+    coords = span_coordinates(train)
+    mean = coords.values.mean(axis=0)
+    lags, targets = coords.encode(test.values[:-1]), coords.encode(test.values[1:])
+    return _fast_cv_losses(coords, lags + mean, targets + mean, alphas)
 
 
 def test_criterion_01_ridge_oracle_equivalence():
@@ -117,17 +119,15 @@ def test_criterion_01_ridge_oracle_equivalence():
             n = int(rng.integers(40, 121))
             m = int(rng.integers(11, 42))
             g = uniform_grid(m)
-            sample = FunctionalSample(rng.standard_normal((n, m)), g)
-            mom = weighted_moments(sample)
+            coords = span_coordinates(FunctionalSample(rng.standard_normal((n, m)), g))
+            mom = weighted_moments(coords)
             dec = eigendecompose(mom)
-            sw = g.sqrt_weights
-            scale = np.outer(sw, sw)
             for alpha in alphas:
-                est = tikhonov_fit(mom, alpha, decomposition=dec)
+                est = tikhonov_fit(coords, alpha, moments=mom, decomposition=dec)
                 dense = np.linalg.solve(
-                    (mom.c0_tilde + alpha * np.eye(m)).T, mom.c1_tilde.T
+                    (mom.c0 + alpha * np.eye(coords.dim)).T, mom.c1.T
                 ).T
-                spectral = est.kernel * scale
+                spectral = est.matrix
                 err = np.linalg.norm(spectral - dense)
                 assert err <= 1e-10 * np.linalg.norm(dense)
         elapsed = time.perf_counter() - start
@@ -143,7 +143,8 @@ def test_criterion_02_fast_cv_equivalence():
             n = int(rng.integers(40, 121))
             m = int(rng.integers(11, 42))
             sample = FunctionalSample(rng.standard_normal((n, m)), uniform_grid(m))
-            fast = np.array([l for _, l in cv_select_alpha(sample, grid).cv_curve])
+            cv = cv_select_alpha(span_coordinates(sample), grid)
+            fast = np.array([l for _, l in cv.cv_curve])
             naive = naive_holdout_cv(sample, grid.values)
             assert fast.shape == (25,)
             assert np.abs(fast - naive).max() <= 1e-9 * np.abs(naive).max()
@@ -159,10 +160,13 @@ def test_criterion_03_truncation_ridge_limit():
             m = int(rng.integers(6, 21))
             n = int(rng.integers(max(m + 1, 3 * m), 121))
             sample = FunctionalSample(rng.standard_normal((n, m)), uniform_grid(m))
-            mom = weighted_moments(sample)
+            coords = span_coordinates(sample)
+            mom = weighted_moments(coords)
             dec = eigendecompose(mom)
-            full = fpca_far_fit(sample, k=m, moments=mom, decomposition=dec)
-            ridge = tikhonov_fit(mom, 1e-12 * dec.eigenvalues[0], decomposition=dec)
+            full = fpca_far_fit(coords, k=m, moments=mom, decomposition=dec)
+            ridge = tikhonov_fit(
+                coords, 1e-12 * dec.eigenvalues[0], moments=mom, decomposition=dec
+            )
             x = sample.curve(sample.n - 1)
             a = full.predict(x).values
             b = ridge.predict(x).values
@@ -261,10 +265,14 @@ def test_criterion_07_rate_slope(benchmark_report):
             best = int(np.argmin(losses))
             oracle_log_alphas.setdefault((regime, n), []).append(np.log10(grid[best]))
             if rep == 0:
-                mom = weighted_moments(train)
+                coords = span_coordinates(train)
+                mom = weighted_moments(coords)
                 dec = eigendecompose(mom)
                 naive = np.array(
-                    [misfe(tikhonov_fit(mom, a, decomposition=dec), test) for a in grid]
+                    [
+                        misfe(tikhonov_fit(coords, a, moments=mom, decomposition=dec), test)
+                        for a in grid
+                    ]
                 )
                 assert np.abs(losses - naive).max() <= 1e-9 * np.abs(naive).max()
                 assert best == int(np.argmin(naive)), (regime, n)

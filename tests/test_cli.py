@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farkit.cli import main
-from farkit.evaluate import parse_method
+from farkit.evaluate import BenchmarkConfig, parse_method
 from farkit.grid import uniform_grid
 
 HEADER = "date," + ",".join(f"h{i:02d}" for i in range(1, 49))
@@ -153,9 +153,13 @@ class TestBenchmarkCommand:
             json.dumps({"replications": "2"}),
             json.dumps({"replications": 0}),
             json.dumps({"methods": ["fpca:K=0"]}),
+            json.dumps({"regimes": ["I", "I"], "n_values": [40], "replications": 1}),
+            json.dumps({"n_values": [40, 40]}),
+            json.dumps({"methods": ["fpca:0.9", "fpca:0.9"]}),
         ],
         ids=["missing-file", "invalid-json", "array", "unknown-key", "string-count",
-             "zero-replications", "bad-method-id"],
+             "zero-replications", "bad-method-id", "duplicate-regime", "duplicate-n",
+             "duplicate-method"],
     )
     def test_config_error_is_usage_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "config.json"
@@ -383,3 +387,93 @@ def test_fuzzed_method_ids_exit_cleanly(fuzz_inputs, label):
                            f"--methods={label}", "--gap-policy", "contiguous",
                            "--out", str(fuzz_inputs / "roll")])
     assert roll_code == (0 if valid else 2)
+
+
+# benchmark configs small enough to run in milliseconds: a valid config with
+# at most one field redrawn from a wider range, so that about half stay valid
+FUZZ_METHODS = ["fpca:0.9", "fpca:K=2", "fpca:K=80", "tikhonov:0.1", "tikhonov:cv"]
+VALID_CONFIGS = st.fixed_dictionaries(
+    {
+        "regimes": st.lists(st.sampled_from(["I", "II", "III"]), min_size=1, max_size=3,
+                            unique=True),
+        "n_values": st.lists(st.integers(2, 60), min_size=1, max_size=2, unique=True),
+        "replications": st.integers(1, 2),
+        "test_length": st.integers(2, 20),
+        "methods": st.lists(st.sampled_from(FUZZ_METHODS), min_size=1, max_size=3, unique=True),
+    }
+)
+REDRAWN_FIELDS = {
+    "regimes": st.lists(st.sampled_from(["I", "II", "III"]), max_size=3),
+    "n_values": st.lists(st.integers(0, 60), max_size=3),
+    "replications": st.integers(0, 2),
+    "test_length": st.integers(0, 20),
+    "methods": st.lists(METHOD_IDS, max_size=3),
+}
+BENCHMARK_CONFIGS = st.builds(
+    lambda config, redrawn: {**config, **redrawn},
+    VALID_CONFIGS,
+    st.one_of(
+        st.just({}), *(st.fixed_dictionaries({k: v}) for k, v in REDRAWN_FIELDS.items())
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(config=BENCHMARK_CONFIGS)
+@example(config={"regimes": ["I", "I"], "n_values": [40], "replications": 1,
+                 "test_length": 20, "methods": ["fpca:0.9"]})
+@example(config={"regimes": ["II"], "n_values": [2, 60], "replications": 2,
+                 "test_length": 2, "methods": ["fpca:K=1", "tikhonov:cv"]})
+def test_fuzzed_benchmark_configs_exit_cleanly(tmp_path_factory, config):
+    try:
+        BenchmarkConfig.from_dict(config)
+        valid = True
+    except ValueError:
+        valid = False
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(config))
+    code = exit_code(["benchmark", "--config", str(path), "--out", str(path.parent / "out")])
+    assert code == (0 if valid else 2)
+
+
+def fuzz_row(date, readings, edit):
+    """A raw CSV row with at most one edit: a cell replaced, or a reading count."""
+    cells = [date.isoformat()] + [repr(v) for v in readings]
+    if isinstance(edit, int):
+        cells = (cells + ["1.0"])[: 1 + edit]
+    elif edit is not None:
+        index, text = edit
+        cells[index] = text
+    return ",".join(cells)
+
+
+# rows in season before the fixture file's first day, mostly left well
+# formed: about three in four fuzzed files are still valid
+RAW_ROWS = st.builds(
+    fuzz_row,
+    date=st.dates(dt.date(2019, 10, 1), dt.date(2019, 12, 27)),
+    readings=st.lists(st.floats(0.0, 100.0), min_size=48, max_size=48),
+    edit=st.one_of(
+        st.none(),
+        st.tuples(st.integers(1, 48), st.sampled_from(
+            ["", " ", "nan", "-0.0", "1e300", " 2.5 ", "inf", "-1", "abc"])),
+        st.tuples(st.just(0), st.sampled_from(["", "2020-13-01", "2019-11-31", "2020-01-08"])),
+        st.sampled_from([47, 49]),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    rows=st.lists(RAW_ROWS, min_size=1, max_size=2, unique_by=lambda row: row.split(",")[0]),
+    at=st.integers(0, 45),
+)
+def test_fuzzed_raw_rows_exit_cleanly(fuzz_inputs, rows, at):
+    lines = (fuzz_inputs / "raw.csv").read_text().splitlines()
+    lines[1 + at : 1 + at] = rows
+    raw = fuzz_inputs / "fuzzed.csv"
+    raw.write_text("\n".join(lines) + "\n")
+    code = exit_code(["rolling", "--raw", str(raw), "--window", "20",
+                      "--methods", "fpca:0.9,tikhonov:0.1", "--gap-policy", "contiguous",
+                      "--out", str(fuzz_inputs / "roll")])
+    assert code in (0, 2)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import dense_reference
 from farkit.errors import InsufficientDataError
 from farkit.evaluate import (
+    FIT_ERRORS,
     BenchmarkConfig,
     BenchmarkReport,
     CellResult,
@@ -21,10 +23,18 @@ from farkit.evaluate import (
     verify_bias_bound,
     worst_case_table,
 )
-from farkit.grid import Curve, uniform_grid
-from farkit.moments import FunctionalSample, OperatorEstimate
-from farkit.simulate import REGIMES, draw_regime_operator, fourier_basis, operator_kernel
+from conftest import grid_operator
+from farkit.grid import Curve, make_trapezoid_grid, uniform_grid
+from farkit.moments import FunctionalSample, span_coordinates
+from farkit.simulate import (
+    REGIMES,
+    draw_regime_operator,
+    fourier_basis,
+    operator_kernel,
+    simulate_far1,
+)
 from farkit.tikhonov import default_alpha_grid
+from test_preprocess import spline_sample
 
 
 class TestParseMethod:
@@ -46,11 +56,11 @@ class TestParseMethod:
 
 class TestFitMethods:
     def test_shared_decomposition_matches_single_fits(self, rng):
-        sample = FunctionalSample(rng.standard_normal((60, 9)), uniform_grid(9))
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 9)), uniform_grid(9)))
         labels = ["fpca:0.9", "fpca:K=2", "tikhonov:0.1", "tikhonov:cv"]
-        for label, outcome in zip(labels, fit_methods(sample, labels)):
+        for label, outcome in zip(labels, fit_methods(coords, labels)):
             assert outcome.error is None
-            est, cv = fit_method(sample, label)
+            est, cv = fit_method(coords, label)
             assert np.array_equal(outcome.estimate.kernel, est.kernel)
             # only the cross-validated fit carries its strength selection
             assert (outcome.cv is None) == (cv is None) == (label != "tikhonov:cv")
@@ -60,14 +70,65 @@ class TestFitMethods:
     def test_non_finite_moments_recorded_as_grid_error(self, rng):
         sample = FunctionalSample(rng.standard_normal((60, 8)) * 1e156, uniform_grid(8))
         with np.errstate(over="ignore"):
-            outcomes = list(fit_methods(sample, ["tikhonov:0.1", "fpca:0.9"]))
+            outcomes = list(fit_methods(span_coordinates(sample), ["tikhonov:0.1", "fpca:0.9"]))
         assert [o.estimate for o in outcomes] == [None, None]
         assert all(o.error.startswith("GridError:") for o in outcomes)
 
     def test_programming_errors_propagate(self, rng):
-        sample = FunctionalSample(rng.standard_normal((60, 8)), uniform_grid(8))
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 8)), uniform_grid(8)))
         with pytest.raises(ValueError):
-            list(fit_methods(sample, ["tikhonov:cv"], cv_scheme="leave-one-out"))
+            list(fit_methods(coords, ["tikhonov:cv"], cv_scheme="leave-one-out"))
+
+
+def noisy_sample():
+    # uneven spacing, so the quadrature weights differ point to point
+    rng = np.random.default_rng(8)
+    g = make_trapezoid_grid(np.cumsum(rng.uniform(0.5, 1.5, 17)) / 17)
+    return FunctionalSample(np.sin(2 * np.pi * g.points) + rng.standard_normal((90, 17)), g)
+
+
+def regime_ii_sample():
+    spec = REGIMES["II"]
+    return simulate_far1(draw_regime_operator(spec, 5), spec, 120, 6)
+
+
+REFERENCE_SAMPLES = {
+    "noisy-full-rank-17": (noisy_sample, 17),
+    "bspline-rank-10-of-100": (lambda: spline_sample(130), 10),
+    "regime-II-rank-40-of-101": (regime_ii_sample, 40),
+    "constant-rank-0": (lambda: FunctionalSample(np.full((40, 12), 3.0), uniform_grid(12)), 0),
+}
+REFERENCE_FITS = [
+    ("fpca:0.80", "holdout"),
+    ("fpca:0.95", "holdout"),
+    ("fpca:K=3", "holdout"),
+    ("tikhonov:0.05", "holdout"),
+    ("tikhonov:cv", "holdout"),
+    ("tikhonov:cv", "k-fold-forward"),
+]
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("name", REFERENCE_SAMPLES)
+    def test_fit_method_matches_dense_reference(self, name):
+        make_sample, rank = REFERENCE_SAMPLES[name]
+        sample = make_sample()
+        coords = span_coordinates(sample)
+        assert coords.rank == rank
+        for label, scheme in REFERENCE_FITS:
+            reference = dense_reference.fit(sample.values, sample.grid.weights, label, scheme)
+            if reference is None:
+                with pytest.raises(FIT_ERRORS):
+                    fit_method(coords, label, cv_scheme=scheme)
+                continue
+            kernel, tuning = reference
+            est, _ = fit_method(coords, label, cv_scheme=scheme)
+            if label.startswith("fpca"):
+                assert est.tuning["k"] == tuning, (label, scheme)
+            else:
+                assert est.tuning["alpha"] == pytest.approx(tuning, rel=1e-9), (label, scheme)
+            gap = np.linalg.norm(est.kernel - kernel)
+            assert gap <= 1e-10 * np.linalg.norm(kernel), (label, scheme, gap)
 
 
 class TestMisfe:
@@ -88,14 +149,14 @@ class TestMisfe:
         g = uniform_grid(7)
         values = rng.standard_normal((6, 7))
         path = FunctionalSample(values, g)
-        zero = OperatorEstimate(np.zeros((7, 7)), g, method="tikhonov")
+        zero = grid_operator(np.zeros((7, 7)), g)
         expected = np.mean((values[1:] ** 2) @ g.weights)
         assert misfe(zero, path) == pytest.approx(expected, rel=1e-12)
 
     def test_hand_built_three_curve_path(self):
         g = uniform_grid(2)  # weights (0.5, 0.5)
         kernel = np.array([[1.0, 2.0], [0.0, 1.0]])
-        op = OperatorEstimate(kernel, g, method="tikhonov")
+        op = grid_operator(kernel, g)
         path = FunctionalSample(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]), g)
         # forecasts by row quadrature: pred(t+1) = K @ (w * x_t)
         p1 = kernel @ (g.weights * path.values[0])  # (0.5, 0)
@@ -108,7 +169,7 @@ class TestMisfe:
         g = uniform_grid(5)
         values = rng.standard_normal((9, 5))
         path = FunctionalSample(values, g)
-        op = OperatorEstimate(rng.standard_normal((5, 5)), g, method="tikhonov")
+        op = grid_operator(rng.standard_normal((5, 5)), g)
         s = 4
         total = misfe(op, path) * 8
         left = misfe(op, FunctionalSample(values[: s + 1], g)) * s
@@ -117,7 +178,7 @@ class TestMisfe:
 
     def test_short_path_rejected(self, rng):
         g = uniform_grid(3)
-        op = OperatorEstimate(np.zeros((3, 3)), g, method="tikhonov")
+        op = grid_operator(np.zeros((3, 3)), g)
         with pytest.raises(InsufficientDataError):
             misfe(op, FunctionalSample(np.ones((2, 3)), g).subsample(0, 1))
 

@@ -8,15 +8,9 @@ from farkit.errors import (
     NumericalError,
     SingularSystemError,
 )
-from farkit.fpca import (
-    SpectralDecomposition,
-    component_scores,
-    eigendecompose,
-    fpca_far_fit,
-    select_k,
-)
+from farkit.fpca import SpectralDecomposition, eigendecompose, fpca_far_fit, select_k
 from farkit.grid import Curve, inner_product, l2_norm, uniform_grid
-from farkit.moments import FunctionalSample, weighted_moments
+from farkit.moments import FunctionalSample, span_coordinates, weighted_moments
 from farkit.tikhonov import tikhonov_fit
 
 PM10_SHARES = np.array([0.804, 0.091, 0.043, 0.03, 0.012, 0.008, 0.007, 0.005])
@@ -24,22 +18,19 @@ PM10_SHARES = np.array([0.804, 0.091, 0.043, 0.03, 0.012, 0.008, 0.007, 0.005])
 
 class TestEigendecompose:
     def test_identity(self):
-        g = uniform_grid(4)
-        dec = eigendecompose(moment_pair(np.eye(4), np.zeros((4, 4)), g))
+        dec = eigendecompose(moment_pair(np.eye(4), np.zeros((4, 4))))
         assert np.allclose(dec.eigenvalues, 1.0)
         recon = dec.vectors @ np.diag(dec.eigenvalues) @ dec.vectors.T
         assert np.abs(recon - np.eye(4)).max() <= 1e-8
 
     def test_diagonal(self):
-        g = uniform_grid(3)
-        dec = eigendecompose(moment_pair(np.diag([3.0, 2.0, 1.0]), np.zeros((3, 3)), g))
+        dec = eigendecompose(moment_pair(np.diag([3.0, 2.0, 1.0]), np.zeros((3, 3))))
         assert np.allclose(dec.eigenvalues, [3, 2, 1])
         assert np.allclose(np.abs(dec.vectors), np.eye(3), atol=1e-12)
 
     def test_random_psd_reconstruction(self, rng):
-        g = uniform_grid(6)
         c0 = random_spd(rng, 6)
-        dec = eigendecompose(moment_pair(c0, np.zeros((6, 6)), g))
+        dec = eigendecompose(moment_pair(c0, np.zeros((6, 6))))
         recon = dec.vectors @ np.diag(dec.eigenvalues) @ dec.vectors.T
         assert np.linalg.norm(recon - c0) <= 1e-8 * np.linalg.norm(c0)
         assert np.abs(dec.vectors.T @ dec.vectors - np.eye(6)).max() <= 1e-8
@@ -47,30 +38,27 @@ class TestEigendecompose:
 
     def test_eigenfunctions_unit_l2_norm(self, rng):
         g = uniform_grid(9)
-        sample = FunctionalSample(rng.standard_normal((25, 9)), g)
-        dec = eigendecompose(weighted_moments(sample))
-        phi = dec.eigenfunctions
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((25, 9)), g))
+        dec = eigendecompose(weighted_moments(coords))
+        phi = coords.decode(dec.vectors.T)  # eigenfunction k in row k
         for k in range(4):
-            assert l2_norm(Curve(phi[:, k], g)) == pytest.approx(1.0, abs=1e-8)
+            assert l2_norm(Curve(phi[k], g)) == pytest.approx(1.0, abs=1e-8)
 
     def test_small_negative_eigenvalues_clamped(self):
-        g = uniform_grid(2)
         eps = 1e-12
         c0 = np.array([[1.0, 0.0], [0.0, -eps]])
-        dec = eigendecompose(moment_pair(c0, np.zeros((2, 2)), g))
+        dec = eigendecompose(moment_pair(c0, np.zeros((2, 2))))
         assert dec.eigenvalues[-1] == 0.0
 
     def test_genuinely_negative_raises(self):
-        g = uniform_grid(2)
         c0 = np.array([[1.0, 0.0], [0.0, -0.5]])
         with pytest.raises(NumericalError):
-            eigendecompose(moment_pair(c0, np.zeros((2, 2)), g))
+            eigendecompose(moment_pair(c0, np.zeros((2, 2))))
 
     def test_asymmetric_raises(self):
-        g = uniform_grid(2)
         c0 = np.array([[1.0, 0.4], [0.0, 1.0]])
         with pytest.raises(NumericalError):
-            eigendecompose(moment_pair(c0, np.zeros((2, 2)), g))
+            eigendecompose(moment_pair(c0, np.zeros((2, 2))))
 
 
 class TestSelectK:
@@ -127,14 +115,14 @@ class TestFpcaFarFit:
     def test_independent_scores_give_no_dynamics(self, rng):
         direction = np.sin(2 * np.pi * np.linspace(0, 1, 21)) + 1.2
         sample, _ = ar1_like_sample(rng, 500, direction, coeff=0.0)
-        est = fpca_far_fit(sample, k=1)
+        est = fpca_far_fit(span_coordinates(sample), k=1)
         unit = Curve(direction / np.linalg.norm(direction), sample.grid)
         assert abs(fitted_scalar_coefficient(est, unit)) < 0.12
 
     def test_scalar_ar_recovery(self, rng):
         direction = np.cos(2 * np.pi * np.linspace(0, 1, 15)) + 2.0
         sample, _ = ar1_like_sample(rng, 400, direction, coeff=0.5)
-        est = fpca_far_fit(sample, k=1)
+        est = fpca_far_fit(span_coordinates(sample), k=1)
         assert est.tuning == {"k": 1}
         unit = Curve(direction / np.linalg.norm(direction), sample.grid)
         assert fitted_scalar_coefficient(est, unit) == pytest.approx(0.5, abs=0.1)
@@ -145,13 +133,16 @@ class TestFpcaFarFit:
         g = uniform_grid(12)
         sample = FunctionalSample(rng.standard_normal((60, 12)), g)
         k = 4
-        est = fpca_far_fit(sample, k=k)
+        est = fpca_far_fit(span_coordinates(sample), k=k)
 
-        mom = weighted_moments(sample)
-        lam, q = np.linalg.eigh((mom.c0_tilde + mom.c0_tilde.T) / 2)
+        # weighted grid moments, computed here with numpy alone
+        z = (sample.values - sample.values.mean(axis=0)) * np.sqrt(g.weights)
+        c0t = z.T @ z / 60
+        c1t = z[1:].T @ z[:-1] / 59
+        lam, q = np.linalg.eigh((c0t + c0t.T) / 2)
         lam, q = lam[::-1][:k], q[:, ::-1][:, :k]
         phi = q / np.sqrt(g.weights)[:, None]
-        a_pred = (q.T @ mom.c1_tilde @ q) / lam[None, :]
+        a_pred = (q.T @ c1t @ q) / lam[None, :]
 
         x = rng.standard_normal(12)
         scores = phi.T @ (g.weights * x)
@@ -161,9 +152,9 @@ class TestFpcaFarFit:
 
     def test_rank_at_most_k(self, rng):
         g = uniform_grid(10)
-        sample = FunctionalSample(rng.standard_normal((50, 10)), g)
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((50, 10)), g))
         for k in (1, 3, 5):
-            est = fpca_far_fit(sample, k=k)
+            est = fpca_far_fit(coords, k=k)
             sw = np.sqrt(g.weights)
             weighted = est.kernel * np.outer(sw, sw)
             svals = np.linalg.svd(weighted, compute_uv=False)
@@ -171,23 +162,24 @@ class TestFpcaFarFit:
 
     def test_sign_flip_invariance(self, rng):
         g = uniform_grid(8)
-        sample = FunctionalSample(rng.standard_normal((40, 8)), g)
-        mom = weighted_moments(sample)
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((40, 8)), g))
+        mom = weighted_moments(coords)
         dec = eigendecompose(mom)
         flipped = SpectralDecomposition(
-            dec.eigenvalues, dec.vectors * np.array([1, -1, 1, -1, 1, 1, -1, 1]), g
+            dec.eigenvalues, dec.vectors * np.array([1, -1, 1, -1, 1, 1, -1, 1])
         )
-        a = fpca_far_fit(sample, k=3, moments=mom, decomposition=dec).kernel
-        b = fpca_far_fit(sample, k=3, moments=mom, decomposition=flipped).kernel
+        a = fpca_far_fit(coords, k=3, moments=mom, decomposition=dec).kernel
+        b = fpca_far_fit(coords, k=3, moments=mom, decomposition=flipped).kernel
         assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
 
     def test_full_rank_matches_vanishing_ridge(self, rng):
         g = uniform_grid(7)
         sample = FunctionalSample(rng.standard_normal((35, 7)), g)
-        mom = weighted_moments(sample)
+        coords = span_coordinates(sample)
+        mom = weighted_moments(coords)
         dec = eigendecompose(mom)
-        full = fpca_far_fit(sample, k=7, moments=mom, decomposition=dec)
-        ridge = tikhonov_fit(mom, 1e-12 * dec.eigenvalues[0], decomposition=dec)
+        full = fpca_far_fit(coords, k=7, moments=mom, decomposition=dec)
+        ridge = tikhonov_fit(coords, 1e-12 * dec.eigenvalues[0], moments=mom, decomposition=dec)
         x = sample.curve(sample.n - 1)
         a = full.predict(x).values
         b = ridge.predict(x).values
@@ -195,45 +187,54 @@ class TestFpcaFarFit:
 
     def test_tau_resolves_k_and_records_both(self, rng):
         g = uniform_grid(10)
-        sample = FunctionalSample(rng.standard_normal((80, 10)), g)
-        est = fpca_far_fit(sample, tau=0.9)
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((80, 10)), g))
+        est = fpca_far_fit(coords, tau=0.9)
         assert est.method == "fpca"
         assert est.tuning["tau"] == 0.9
-        dec = eigendecompose(weighted_moments(sample))
+        dec = eigendecompose(weighted_moments(coords))
         assert est.tuning["k"] == select_k(dec.eigenvalues, 0.9)
 
     def test_scores_shape_and_quadrature(self, rng):
         g = uniform_grid(9)
         sample = FunctionalSample(rng.standard_normal((20, 9)), g)
-        dec = eigendecompose(weighted_moments(sample))
-        scores = component_scores(sample, dec, 3)
+        coords = span_coordinates(sample)
+        dec = eigendecompose(weighted_moments(coords))
+        # the component scores are the centred coordinates in the eigenbasis
+        scores = coords.values @ dec.vectors[:, :3]
         assert scores.shape == (20, 3)
         xbar = sample.values.mean(axis=0)
-        phi0 = Curve(dec.eigenfunctions[:, 0], g)
+        phi0 = Curve(coords.decode(dec.vectors[:, 0]), g)
         expected = inner_product(Curve(sample.values[5] - xbar, g), phi0)
         assert scores[5, 0] == pytest.approx(expected, rel=1e-10)
 
     def test_k_beyond_grid_raises(self, rng):
-        sample = FunctionalSample(rng.standard_normal((30, 5)), uniform_grid(5))
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((30, 5)), uniform_grid(5)))
         with pytest.raises(ValueError):
-            fpca_far_fit(sample, k=6)
+            fpca_far_fit(coords, k=6)
 
     def test_needs_k_plus_two_curves(self, rng):
-        sample = FunctionalSample(rng.standard_normal((5, 8)), uniform_grid(8))
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((5, 8)), uniform_grid(8)))
         with pytest.raises(InsufficientDataError):
-            fpca_far_fit(sample, k=4)
+            fpca_far_fit(coords, k=4)
 
     def test_singular_gram_raises(self):
         g = uniform_grid(6)
         values = np.tile(np.linspace(1.0, 2.0, 6), (12, 1))
         values[::2] *= 2.0  # rank-one fluctuations: spectrum has one positive value
-        sample = FunctionalSample(values, g)
+        coords = span_coordinates(FunctionalSample(values, g))
         with pytest.raises(SingularSystemError):
-            fpca_far_fit(sample, k=3)
+            fpca_far_fit(coords, k=3)
 
     def test_exactly_one_truncation_argument(self, rng):
-        sample = FunctionalSample(rng.standard_normal((20, 4)), uniform_grid(4))
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((20, 4)), uniform_grid(4)))
         with pytest.raises(ValueError):
-            fpca_far_fit(sample)
+            fpca_far_fit(coords)
         with pytest.raises(ValueError):
-            fpca_far_fit(sample, tau=0.9, k=2)
+            fpca_far_fit(coords, tau=0.9, k=2)
+
+    def test_grid_sample_is_projected_first(self, rng):
+        sample = FunctionalSample(rng.standard_normal((40, 12)), uniform_grid(12))
+        a = fpca_far_fit(sample, k=2)
+        b = fpca_far_fit(span_coordinates(sample), k=2)
+        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a.coordinates.basis, b.coordinates.basis)

@@ -3,10 +3,11 @@ import datetime as dt
 import numpy as np
 import pytest
 
+import dense_reference
 from farkit.errors import InsufficientDataError, SingularSystemError
 from farkit.evaluate import fit_method, ise
-from farkit.grid import uniform_grid
-from farkit.moments import FunctionalSample
+from farkit.grid import Curve, uniform_grid
+from farkit.moments import FunctionalSample, span_coordinates
 from farkit.preprocess import (
     SLOTS_PER_DAY,
     PipelineConfig,
@@ -17,7 +18,6 @@ from farkit.preprocess import (
     preprocess_curves,
     rolling_forecast,
     smooth_days,
-    span_coordinates,
 )
 
 HEADER = "date," + ",".join(f"h{i:02d}" for i in range(1, 49))
@@ -341,25 +341,27 @@ class TestSpanCoordinates:
         assert result.span_rank == rank
         rows = {(r.method, r.index): r for r in result.records}
         assert len(rows) == len(COORDINATE_METHODS) * 30
+        w = sample.grid.weights
         for label in COORDINATE_METHODS:
             for start in (100, 110, 120):
-                window = sample.subsample(start - 100, start)
-                est, _ = fit_method(window, label, cv_scheme="k-fold-forward", cv_folds=5)
+                window = sample.values[start - 100 : start]
+                kernel, tuning = dense_reference.fit(window, w, label, "k-fold-forward")
                 for t in range(start, start + 10):
                     row = rows[(label, t)]
                     assert row.error is None
                     if label.startswith("fpca"):
-                        assert row.tuning == est.tuning["k"]
+                        assert row.tuning == tuning
                     else:
-                        assert row.tuning == pytest.approx(est.tuning["alpha"], rel=1e-9)
-                    expected = ise(est.predict(sample.curve(t - 1)), sample.curve(t))
+                        assert row.tuning == pytest.approx(tuning, rel=1e-9)
+                    forecast = Curve(kernel @ (w * sample.values[t - 1]), sample.grid)
+                    expected = ise(forecast, sample.curve(t))
                     assert row.ise == pytest.approx(expected, rel=1e-10)
 
     def test_exactly_constant_sample_has_zero_coordinates(self):
         sample = FunctionalSample(np.full((30, 12), 3.0), uniform_grid(12))
-        rank, basis, coords = span_coordinates(sample)
-        assert rank == 0
-        assert basis.shape == (12, 2)
+        coords = span_coordinates(sample)
+        assert coords.rank == 0
+        assert coords.basis.shape == (12, 1)
         assert not coords.values.any()
 
 
@@ -391,7 +393,7 @@ class TestRollingMethods:
         assert all(np.isnan(r.ise) for r in failed)
         assert all(r.error is None for r in result.records if r.method == "fpca:0.9")
         with pytest.raises(SingularSystemError):
-            fit_method(sample.subsample(0, 100), label)
+            fit_method(span_coordinates(sample.subsample(0, 100)), label)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import moment_pair, random_spd, unit_weight_grid
+from conftest import moment_pair, random_spd, rotation_coordinates
 from farkit.errors import InsufficientDataError
 from farkit.grid import uniform_grid
-from farkit.moments import FunctionalSample, weighted_moments
+from farkit.moments import FunctionalSample, span_coordinates
 from farkit.tikhonov import (
     AlphaGrid,
     application_alpha_grid,
@@ -12,11 +12,6 @@ from farkit.tikhonov import (
     default_alpha_grid,
     tikhonov_fit,
 )
-
-
-def reweight(kernel, grid):
-    sw = np.sqrt(grid.weights)
-    return kernel * np.outer(sw, sw)
 
 
 def naive_holdout_cv(sample, alphas):
@@ -47,54 +42,52 @@ def naive_holdout_cv(sample, alphas):
 
 class TestTikhonovFit:
     def test_diagonal_case(self):
-        g = unit_weight_grid(4)
         d = np.array([4.0, 2.0, 1.0, 0.5])
         c = np.array([1.0, -2.0, 0.5, 3.0])
-        est = tikhonov_fit(moment_pair(np.diag(d), np.diag(c), g), alpha=0.25)
-        assert np.allclose(est.kernel, np.diag(c / (d + 0.25)), atol=1e-12)
+        pair = moment_pair(np.diag(d), np.diag(c))
+        est = tikhonov_fit(rotation_coordinates(4), alpha=0.25, moments=pair)
+        assert np.allclose(est.matrix, np.diag(c / (d + 0.25)), atol=1e-12)
         assert est.method == "tikhonov"
         assert est.tuning == {"alpha": 0.25}
 
     def test_zero_cross_moment(self, rng):
-        g = uniform_grid(5)
-        pair = moment_pair(random_spd(rng, 5), np.zeros((5, 5)), g)
+        coords = rotation_coordinates(5, uniform_grid(5))
+        pair = moment_pair(random_spd(rng, 5), np.zeros((5, 5)))
         for alpha in (1e-4, 0.1, 10.0):
-            assert np.allclose(tikhonov_fit(pair, alpha).kernel, 0.0)
+            assert np.allclose(tikhonov_fit(coords, alpha, moments=pair).kernel, 0.0)
 
     def test_dense_solve_oracle(self, rng):
-        g = uniform_grid(8)
         c0t = random_spd(rng, 8)
         c1t = rng.standard_normal((8, 8))
-        pair = moment_pair(c0t, c1t, g)
+        pair = moment_pair(c0t, c1t)
         alpha = 0.1
-        est = tikhonov_fit(pair, alpha)
+        est = tikhonov_fit(rotation_coordinates(8), alpha, moments=pair)
         dense = np.linalg.solve((c0t + alpha * np.eye(8)).T, c1t.T).T
-        got = reweight(est.kernel, g)
+        got = est.matrix
         assert np.linalg.norm(got - dense) <= 1e-10 * np.linalg.norm(dense)
 
     def test_alpha_must_be_positive(self, rng):
-        pair = moment_pair(np.eye(3), np.eye(3), uniform_grid(3))
+        pair = moment_pair(np.eye(3), np.eye(3))
         for alpha in (0.0, -1.0):
             with pytest.raises(ValueError):
-                tikhonov_fit(pair, alpha)
+                tikhonov_fit(rotation_coordinates(3), alpha, moments=pair)
 
     def test_resolvent_norm_nonincreasing_in_alpha(self, rng):
-        g = uniform_grid(7)
-        pair = moment_pair(random_spd(rng, 7), rng.standard_normal((7, 7)), g)
+        coords = rotation_coordinates(7)
+        pair = moment_pair(random_spd(rng, 7), rng.standard_normal((7, 7)))
         norms = [
-            np.linalg.norm(reweight(tikhonov_fit(pair, a).kernel, g), 2)
+            np.linalg.norm(tikhonov_fit(coords, a, moments=pair).matrix, 2)
             for a in default_alpha_grid().values
         ]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
     def test_large_alpha_bound(self, rng):
-        g = uniform_grid(6)
         c0t = random_spd(rng, 6)
         c1t = rng.standard_normal((6, 6))
-        pair = moment_pair(c0t, c1t, g)
+        pair = moment_pair(c0t, c1t)
         lam1 = np.linalg.eigvalsh(c0t).max()
         alpha = 1e6 * lam1
-        norm = np.linalg.norm(reweight(tikhonov_fit(pair, alpha).kernel, g), 2)
+        norm = np.linalg.norm(tikhonov_fit(rotation_coordinates(6), alpha, moments=pair).matrix, 2)
         assert norm <= np.linalg.norm(c1t, 2) / alpha * (1 + 1e-10)
 
 
@@ -158,7 +151,7 @@ class TestCvSelectAlpha:
         # decade of the grid is strictly dominated and never selected
         sample = noiseless_far_sample(rng)
         grid = default_alpha_grid()
-        cv = cv_select_alpha(sample, grid)
+        cv = cv_select_alpha(span_coordinates(sample), grid)
         losses = np.array([l for _, l in cv.cv_curve])
         assert np.all(np.diff(losses[-5:]) > 0)
         assert cv.selected_alpha < grid.values[20]
@@ -166,24 +159,23 @@ class TestCvSelectAlpha:
 
     def test_white_noise_prefers_heavy_regularization(self, rng):
         g = uniform_grid(11)
-        sample = FunctionalSample(rng.standard_normal((200, 11)), g)
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((200, 11)), g))
         grid = default_alpha_grid()
-        cv = cv_select_alpha(sample, grid)
+        cv = cv_select_alpha(coords, grid)
         assert cv.selected_alpha >= grid.values[12]
 
         from farkit.evaluate import misfe
 
-        mom = weighted_moments(sample)
         test = FunctionalSample(rng.standard_normal((200, 11)), g)
-        selected = misfe(tikhonov_fit(mom, cv.selected_alpha), test)
-        overfit = misfe(tikhonov_fit(mom, grid.values[0]), test)
+        selected = misfe(tikhonov_fit(coords, cv.selected_alpha), test)
+        overfit = misfe(tikhonov_fit(coords, grid.values[0]), test)
         assert selected <= overfit
 
     def test_fast_path_equals_naive_path(self, rng):
         g = uniform_grid(21)
         sample = FunctionalSample(rng.standard_normal((60, 21)), g)
         grid = default_alpha_grid()
-        cv = cv_select_alpha(sample, grid)
+        cv = cv_select_alpha(span_coordinates(sample), grid)
         naive = naive_holdout_cv(sample, grid.values)
         fast = np.array([l for _, l in cv.cv_curve])
         assert np.abs(fast - naive).max() <= 1e-9 * np.abs(naive).max()
@@ -191,7 +183,7 @@ class TestCvSelectAlpha:
     def test_holdout_split_record(self, rng):
         g = uniform_grid(5)
         sample = FunctionalSample(rng.standard_normal((100, 5)), g)
-        cv = cv_select_alpha(sample, default_alpha_grid())
+        cv = cv_select_alpha(span_coordinates(sample), default_alpha_grid())
         assert cv.train_indices == tuple(range(80))
         assert cv.validation_indices == tuple(range(80, 100))
         assert cv.scheme == "holdout"
@@ -200,23 +192,23 @@ class TestCvSelectAlpha:
         g = uniform_grid(5)
         sample = FunctionalSample(np.zeros((40, 5)), g)
         grid = default_alpha_grid()
-        cv = cv_select_alpha(sample, grid)
+        cv = cv_select_alpha(span_coordinates(sample), grid)
         losses = [l for _, l in cv.cv_curve]
         assert losses == [0.0] * 25
         assert cv.selected_alpha == grid.values[-1]
 
     def test_deterministic(self, rng):
         g = uniform_grid(7)
-        sample = FunctionalSample(rng.standard_normal((50, 7)), g)
-        a = cv_select_alpha(sample, default_alpha_grid())
-        b = cv_select_alpha(sample, default_alpha_grid())
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((50, 7)), g))
+        a = cv_select_alpha(coords, default_alpha_grid())
+        b = cv_select_alpha(coords, default_alpha_grid())
         assert a.selected_alpha == b.selected_alpha
         assert a.cv_curve == b.cv_curve
 
     def test_kfold_forward_runs_and_differs_from_holdout(self, rng):
         g = uniform_grid(9)
-        sample = FunctionalSample(rng.standard_normal((80, 9)), g)
-        cv = cv_select_alpha(sample, default_alpha_grid(), scheme="k-fold-forward")
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((80, 9)), g))
+        cv = cv_select_alpha(coords, default_alpha_grid(), scheme="k-fold-forward")
         assert cv.scheme == "k-fold-forward"
         # fold 1 is training-only; validated targets are the remaining folds
         assert cv.train_indices == tuple(range(16))
@@ -224,18 +216,18 @@ class TestCvSelectAlpha:
 
     def test_sample_too_short(self, rng):
         g = uniform_grid(4)
-        short = FunctionalSample(rng.standard_normal((20, 4)), g)
+        short = span_coordinates(FunctionalSample(rng.standard_normal((20, 4)), g))
         with pytest.raises(InsufficientDataError):
             cv_select_alpha(short, default_alpha_grid())
         with pytest.raises(InsufficientDataError):
             cv_select_alpha(
-                FunctionalSample(rng.standard_normal((30, 4)), g),
+                span_coordinates(FunctionalSample(rng.standard_normal((30, 4)), g)),
                 default_alpha_grid(),
                 scheme="k-fold-forward",
             )
 
     def test_unknown_scheme(self, rng):
         g = uniform_grid(4)
-        sample = FunctionalSample(rng.standard_normal((40, 4)), g)
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((40, 4)), g))
         with pytest.raises(ValueError):
-            cv_select_alpha(sample, default_alpha_grid(), scheme="loo")
+            cv_select_alpha(coords, default_alpha_grid(), scheme="loo")
