@@ -21,7 +21,6 @@ from .evaluate import (
     CellResult,
     TheoryProbe,
     fit_method,
-    ise,
     misfe,
     parse_method,
     rate_slope,

@@ -117,6 +117,9 @@ def cmd_simulate(args) -> int:
     if args.n < 2:
         print("error: --n must be at least 2", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
+        return 2
     out = _out_dir(args)
     spec = REGIMES[args.regime]
     operator = draw_regime_operator(spec, args.seed)
@@ -143,9 +146,14 @@ def cmd_simulate(args) -> int:
 
 def _load_sample(path: Path) -> FunctionalSample:
     values = np.loadtxt(path, delimiter=",", ndmin=2)
-    meta = _read_meta(path.with_suffix(".meta.json"))
+    sidecar = path.with_suffix(".meta.json")
+    meta = _read_meta(sidecar)
     if meta is not None and meta.get("grid_points"):
-        grid = make_trapezoid_grid(np.asarray(meta["grid_points"], dtype=float))
+        try:
+            points = np.asarray(meta["grid_points"], dtype=float)
+        except TypeError:
+            raise ValueError(f"{sidecar}: grid_points must be a list of numbers") from None
+        grid = make_trapezoid_grid(points)
     else:
         grid = uniform_grid(values.shape[1])
     return FunctionalSample(values, grid)
@@ -156,13 +164,11 @@ def cmd_fit(args) -> int:
     out = _out_dir(args)
     try:
         method = parse_method(args.method)
-        if args.cv_folds < 2:
-            raise ValueError("--cv-folds must be at least 2")
         coords = span_coordinates(_load_sample(Path(args.input)))
     except (ValueError, OSError) as exc:
         error = str(exc)
     else:
-        (outcome,) = fit_methods(coords, [method], cv_scheme=args.cv_scheme, cv_folds=args.cv_folds)
+        (outcome,) = fit_methods(coords, [method], cv_scheme=args.cv_scheme)
         error = outcome.error
     if error is not None:
         _write_json(out / "fit.meta.json", {"kind": "error", "error": error})
@@ -402,21 +408,25 @@ def cmd_rolling(args) -> int:
 def _load_probes(path) -> list:
     with open(path) as handle:
         data = json.load(handle)
-    if "probes" not in data or not isinstance(data["probes"], list):
-        raise ValueError("probe config must carry a nonempty 'probes' list")
+    if not isinstance(data, dict) or not isinstance(data.get("probes"), list):
+        raise ValueError("probe config must be a JSON object with a nonempty 'probes' list")
     if not data["probes"]:
         raise ValueError("probe list is empty")
     probes = []
     for entry in data["probes"]:
-        probes.append(
-            TheoryProbe.diagonal(
+        if not isinstance(entry, dict):
+            raise ValueError(f"probe {entry!r} is not a JSON object")
+        try:
+            params = dict(
                 beta=float(entry["beta"]),
                 n_components=int(entry.get("n_components", 60)),
                 eigen_decay=float(entry.get("eigen_decay", 2.0)),
                 rho=float(entry.get("rho", 1.0)),
                 eigen_scale=float(entry.get("eigen_scale", 1.0)),
             )
-        )
+        except (TypeError, OverflowError):
+            raise ValueError(f"probe {entry!r}: every parameter must be a finite number") from None
+        probes.append(TheoryProbe.diagonal(**params))
     return probes
 
 
@@ -476,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fpca:TAU | fpca:K=INT | tikhonov:ALPHA | tikhonov:cv",
     )
     p.add_argument("--cv-scheme", default="holdout", choices=["holdout", "k-fold-forward"])
-    p.add_argument("--cv-folds", type=int, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

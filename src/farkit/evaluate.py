@@ -25,7 +25,7 @@ from .errors import (
     SingularSystemError,
 )
 from .fpca import SpectralDecomposition, eigendecompose, fpca_far_fit, usable_directions
-from .grid import Curve, uniform_grid
+from .grid import uniform_grid
 from .moments import (
     FunctionalSample,
     OperatorEstimate,
@@ -56,7 +56,6 @@ __all__ = [
     "BenchmarkReport",
     "TheoryProbe",
     "misfe",
-    "ise",
     "mean_misfe_table",
     "regret_table",
     "worst_case_table",
@@ -143,7 +142,6 @@ def fit_method(
     moments: WeightedMomentPair | None = None,
     decomposition: SpectralDecomposition | None = None,
     cv_scheme: str = "holdout",
-    cv_folds: int = 5,
 ) -> tuple[OperatorEstimate, CvResult | None]:
     """Fit one estimator id to a sample in span coordinates; returns ``(estimate, cv)``.
 
@@ -182,7 +180,7 @@ def fit_method(
         if lam1 <= 0:
             raise DegenerateSpectrumError("covariance spectrum is identically zero")
         alpha_grid = application_alpha_grid(lam1)
-    cv = cv_select_alpha(coords, alpha_grid, scheme=cv_scheme, n_folds=cv_folds)
+    cv = cv_select_alpha(coords, alpha_grid, scheme=cv_scheme)
     est = tikhonov_fit(coords, cv.selected_alpha, moments=moments, decomposition=decomposition)
     return replace(est, tuning={**est.tuning, "selected_by": cv.scheme}), cv
 
@@ -206,7 +204,6 @@ def fit_methods(
     methods,
     *,
     cv_scheme: str = "holdout",
-    cv_folds: int = 5,
 ):
     """Fit every method to one sample in span coordinates from one shared decomposition.
 
@@ -228,12 +225,7 @@ def fit_methods(
         t0 = time.perf_counter()
         try:
             est, cv = fit_method(
-                coords,
-                method,
-                moments=moments,
-                decomposition=decomposition,
-                cv_scheme=cv_scheme,
-                cv_folds=cv_folds,
+                coords, method, moments=moments, decomposition=decomposition, cv_scheme=cv_scheme
             )
         except FIT_ERRORS as exc:
             yield FitOutcome(None, _error_text(exc), time.perf_counter() - t0)
@@ -257,21 +249,6 @@ def misfe(op: OperatorEstimate, test: FunctionalSample) -> float:
     preds = apply_kernel_matrix(op, test.values[:-1])
     sq_err = (test.values[1:] - preds) ** 2
     return float(np.mean(sq_err @ test.grid.weights))
-
-
-def ise(forecast: Curve, actual: Curve, weighted: bool = False) -> float:
-    """Integrated squared error of a single forecast curve.
-
-    The default is the flat 1/M average of squared pointwise errors used by
-    the rolling application protocol; ``weighted=True`` integrates with the
-    quadrature weights instead (the convention the simulation metric uses).
-    """
-    if forecast.values.size != actual.values.size:
-        raise ValueError("forecast and actual curves have different lengths")
-    diff = forecast.values - actual.values
-    if weighted:
-        return float(np.sum(actual.grid.weights * diff**2))
-    return float(np.mean(diff**2))
 
 
 # ---------------------------------------------------------------------------
@@ -605,14 +582,21 @@ class TheoryProbe:
     lambdas: np.ndarray
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("smoothness exponent beta must be positive")
+        # NaN fails every comparison, so a non-finite probe could never fail its check
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError("smoothness exponent beta must be positive and finite")
+        if not math.isfinite(self.rho):
+            raise ValueError("the bound rho must be finite")
         factor = np.asarray(self.factor, dtype=float)
         lambdas = np.asarray(self.lambdas, dtype=float)
-        if lambdas.ndim != 1 or np.any(lambdas <= 0):
-            raise ValueError("covariance eigenvalues must be positive")
+        if lambdas.ndim != 1 or lambdas.size == 0:
+            raise ValueError("a probe needs at least one component")
+        if not np.all((lambdas > 0) & np.isfinite(lambdas)):
+            raise ValueError("covariance eigenvalues must be positive and finite")
         if factor.shape != (lambdas.size, lambdas.size):
             raise ValueError("factor must be square and match the eigenvalues")
+        if not np.all(np.isfinite(factor)):
+            raise ValueError("factor entries must be finite")
         norm = float(np.linalg.norm(factor))
         if norm > self.rho * (1 + 1e-12):
             raise ValueError(f"||F|| = {norm:.6g} exceeds the bound rho = {self.rho:.6g}")
@@ -639,6 +623,8 @@ class TheoryProbe:
         eigenvalue is at most 1; an ``eigen_scale`` above 1 with ``beta > 1``
         deliberately breaks it (useful as a negative control).
         """
+        if n_components < 1:
+            raise ValueError("a probe needs at least one component")
         k = np.arange(1, n_components + 1, dtype=float)
         lambdas = eigen_scale * k ** (-eigen_decay)
         profile = 1.0 / k

@@ -19,9 +19,9 @@ import numpy as np
 from scipy.interpolate import BSpline
 
 from .errors import InsufficientDataError, NumericalError
-from .evaluate import fit_methods, ise, parse_method, tuning_value
+from .evaluate import fit_methods, parse_method, tuning_value
 from .grid import uniform_grid
-from .moments import FunctionalSample, span_coordinates
+from .moments import FunctionalSample, apply_kernel_matrix, span_coordinates
 
 __all__ = [
     "SLOTS_PER_DAY",
@@ -295,19 +295,20 @@ def rolling_forecast(
 ) -> RollingResult:
     """One-step-ahead forecasts of every method from a sliding window with periodic refits.
 
-    Evaluation days are the curves after the first ``config.window``. The
-    estimators are refitted every ``config.refit_interval`` evaluation days
-    on the ``window`` curves immediately before the refit day, all methods
-    from one shared decomposition of that window, and each evaluation day
-    is forecast by applying the current estimator to the previous day's
-    curve. The ridge strength of ``tikhonov:cv`` is selected by forward
+    Evaluation days are the curves after the first ``config.window``. They
+    fall into refit blocks of ``config.refit_interval`` days; at the start
+    of each block every method is fitted on the ``window`` curves
+    immediately before it, all from one shared decomposition of that
+    window. The ridge strength of ``tikhonov:cv`` is selected by forward
     5-fold cross-validation over the eigenvalue-scaled grid. Every window
     is fitted in the coordinates of the whole sample's
-    ``span_coordinates``, and each forecast comes back on the grid for its
-    error. Under the ``exclude-cross-gap`` policy, pairs of days more than
-    one calendar day apart are skipped and counted (the refit cadence
-    still advances on those days). A failed refit marks its method's
-    whole block as failed without stopping the run.
+    ``span_coordinates``. Each estimate then forecasts every day of its
+    block from the previous day's curve in one batched application, and a
+    day's error is the flat 1/M mean of its squared pointwise errors.
+    Under the ``exclude-cross-gap`` policy, days more than one calendar
+    day after their predecessor are skipped and counted; the refit
+    schedule does not move. A failed fit marks its method's whole block
+    as failed without stopping the run.
     """
     n = sample.n
     if n <= config.window:
@@ -318,42 +319,41 @@ def rolling_forecast(
         dates = list(dates)
         if len(dates) != n:
             raise ValueError("dates must match the sample length")
-    if config.gap_policy == "exclude-cross-gap" and dates is None:
-        raise ValueError("exclude-cross-gap policy needs the curve dates")
+    kept = np.ones(n, dtype=bool)
+    if config.gap_policy == "exclude-cross-gap":
+        if dates is None:
+            raise ValueError("exclude-cross-gap policy needs the curve dates")
+        kept[1:] = np.diff(np.array(dates, dtype="datetime64[D]")) <= np.timedelta64(1, "D")
 
     methods = [parse_method(label) for label in config.methods]
     coords = span_coordinates(sample)
+    values = sample.values
     rows = {method.label: [] for method in methods}
-    skipped = 0
-    for step, t in enumerate(range(config.window, n)):
-        refit = step % config.refit_interval == 0
-        if refit:
-            outcomes = list(
-                fit_methods(
-                    coords.subsample(t - config.window, t),
-                    methods,
-                    cv_scheme="k-fold-forward",
-                    cv_folds=5,
-                )
-            )
-        date = dates[t] if dates is not None else None
-        if (
-            config.gap_policy == "exclude-cross-gap"
-            and (dates[t] - dates[t - 1]).days > 1
-        ):
-            skipped += 1
-            continue
-        lag, actual = sample.curve(t - 1), sample.curve(t)
+    for start in range(config.window, n, config.refit_interval):
+        stop = min(start + config.refit_interval, n)
+        days = [t for t in range(start, stop) if kept[t]]
+        outcomes = fit_methods(
+            coords.subsample(start - config.window, start), methods, cv_scheme="k-fold-forward"
+        )
         for method, outcome in zip(methods, outcomes):
             est = outcome.estimate
             if est is None:
-                row = ForecastOutcome(
-                    method.label, t, date, float("nan"), float("nan"), refit, outcome.error
-                )
+                errors, tuning = np.full(stop - start, np.nan), float("nan")
             else:
-                row = ForecastOutcome(
-                    method.label, t, date, ise(est.predict(lag), actual), tuning_value(est), refit
+                forecasts = apply_kernel_matrix(est, values[start - 1 : stop - 1])
+                residual = values[start:stop] - forecasts
+                errors, tuning = np.mean(residual**2, axis=1), tuning_value(est)
+            rows[method.label].extend(
+                ForecastOutcome(
+                    method.label,
+                    t,
+                    dates[t] if dates is not None else None,
+                    float(errors[t - start]),
+                    tuning,
+                    t == start,
+                    outcome.error,
                 )
-            rows[method.label].append(row)
+                for t in days
+            )
     records = tuple(row for method in methods for row in rows[method.label])
-    return RollingResult(records, skipped, coords.rank)
+    return RollingResult(records, int(np.count_nonzero(~kept[config.window :])), coords.rank)

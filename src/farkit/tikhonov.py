@@ -142,7 +142,6 @@ def cv_select_alpha(
     coords: SpanCoordinates,
     grid: AlphaGrid,
     scheme: str = "holdout",
-    n_folds: int = 5,
 ) -> CvResult:
     """Pick the ridge strength by one-step-ahead cross-validation.
 
@@ -155,10 +154,9 @@ def cv_select_alpha(
         One block: the last max(floor(0.2 n), 20) curves. Requires n >= 30.
 
     ``k-fold-forward``
-        The sample is split into ``n_folds`` contiguous, chronologically
-        ordered folds; every fold after the first is a block (the first
-        fold only ever serves as training data). Requires
-        n >= 5 * n_folds + 10.
+        The sample is split into 5 contiguous, chronologically ordered
+        folds; every fold after the first is a block (the first fold only
+        ever serves as training data). Requires n >= 35.
 
     The returned loss curve covers the whole grid; refitting on the full
     sample at the selected alpha is the caller's responsibility.
@@ -169,13 +167,9 @@ def cv_select_alpha(
             raise InsufficientDataError(f"holdout cross-validation needs n >= 30, got {n}")
         blocks = [np.arange(n - max(n // 5, 20), n)]
     elif scheme == "k-fold-forward":
-        if n_folds < 2:
-            raise ValueError("k-fold-forward needs at least 2 folds")
-        if n < 5 * n_folds + 10:
-            raise InsufficientDataError(
-                f"k-fold-forward cross-validation needs n >= {5 * n_folds + 10}, got {n}"
-            )
-        blocks = np.array_split(np.arange(n), n_folds)[1:]
+        if n < 35:
+            raise InsufficientDataError(f"k-fold-forward cross-validation needs n >= 35, got {n}")
+        blocks = np.array_split(np.arange(n), 5)[1:]
     else:
         raise ValueError(f"unknown cross-validation scheme: {scheme!r}")
 

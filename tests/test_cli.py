@@ -338,6 +338,34 @@ class TestVerifyCommand:
         assert code == 2
 
 
+VERIFY = ["verify", "--skip-diagnostics", "--probes", "probes.json"]
+FIT = ["fit", "--method", "fpca:0.9", "--input", "sample.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, code",
+    [
+        (["simulate", "--regime", "I", "--n", "10", "--seed", "-1"], {}, 2),
+        (VERIFY, {"probes.json": 5}, 2),
+        (VERIFY, {"probes.json": {"probes": [[1, 2]]}}, 2),
+        (VERIFY, {"probes.json": {"probes": [{"beta": None}]}}, 2),
+        (VERIFY, {"probes.json": {"probes": [{"beta": float("nan")}]}}, 2),
+        (FIT, {"sample.meta.json": {"schema_version": 1, "grid_points": {"a": 1}}}, 1),
+    ],
+    ids=["negative-seed", "probes-not-object", "probe-not-object", "probe-null",
+         "probe-nan", "grid-points-object"],
+)
+def test_bad_outside_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code):
+    monkeypatch.chdir(tmp_path)
+    spectrum_sample_csv(tmp_path / "sample.csv", [0.6, 0.3, 0.1], m=6, n=40)
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    assert main(argv + ["--out", "out"]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    if argv[0] == "fit":
+        assert json.loads((tmp_path / "out" / "fit.meta.json").read_text())["kind"] == "error"
+
+
 # every token of the method-id grammar, recombined at random, plus ids that
 # keep the grammar's shape so that valid ones are drawn too
 METHOD_ID_TOKENS = ["fpca:", "tikhonov:", "K=", *"0123456789", ".", "-", "cv", "nan", "inf"]

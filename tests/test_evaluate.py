@@ -11,7 +11,6 @@ from farkit.evaluate import (
     TheoryProbe,
     fit_method,
     fit_methods,
-    ise,
     mean_misfe_table,
     misfe,
     parse_method,
@@ -24,7 +23,7 @@ from farkit.evaluate import (
     worst_case_table,
 )
 from conftest import grid_operator
-from farkit.grid import Curve, make_trapezoid_grid, uniform_grid
+from farkit.grid import make_trapezoid_grid, uniform_grid
 from farkit.moments import FunctionalSample, span_coordinates
 from farkit.simulate import (
     REGIMES,
@@ -181,33 +180,6 @@ class TestMisfe:
         op = grid_operator(np.zeros((3, 3)), g)
         with pytest.raises(InsufficientDataError):
             misfe(op, FunctionalSample(np.ones((2, 3)), g).subsample(0, 1))
-
-
-class TestIse:
-    def test_identical(self):
-        g = uniform_grid(4)
-        f = Curve(np.arange(4.0), g)
-        assert ise(f, f) == 0.0
-
-    def test_constant_offset(self):
-        g = uniform_grid(6)
-        a = Curve(np.zeros(6), g)
-        b = Curve(np.full(6, 2.5), g)
-        assert ise(a, b) == pytest.approx(6.25, rel=1e-14)
-
-    def test_hand_case(self):
-        g = uniform_grid(3)
-        zero = Curve(np.zeros(3), g)
-        actual = Curve(np.array([1.0, 2.0, 3.0]), g)
-        assert ise(zero, actual) == pytest.approx(14.0 / 3.0, rel=1e-14)
-
-    def test_weighted_variant_is_quadrature(self):
-        g = uniform_grid(3)  # weights (0.25, 0.5, 0.25)
-        zero = Curve(np.zeros(3), g)
-        actual = Curve(np.array([1.0, 2.0, 3.0]), g)
-        assert ise(zero, actual, weighted=True) == pytest.approx(
-            0.25 * 1 + 0.5 * 4 + 0.25 * 9, rel=1e-14
-        )
 
 
 def synthetic_report(cells):
@@ -423,6 +395,26 @@ class TestBiasBound:
         lam = 1.0 / np.arange(1, 5.0) ** 2
         with pytest.raises(ValueError):
             TheoryProbe(beta=1.0, rho=0.1, factor=np.eye(4), lambdas=lam)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TheoryProbe.diagonal(np.nan),
+            lambda: TheoryProbe.diagonal(np.inf),
+            lambda: TheoryProbe.diagonal(1.0, rho=np.nan),
+            lambda: TheoryProbe.diagonal(1.0, eigen_decay=np.nan),
+            lambda: TheoryProbe.diagonal(1.0, eigen_scale=np.inf),
+            lambda: TheoryProbe.diagonal(1.0, n_components=0),
+            lambda: TheoryProbe(1.0, 1.0, np.full((2, 2), np.nan), np.ones(2)),
+            lambda: TheoryProbe(1.0, 1.0, np.zeros((0, 0)), np.zeros(0)),
+        ],
+        ids=["nan-beta", "inf-beta", "nan-rho", "nan-decay", "inf-scale", "no-components",
+             "nan-factor", "empty"],
+    )
+    def test_non_finite_or_empty_probe_rejected(self, make):
+        # a NaN comparison is never a violation, so such a probe could never fail
+        with pytest.raises(ValueError):
+            make()
 
 
 class TestVerificationSuite:

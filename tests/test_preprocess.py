@@ -5,8 +5,8 @@ import pytest
 
 import dense_reference
 from farkit.errors import InsufficientDataError, SingularSystemError
-from farkit.evaluate import fit_method, ise
-from farkit.grid import Curve, uniform_grid
+from farkit.evaluate import fit_method
+from farkit.grid import uniform_grid
 from farkit.moments import FunctionalSample, span_coordinates
 from farkit.preprocess import (
     SLOTS_PER_DAY,
@@ -293,6 +293,47 @@ class TestRollingForecast:
         assert all(r.error is not None for r in result.records)
         assert all(np.isnan(r.ise) for r in result.records)
 
+    def test_gap_on_refit_day_keeps_refit_schedule(self):
+        sample = drifting_sample(140)
+        # day 120 opens the second refit block and comes two days after day 119
+        dates = [dt.date(2019, 1, 8) + dt.timedelta(days=t + (t >= 120)) for t in range(140)]
+        common = dict(window=100, refit_interval=20, methods=("fpca:0.90", "tikhonov:cv"))
+        gapped = rolling_forecast(sample, RollingConfig(**common), dates=dates)
+        contiguous = rolling_forecast(
+            sample, RollingConfig(gap_policy="contiguous", **common), dates=dates
+        )
+        assert gapped.skipped_gaps == 1 and contiguous.skipped_gaps == 0
+        # the block is still fitted on days 20..119, so its other days are unchanged
+        assert comparable(gapped.records) == comparable(
+            [r for r in contiguous.records if r.index != 120]
+        )
+
+    def test_failed_blocks_then_scored_blocks(self):
+        # integer noise with zero column sums keeps the constant days at exactly
+        # the sample mean, so their coordinates are exactly zero (constant days
+        # off the mean leave rounding residues, which a window then fits)
+        noise = np.random.default_rng(3).integers(-3, 4, (20, 10)).astype(float)
+        values = np.vstack([np.zeros((130, 10)), noise, -noise])
+        sample = FunctionalSample(values, uniform_grid(10))
+        config = RollingConfig(window=100, refit_interval=10, methods=("fpca:0.90",),
+                               gap_policy="contiguous")
+        result = rolling_forecast(sample, config)
+        # windows before day 140 are constant: a zero spectrum has no threshold
+        assert [r.index for r in result.records] == list(range(100, 170))
+        assert [r.refit for r in result.records] == [t % 10 == 0 for t in range(100, 170)]
+        failed = [r for r in result.records if r.index < 140]
+        scored = [r for r in result.records if r.index >= 140]
+        assert all(r.error is not None and np.isnan(r.ise) for r in failed)
+        assert all(np.isnan(r.tuning) for r in failed)
+        assert all(r.error is None for r in scored)
+        coords = span_coordinates(sample)
+        for row in scored:
+            start = row.index - row.index % 10
+            est, _ = fit_method(coords.subsample(start - 100, start), "fpca:0.90")
+            forecast = est.predict(sample.curve(row.index - 1)).values
+            expected = np.mean((forecast - sample.values[row.index]) ** 2)
+            assert row.ise == pytest.approx(expected, rel=1e-10)
+
     def test_needs_more_than_window(self):
         sample = drifting_sample(100)
         config = RollingConfig(window=100, methods=("fpca:0.90",), gap_policy="contiguous")
@@ -353,8 +394,8 @@ class TestSpanCoordinates:
                         assert row.tuning == tuning
                     else:
                         assert row.tuning == pytest.approx(tuning, rel=1e-9)
-                    forecast = Curve(kernel @ (w * sample.values[t - 1]), sample.grid)
-                    expected = ise(forecast, sample.curve(t))
+                    forecast = kernel @ (w * sample.values[t - 1])
+                    expected = np.mean((forecast - sample.values[t]) ** 2)
                     assert row.ise == pytest.approx(expected, rel=1e-10)
 
     def test_exactly_constant_sample_has_zero_coordinates(self):
