@@ -58,6 +58,7 @@ from .simulate import (
     fourier_basis,
     innovation_eigenvalues,
     simulate_far1,
+    simulate_states,
 )
 from .tikhonov import (
     AlphaGrid,

@@ -25,7 +25,7 @@ from .errors import (
     SingularSystemError,
 )
 from .fpca import SpectralDecomposition, eigendecompose, fpca_far_fit, usable_directions
-from .grid import uniform_grid
+from .grid import QuadratureGrid, uniform_grid
 from .moments import (
     FunctionalSample,
     OperatorEstimate,
@@ -35,7 +35,13 @@ from .moments import (
     span_coordinates,
     weighted_moments,
 )
-from .simulate import REGIMES, draw_regime_operator, operator_kernel, simulate_far1
+from .simulate import (
+    REGIMES,
+    draw_regime_operator,
+    operator_kernel,
+    simulate_far1,
+    simulate_states,
+)
 from .tikhonov import (
     CvResult,
     application_alpha_grid,
@@ -75,6 +81,10 @@ __all__ = [
 _REGIME_CODES = {"I": 1, "II": 2, "III": 3}
 _TRAIN_TAG = 0
 _TEST_TAG = 1
+
+# replications of a (regime, n) cell simulated by one recursion; larger
+# batches hold more paths in memory at once
+BATCH_SIZE = 10
 
 # estimator failures, recorded as failed fits instead of aborting a benchmark
 # or rolling run; GridError covers moments or a kernel that came out non-finite
@@ -392,6 +402,13 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     forecast error, the resolved tuning value, and the incremental fit
     time. Fit failures are recorded on the cell and never abort the run.
     The report is a pure function of the config (timings aside).
+
+    Paths stay in the simulator's J Fourier coefficients, on a unit-weight
+    grid of J points: the basis is orthonormal under the regime grid's
+    quadrature, so fits and forecast errors there equal those of the
+    expanded curves up to rounding. A cell's replications are simulated
+    ``BATCH_SIZE`` at a time, and the batches are the tasks of the thread
+    pool.
     """
     t_start = time.perf_counter()
     methods = [parse_method(label) for label in config.methods]
@@ -400,47 +417,51 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         for regime in config.regimes
     }
     tasks = [
-        (regime, n, rep)
+        (regime, n, range(start, min(start + BATCH_SIZE, config.replications)))
         for regime in config.regimes
         for n in config.n_values
-        for rep in range(config.replications)
+        for start in range(0, config.replications, BATCH_SIZE)
     ]
 
-    def run_replication(task):
-        regime, n, rep = task
+    def run_batch(task):
+        regime, n, reps = task
         spec = REGIMES[regime]
-        op = operators[regime]
-        train = simulate_far1(
-            op, spec, n, _path_seed(config.master_seed, regime, n, rep, _TRAIN_TAG)
-        )
-        test = simulate_far1(
-            op,
-            spec,
-            config.test_length,
-            _path_seed(config.master_seed, regime, n, rep, _TEST_TAG),
+        j = spec.basis_dim
+        grid = QuadratureGrid(np.arange(j), np.ones(j))
+        train, test = (
+            simulate_states(
+                operators[regime],
+                spec,
+                length,
+                [_path_seed(config.master_seed, regime, n, rep, tag) for rep in reps],
+            )
+            for length, tag in ((n, _TRAIN_TAG), (config.test_length, _TEST_TAG))
         )
         results = []
-        for method, outcome in zip(methods, fit_methods(span_coordinates(train), methods)):
-            est = outcome.estimate
-            results.append(
-                CellResult(
-                    regime,
-                    n,
-                    method.label,
-                    rep,
-                    misfe=float("nan") if est is None else misfe(est, test),
-                    tuning=float("nan") if est is None else tuning_value(est),
-                    seconds=outcome.seconds,
-                    error=outcome.error,
+        for rep, train_states, test_states in zip(reps, train, test):
+            coords = span_coordinates(FunctionalSample(train_states, grid))
+            test_path = FunctionalSample(test_states, grid)
+            for method, outcome in zip(methods, fit_methods(coords, methods)):
+                est = outcome.estimate
+                results.append(
+                    CellResult(
+                        regime,
+                        n,
+                        method.label,
+                        rep,
+                        misfe=float("nan") if est is None else misfe(est, test_path),
+                        tuning=float("nan") if est is None else tuning_value(est),
+                        seconds=outcome.seconds,
+                        error=outcome.error,
+                    )
                 )
-            )
         return results
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            per_task = list(pool.map(run_replication, tasks))
+            per_task = list(pool.map(run_batch, tasks))
     else:
-        per_task = [run_replication(task) for task in tasks]
+        per_task = [run_batch(task) for task in tasks]
 
     records = tuple(record for task_records in per_task for record in task_records)
     return BenchmarkReport(records, config, wall_clock_seconds=time.perf_counter() - t_start)

@@ -202,13 +202,18 @@ def weighted_moments(coords: SpanCoordinates) -> WeightedMomentPair:
     ``c0`` is (1/n) sum_t (z_t - zbar)(z_t - zbar)^T and ``c1`` is
     (1/(n-1)) sum_{t<n} (z_{t+1} - zbar)(z_t - zbar)^T, whose entry (i, j)
     couples the lead curve's coordinate i with the lagged curve's
-    coordinate j; ``mean`` is zbar.
+    coordinate j; ``mean`` is zbar. Rows that are identical to within a few
+    ulps of their largest coordinate centre to exact zeros, so such a
+    window has the zero spectrum of rows at the sample mean instead of
+    one fitted to rounding residues.
     """
     n = coords.n
     if n < 2:
         raise InsufficientDataError("moment estimation needs at least 2 curves")
     zbar = coords.values.mean(axis=0)
     centered = coords.values - zbar
+    if np.abs(centered).max() <= 8 * np.finfo(float).eps * np.abs(coords.values).max():
+        centered = np.zeros_like(centered)
     c0 = centered.T @ centered / n
     c1 = centered[1:].T @ centered[:-1] / (n - 1)
     return WeightedMomentPair(c0, c1, zbar)

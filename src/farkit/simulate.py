@@ -2,8 +2,11 @@
 
 Paths are simulated in the coordinates of a truncated Fourier basis: the
 coefficient recursion runs in J dimensions with diagonal Gaussian
-innovations, a fixed burn-in is discarded, and the retained coefficient
-vectors are expanded onto the evaluation grid. Randomness comes from
+innovations and a fixed burn-in is discarded. ``simulate_states`` returns
+the retained coefficient vectors of one path per seed, running the
+recursion once for the whole batch and only on the operator's leading
+block (the other coordinates are pure innovations); ``simulate_far1``
+expands one path onto the evaluation grid. Randomness comes from
 ``numpy.random.Generator`` seeded with PCG64 (``default_rng``), drawing
 normals with ``standard_normal``; the same seed gives bitwise-identical
 paths on any platform with IEEE doubles.
@@ -27,6 +30,7 @@ __all__ = [
     "fourier_basis",
     "draw_regime_operator",
     "innovation_eigenvalues",
+    "simulate_states",
     "simulate_far1",
     "operator_kernel",
 ]
@@ -103,6 +107,9 @@ class TrueOperator:
         j = self.spec.basis_dim
         if coeff.shape != (j, j):
             raise ValueError(f"coefficient matrix must be {j}x{j}")
+        b = self.spec.block_size
+        if np.any(coeff[b:]) or np.any(coeff[:, b:]):
+            raise ValueError(f"coefficients must vanish outside the leading {b}x{b} block")
         coeff.flags.writeable = False
         object.__setattr__(self, "coefficients", coeff)
 
@@ -162,33 +169,53 @@ def innovation_eigenvalues(spec: RegimeSpec) -> np.ndarray:
     return raw * (spec.innovation_total_variance / raw.sum())
 
 
+def simulate_states(
+    op: TrueOperator, spec: RegimeSpec, n: int, seeds, burn_in: int = BURN_IN
+) -> np.ndarray:
+    """Coefficient states (R, n, J) of one path per seed, after a burn-in.
+
+    Path r draws ``default_rng(seeds[r]).standard_normal((burn_in + n, J))``
+    scaled by the innovation standard deviations, starts from the zero
+    vector and keeps the last n of its ``burn_in + n`` states. The
+    recursion runs once for all seeds, on the leading ``block_size``
+    coordinates only: the others are the innovations themselves. It
+    overwrites the block columns of the states in place, so the noise is
+    held once, in the returned array plus a burn-in buffer of the block.
+    Deterministic given (op, spec, n, seeds).
+    """
+    if n < 2:
+        raise InsufficientDataError("a simulated sample needs at least 2 curves")
+    seeds = list(seeds)
+    j, b = spec.basis_dim, spec.block_size
+    sigma = np.sqrt(innovation_eigenvalues(spec))
+    states = np.empty((len(seeds), n, j))
+    burn = np.empty((len(seeds), burn_in, b))
+    for r, seed in enumerate(seeds):
+        noise = np.random.default_rng(seed).standard_normal((burn_in + n, j)) * sigma
+        burn[r] = noise[:burn_in, :b]
+        states[r] = noise[burn_in:]
+    block_t = op.coefficients[:b, :b].T
+    xi = np.zeros((len(seeds), b))
+    for t in range(burn_in):
+        xi = xi @ block_t + burn[:, t]
+    for t in range(n):
+        xi = xi @ block_t + states[:, t, :b]
+        states[:, t, :b] = xi
+    return states
+
+
 def simulate_far1(
     op: TrueOperator, spec: RegimeSpec, n: int, seed, burn_in: int = BURN_IN
 ) -> FunctionalSample:
     """Simulate n curves from the regime after discarding a burn-in.
 
-    The coefficient recursion starts from the zero vector, runs
-    ``burn_in + n`` steps with diagonal Gaussian innovations, drops the
-    first ``burn_in`` states, and expands the rest in the Fourier basis on
-    the regime's uniform grid. Deterministic given (op, spec, n, seed).
+    The one-seed case of ``simulate_states``, expanded in the Fourier
+    basis on the regime's uniform grid. Deterministic given
+    (op, spec, n, seed).
     """
-    if n < 2:
-        raise InsufficientDataError("a simulated sample needs at least 2 curves")
-    rng = np.random.default_rng(seed)
-    j = spec.basis_dim
-    sigma = np.sqrt(innovation_eigenvalues(spec))
-    total = burn_in + n
-    noise = rng.standard_normal((total, j)) * sigma
-    states = np.empty((n, j))
-    xi = np.zeros(j)
-    coeff = op.coefficients
-    for t in range(total):
-        xi = coeff @ xi + noise[t]
-        if t >= burn_in:
-            states[t - burn_in] = xi
     grid = spec.make_grid()
-    values = states @ fourier_basis(j, grid)
-    return FunctionalSample(values, grid)
+    states = simulate_states(op, spec, n, [seed], burn_in)[0]
+    return FunctionalSample(states @ fourier_basis(spec.basis_dim, grid), grid)
 
 
 def operator_kernel(op: TrueOperator, grid: QuadratureGrid) -> OperatorEstimate:

@@ -4,6 +4,7 @@ import pytest
 import dense_reference
 from farkit.errors import InsufficientDataError
 from farkit.evaluate import (
+    BATCH_SIZE,
     FIT_ERRORS,
     BenchmarkConfig,
     BenchmarkReport,
@@ -72,6 +73,20 @@ class TestFitMethods:
             outcomes = list(fit_methods(span_coordinates(sample), ["tikhonov:0.1", "fpca:0.9"]))
         assert [o.estimate for o in outcomes] == [None, None]
         assert all(o.error.startswith("GridError:") for o in outcomes)
+
+    @pytest.mark.parametrize("tail", [0, 40], ids=["all-constant", "constant-then-noise"])
+    def test_constant_window_fails_whatever_follows(self, tail):
+        # 100 identical curves, away from the whole sample's mean when noisy
+        # curves follow: centring leaves rounding residues that must not be fitted
+        g = uniform_grid(48)
+        noise = np.random.default_rng(3).standard_normal((tail, 48))
+        sample = FunctionalSample(np.vstack([np.ones((130, 48)), noise]), g)
+        window = span_coordinates(sample).subsample(0, 100)
+        labels = ["fpca:0.90", "tikhonov:cv", "tikhonov:0.1"]
+        fpca, cv, ridge = fit_methods(window, labels, cv_scheme="k-fold-forward")
+        assert fpca.error.startswith("DegenerateSpectrumError:")
+        assert cv.error.startswith("DegenerateSpectrumError:")
+        assert ridge.error is None and not np.any(ridge.estimate.matrix)
 
     def test_programming_errors_propagate(self, rng):
         coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 8)), uniform_grid(8)))
@@ -326,13 +341,49 @@ class TestRunBenchmark:
             assert ra.misfe == rb.misfe and ra.tuning == rb.tuning
 
     def test_threaded_run_matches_sequential(self):
+        # 12 replications: every cell runs a full batch and a partial one
         base = BenchmarkConfig(
             regimes=("I", "III"), n_values=(100, 200), methods=("fpca:0.80", "tikhonov:cv"),
-            replications=2, master_seed=5,
+            replications=BATCH_SIZE + 2, master_seed=5,
         )
         threaded = BenchmarkConfig(**{**base.to_dict(), "threads": 2})
         a, b = run_benchmark(base), run_benchmark(threaded)
-        assert [r.misfe for r in a.records] == [r.misfe for r in b.records]
+        keys = [(r.regime, r.n, r.method, r.replication) for r in a.records]
+        assert keys == [(r.regime, r.n, r.method, r.replication) for r in b.records]
+        assert len(set(keys)) == 2 * 2 * 2 * (BATCH_SIZE + 2)
+        assert [(r.misfe, r.tuning) for r in a.records] == [(r.misfe, r.tuning) for r in b.records]
+
+    def test_records_match_dense_grid_refits(self):
+        # the benchmark fits in Fourier coefficients; the reference refits
+        # the 101-point grid curves of simulate_far1 with numpy alone, on
+        # the first replication of a batch and the last of the next one
+        config = BenchmarkConfig(
+            regimes=("I", "III"), n_values=(100,),
+            methods=("fpca:0.90", "fpca:K=3", "tikhonov:cv"),
+            replications=BATCH_SIZE + 2, master_seed=7,
+        )
+        records = {
+            (r.regime, r.method, r.replication): r for r in run_benchmark(config).records
+        }
+        for regime, code in (("I", 1), ("III", 3)):
+            spec = REGIMES[regime]
+            op = draw_regime_operator(spec, np.random.SeedSequence([7, code]))
+            for rep in (0, BATCH_SIZE + 1):
+                train, test = (
+                    simulate_far1(op, spec, length, np.random.SeedSequence([7, code, 100, rep, tag]))
+                    for length, tag in ((100, 0), (config.test_length, 1))
+                )
+                w = test.grid.weights
+                for label in config.methods:
+                    record = records[(regime, label, rep)]
+                    kernel, tuning = dense_reference.fit(train.values, w, label)
+                    preds = (test.values[:-1] * w) @ kernel.T
+                    expected = np.mean((test.values[1:] - preds) ** 2 @ w)
+                    assert record.misfe == pytest.approx(expected, rel=1e-10)
+                    if label.startswith("fpca"):
+                        assert record.tuning == tuning
+                    else:
+                        assert record.tuning == pytest.approx(tuning, rel=1e-9)
 
     def test_failures_recorded_not_raised(self):
         # K exceeding what n supports fails the fit but not the run
@@ -349,8 +400,8 @@ class TestRunBenchmark:
         assert len(ok) == 1
 
     def test_k_methods_fail_with_one_class(self):
-        # regime I curves span 40 directions of the 101-point grid: K=60
-        # (enough curves) and K=500 (beyond the grid) fail alike
+        # regime I curves are fitted in their 40 Fourier coefficients: K=60
+        # (enough curves) and K=500 (beyond any grid) fail alike
         config = BenchmarkConfig(
             regimes=("I",), n_values=(100,), methods=("fpca:K=60", "fpca:K=500", "fpca:K=3"),
             replications=1,

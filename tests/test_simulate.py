@@ -7,11 +7,13 @@ from farkit.simulate import (
     BURN_IN,
     REGIMES,
     RegimeSpec,
+    TrueOperator,
     draw_regime_operator,
     fourier_basis,
     innovation_eigenvalues,
     operator_kernel,
     simulate_far1,
+    simulate_states,
 )
 
 
@@ -58,6 +60,16 @@ class TestFourierBasis:
         gram = (basis * g.weights) @ basis.T
         assert np.abs(gram - np.eye(10)).max() <= 5e-3
 
+    @pytest.mark.parametrize("name", REGIMES)
+    def test_exact_quadrature_on_regime_grid(self, name):
+        # the benchmark fits and scores paths in their Fourier coefficients,
+        # which equals the grid computation only while this holds
+        spec = REGIMES[name]
+        g = spec.make_grid()
+        basis = fourier_basis(spec.basis_dim, g)
+        gram = (basis * g.weights) @ basis.T
+        assert np.abs(gram - np.eye(spec.basis_dim)).max() <= 1e-13
+
 
 class TestDrawRegimeOperator:
     def test_norm_target_and_stationarity(self):
@@ -73,6 +85,13 @@ class TestDrawRegimeOperator:
         assert np.any(coeff[:3, :3] != 0)
         assert np.all(coeff[3:, :] == 0)
         assert np.all(coeff[:, 3:] == 0)
+
+    def test_support_outside_block_rejected(self):
+        op = draw_regime_operator(REGIMES["I"], seed=5)
+        coeff = op.coefficients.copy()
+        coeff[3, 0] = 0.1
+        with pytest.raises(ValueError):
+            TrueOperator(coeff, op.spec, op.operator_norm, op.spectral_radius)
 
     def test_deterministic(self):
         a = draw_regime_operator(REGIMES["II"], seed=77)
@@ -207,6 +226,43 @@ class TestSimulateFar1:
         op = draw_regime_operator(spec, seed=51)
         with pytest.raises(InsufficientDataError):
             simulate_far1(op, spec, 1, seed=52)
+
+
+class TestSimulateStates:
+    @pytest.mark.parametrize("name", REGIMES)
+    def test_matches_full_recursion(self, name):
+        # reference: the full J x J recursion of one seed at a time
+        spec = REGIMES[name]
+        op = draw_regime_operator(spec, seed=71)
+        seeds = [np.random.default_rng(72 + r).integers(2**32) for r in range(3)]
+        states = simulate_states(op, spec, 30, seeds)
+        assert states.shape == (3, 30, spec.basis_dim)
+        sigma = np.sqrt(innovation_eigenvalues(spec))
+        for r, seed in enumerate(seeds):
+            noise = np.random.default_rng(seed).standard_normal((BURN_IN + 30, spec.basis_dim))
+            xi = np.zeros(spec.basis_dim)
+            path = []
+            for step in noise * sigma:
+                xi = op.coefficients @ xi + step
+                path.append(xi)
+            expected = np.array(path[BURN_IN:])
+            gap = np.abs(states[r] - expected).max()
+            assert gap <= 1e-14 * np.abs(expected).max()
+            # outside the block the states are the innovations themselves
+            b = spec.block_size
+            assert np.array_equal(states[r, :, b:], (noise * sigma)[BURN_IN:, b:])
+
+    def test_batch_rows_match_one_seed(self):
+        spec = REGIMES["III"]
+        op = draw_regime_operator(spec, seed=81)
+        seeds = [np.random.SeedSequence([81, r]) for r in range(4)]
+        batch = simulate_states(op, spec, 40, seeds)
+        basis = fourier_basis(spec.basis_dim, spec.make_grid())
+        for r, seed in enumerate(seeds):
+            one = simulate_states(op, spec, 40, [seed])[0]
+            assert np.abs(batch[r] - one).max() <= 1e-14 * np.abs(one).max()
+            grid_path = simulate_far1(op, spec, 40, seed).values
+            assert np.abs(batch[r] @ basis - grid_path).max() <= 1e-14 * np.abs(grid_path).max()
 
 
 class TestOperatorKernel:
