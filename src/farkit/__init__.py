@@ -31,7 +31,7 @@ from .evaluate import (
     worst_case_table,
 )
 from .fpca import SpectralDecomposition, eigendecompose, fpca_far_fit, select_k
-from .grid import Curve, QuadratureGrid, inner_product, l2_norm, make_trapezoid_grid, uniform_grid
+from .grid import QuadratureGrid, make_trapezoid_grid, uniform_grid
 from .moments import (
     FunctionalSample,
     OperatorEstimate,
@@ -60,13 +60,6 @@ from .simulate import (
     simulate_far1,
     simulate_states,
 )
-from .tikhonov import (
-    AlphaGrid,
-    CvResult,
-    application_alpha_grid,
-    cv_select_alpha,
-    default_alpha_grid,
-    tikhonov_fit,
-)
+from .tikhonov import HOLDOUT_ALPHAS, CvResult, cv_select_alpha, tikhonov_fit
 
 __version__ = "0.1.0"

@@ -42,13 +42,7 @@ from .simulate import (
     simulate_far1,
     simulate_states,
 )
-from .tikhonov import (
-    CvResult,
-    application_alpha_grid,
-    cv_select_alpha,
-    default_alpha_grid,
-    tikhonov_fit,
-)
+from .tikhonov import HOLDOUT_ALPHAS, CvResult, cv_select_alpha, tikhonov_fit
 
 __all__ = [
     "MethodSpec",
@@ -157,9 +151,7 @@ def fit_method(
 
     For ``tikhonov:cv`` the strength is selected with ``cv_scheme`` and the
     estimator is refitted on the full sample; ``cv`` is that selection's
-    ``CvResult`` (None for every other method). The holdout scheme
-    searches the fixed default grid and the forward k-fold scheme searches
-    the grid scaled to the sample's leading covariance eigenvalue.
+    ``CvResult`` (None for every other method).
     """
     if isinstance(method, str):
         method = parse_method(method)
@@ -183,14 +175,7 @@ def fit_method(
     if not method.cv:
         est = tikhonov_fit(coords, method.alpha, moments=moments, decomposition=decomposition)
         return est, None
-    if cv_scheme == "holdout":
-        alpha_grid = default_alpha_grid()
-    else:
-        lam1 = float(decomposition.eigenvalues[0])
-        if lam1 <= 0:
-            raise DegenerateSpectrumError("covariance spectrum is identically zero")
-        alpha_grid = application_alpha_grid(lam1)
-    cv = cv_select_alpha(coords, alpha_grid, scheme=cv_scheme)
+    cv = cv_select_alpha(coords, decomposition, scheme=cv_scheme)
     est = tikhonov_fit(coords, cv.selected_alpha, moments=moments, decomposition=decomposition)
     return replace(est, tuning={**est.tuning, "selected_by": cv.scheme}), cv
 
@@ -254,8 +239,6 @@ def misfe(op: OperatorEstimate, test: FunctionalSample) -> float:
     estimate; squared errors are integrated with the grid's quadrature
     weights and averaged over the T-1 forecast pairs.
     """
-    if test.n < 2:
-        raise InsufficientDataError("forecast evaluation needs at least 2 curves")
     preds = apply_kernel_matrix(op, test.values[:-1])
     sq_err = (test.values[1:] - preds) ** 2
     return float(np.mean(sq_err @ test.grid.weights))
@@ -729,7 +712,7 @@ def run_verification_suite(probes=None, seed: int = 1234) -> list:
     if not probes:
         raise ValueError("verification needs at least one bias probe")
     checks = []
-    alphas = default_alpha_grid().values
+    alphas = HOLDOUT_ALPHAS
 
     for probe in probes:
         rows = verify_bias_bound(probe, alphas)
@@ -778,9 +761,9 @@ def run_verification_suite(probes=None, seed: int = 1234) -> list:
         ridge = tikhonov_fit(
             coords, 1e-12 * float(dec.eigenvalues[0]), moments=mom, decomposition=dec
         )
-        x = sample.curve(sample.n - 1)
-        a = full.predict(x).values
-        b = ridge.predict(x).values
+        x = sample.values[-1:]
+        a = apply_kernel_matrix(full, x)
+        b = apply_kernel_matrix(ridge, x)
         rel = float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
         limit_worst = max(limit_worst, rel)
         limit_ok = limit_ok and rel <= 1e-6

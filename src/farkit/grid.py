@@ -1,8 +1,9 @@
-"""Evaluation grids, trapezoidal quadrature weights, and L2 geometry.
+"""Evaluation grids and their trapezoidal quadrature weights.
 
-Everything downstream (moment matrices, eigenfunctions, forecast errors)
-measures length and angle through the weighted inner product defined here,
-so curves sampled on a grid behave like elements of L2([0, 1]).
+The weights are the grid's whole L2 geometry: span coordinates scale
+curves by their square roots, so that Euclidean algebra on the
+coordinates is L2([0, 1]) algebra on the curves, and forecast errors are
+integrated with them.
 """
 
 from __future__ import annotations
@@ -15,11 +16,8 @@ from .errors import GridError
 
 __all__ = [
     "QuadratureGrid",
-    "Curve",
     "make_trapezoid_grid",
     "uniform_grid",
-    "inner_product",
-    "l2_norm",
 ]
 
 
@@ -60,32 +58,6 @@ class QuadratureGrid:
     def sqrt_weights(self) -> np.ndarray:
         return np.sqrt(self.weights)
 
-    def matches(self, other: "QuadratureGrid") -> bool:
-        """True when both grids carry identical points and weights."""
-        return self is other or (
-            np.array_equal(self.points, other.points)
-            and np.array_equal(self.weights, other.weights)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class Curve:
-    """Function values at the points of a quadrature grid."""
-
-    values: np.ndarray
-    grid: QuadratureGrid
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
-        if values.ndim != 1 or values.size != self.grid.size:
-            raise GridError(
-                f"curve has {values.size} values but grid has {self.grid.size} points"
-            )
-        if not np.all(np.isfinite(values)):
-            raise GridError("curve values must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
 
 def make_trapezoid_grid(points) -> QuadratureGrid:
     """Build a grid with trapezoidal-rule quadrature weights.
@@ -118,21 +90,3 @@ def uniform_grid(m: int) -> QuadratureGrid:
     if m < 2:
         raise GridError("grid needs at least 2 points")
     return make_trapezoid_grid(np.linspace(0.0, 1.0, m))
-
-
-def require_same_grid(a: QuadratureGrid, b: QuadratureGrid) -> None:
-    """Raise GridError unless the two grids are identical."""
-    if not a.matches(b):
-        raise GridError("objects live on different grids")
-
-
-def inner_product(f: Curve, g: Curve) -> float:
-    """Quadrature approximation of the L2 inner product of two curves."""
-    require_same_grid(f.grid, g.grid)
-    # multiply the curves first so the result is bitwise symmetric in (f, g)
-    return float(np.sum(f.values * g.values * f.grid.weights))
-
-
-def l2_norm(f: Curve) -> float:
-    """Quadrature approximation of the L2 norm of a curve."""
-    return float(np.sqrt(max(inner_product(f, f), 0.0)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GridError, InsufficientDataError
-from .grid import Curve, QuadratureGrid, require_same_grid
+from .grid import QuadratureGrid
 
 __all__ = [
     "FunctionalSample",
@@ -55,9 +55,6 @@ class FunctionalSample:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def curve(self, t: int) -> Curve:
-        return Curve(self.values[t], self.grid)
 
     def subsample(self, start: int, stop: int) -> "FunctionalSample":
         """Contiguous slice [start, stop) as a new sample."""
@@ -164,11 +161,11 @@ class WeightedMomentPair:
 class OperatorEstimate:
     """An r x r matrix estimating the autoregression operator in span coordinates.
 
-    Applying the estimate to a grid curve encodes the curve, applies
-    ``matrix`` and decodes the result. ``kernel`` is the M x M grid kernel,
-    formed on demand: ``kernel[i, j]`` estimates the kernel at
-    (points[i], points[j]), and applying it to a curve is a quadrature sum
-    over the second index.
+    ``apply_kernel_matrix`` applies the estimate to grid curves: it encodes
+    them, applies ``matrix`` and decodes the results. ``kernel`` is the
+    M x M grid kernel, formed on demand: ``kernel[i, j]`` estimates the
+    kernel at (points[i], points[j]), and applying it to a curve is a
+    quadrature sum over the second index.
     """
 
     matrix: np.ndarray
@@ -188,12 +185,6 @@ class OperatorEstimate:
     @property
     def kernel(self) -> np.ndarray:
         return self.coordinates.kernel(self.matrix)
-
-    def predict(self, x: Curve) -> Curve:
-        """Apply the estimate to one curve: the one-row case of ``apply_kernel_matrix``."""
-        grid = self.coordinates.grid
-        require_same_grid(grid, x.grid)
-        return Curve(apply_kernel_matrix(self, x.values[None, :])[0], grid)
 
 
 def weighted_moments(coords: SpanCoordinates) -> WeightedMomentPair:

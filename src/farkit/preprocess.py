@@ -155,42 +155,47 @@ def load_halfhourly_csv(path) -> list:
     """Read `date,h01..h48` rows into day records, sorted by date.
 
     Empty cells denote missing readings; dates must be ISO-8601 and unique.
-    Parse problems raise ValueError with the offending line number.
+    Parse problems, the csv module's own errors included, raise ValueError
+    with the offending line number.
     """
     records = []
     seen = set()
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"line 1: expected header {','.join(CSV_HEADER)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != SLOTS_PER_DAY + 1:
-                raise ValueError(
-                    f"line {line_no}: expected {SLOTS_PER_DAY + 1} cells, got {len(row)}"
-                )
-            try:
-                date = dt.date.fromisoformat(row[0])
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: bad date {row[0]!r}") from exc
-            if date in seen:
-                raise ValueError(f"line {line_no}: duplicate date {date.isoformat()}")
-            seen.add(date)
-            values = np.full(SLOTS_PER_DAY, np.nan)
-            for i, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if not cell:
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise ValueError(f"line 1: expected header {','.join(CSV_HEADER)!r}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
                     continue
+                if len(row) != SLOTS_PER_DAY + 1:
+                    raise ValueError(
+                        f"line {line_no}: expected {SLOTS_PER_DAY + 1} cells, got {len(row)}"
+                    )
                 try:
-                    values[i] = float(cell)
+                    date = dt.date.fromisoformat(row[0])
                 except ValueError as exc:
-                    raise ValueError(f"line {line_no}: bad reading {cell!r}") from exc
-            try:
-                records.append(RawDayRecord(date, values))
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from exc
+                    raise ValueError(f"line {line_no}: bad date {row[0]!r}") from exc
+                if date in seen:
+                    raise ValueError(f"line {line_no}: duplicate date {date.isoformat()}")
+                seen.add(date)
+                values = np.full(SLOTS_PER_DAY, np.nan)
+                for i, cell in enumerate(row[1:]):
+                    cell = cell.strip()
+                    if not cell:
+                        continue
+                    try:
+                        values[i] = float(cell)
+                    except ValueError as exc:
+                        raise ValueError(f"line {line_no}: bad reading {cell!r}") from exc
+                try:
+                    records.append(RawDayRecord(date, values))
+                except ValueError as exc:
+                    raise ValueError(f"line {line_no}: {exc}") from exc
+        except csv.Error as exc:
+            # e.g. a cell longer than the csv module's field size limit
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
     records.sort(key=lambda r: r.date)
     return records
 

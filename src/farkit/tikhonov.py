@@ -2,10 +2,11 @@
 
 Instead of truncating the covariance spectrum, every direction is kept and
 small eigenvalues are damped through (C0 + alpha I)^{-1}. The ridge
-strength alpha is selected by one-step-ahead cross-validation; the
-validation losses for a whole alpha grid are computed from a single
-eigendecomposition of the training covariance, after which each candidate
-costs only elementwise work on the rotated validation data.
+strength alpha is selected by one-step-ahead cross-validation. A scheme
+fixes the whole selection: its validation blocks, the shortest sample it
+accepts and its candidate grid. Each block costs one eigendecomposition of
+its training covariance, after which every candidate costs only O(r^2)
+work on the rotated validation data.
 """
 
 from __future__ import annotations
@@ -14,50 +15,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import DegenerateSpectrumError, InsufficientDataError
 from .fpca import SpectralDecomposition, eigendecompose
 from .moments import OperatorEstimate, SpanCoordinates, WeightedMomentPair, weighted_moments
 
 __all__ = [
-    "AlphaGrid",
+    "HOLDOUT_ALPHAS",
     "CvResult",
     "tikhonov_fit",
-    "default_alpha_grid",
-    "application_alpha_grid",
     "cv_select_alpha",
 ]
 
-
-@dataclass(frozen=True, eq=False)
-class AlphaGrid:
-    """Strictly increasing positive ridge-strength candidates."""
-
-    values: np.ndarray
-    provenance: str = "default"
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("alpha grid needs at least one value")
-        if np.any(values <= 0) or not np.all(np.isfinite(values)):
-            raise ValueError("alpha grid values must be positive and finite")
-        if np.any(np.diff(values) <= 0):
-            raise ValueError("alpha grid values must be strictly increasing")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
+# the holdout scheme's candidates: 25 log-spaced strengths from 1e-5 to 1
+HOLDOUT_ALPHAS = np.logspace(-5.0, 0.0, 25)
+HOLDOUT_ALPHAS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
 class CvResult:
-    """Outcome of a cross-validation sweep over an alpha grid."""
+    """Outcome of a cross-validation sweep over a scheme's strength grid."""
 
     selected_alpha: float
     cv_curve: tuple  # ((alpha, validation loss), ...) in grid order
-    train_indices: tuple
-    validation_indices: tuple
     scheme: str
 
 
@@ -85,20 +64,6 @@ def tikhonov_fit(
     q = decomposition.vectors
     psi = ((moments.c1 @ q) / (lam + alpha)[None, :]) @ q.T
     return OperatorEstimate(psi, coords, method="tikhonov", tuning={"alpha": alpha})
-
-
-def default_alpha_grid(scale: float = 1.0) -> AlphaGrid:
-    """25 log-spaced candidates over five decades, 1e-5*scale .. scale."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return AlphaGrid(scale * np.logspace(-5.0, 0.0, 25), provenance="default")
-
-
-def application_alpha_grid(lambda1: float) -> AlphaGrid:
-    """30 log-spaced candidates spanning 1e-4 to 10 times the leading eigenvalue."""
-    if not lambda1 > 0:
-        raise ValueError(f"leading eigenvalue must be positive, got {lambda1}")
-    return AlphaGrid(lambda1 * np.logspace(-4.0, 1.0, 30), provenance="eigenvalue-scaled")
 
 
 def _fast_cv_losses(train: SpanCoordinates, lag_values, target_values, alphas):
@@ -140,7 +105,7 @@ def _select_from_losses(alphas, losses) -> float:
 
 def cv_select_alpha(
     coords: SpanCoordinates,
-    grid: AlphaGrid,
+    decomposition: SpectralDecomposition,
     scheme: str = "holdout",
 ) -> CvResult:
     """Pick the ridge strength by one-step-ahead cross-validation.
@@ -151,12 +116,16 @@ def cv_select_alpha(
     mean losses are averaged.
 
     ``holdout``
-        One block: the last max(floor(0.2 n), 20) curves. Requires n >= 30.
+        One block: the last max(floor(0.2 n), 20) curves, over the fixed
+        ``HOLDOUT_ALPHAS``. Requires n >= 30.
 
     ``k-fold-forward``
         The sample is split into 5 contiguous, chronologically ordered
         folds; every fold after the first is a block (the first fold only
-        ever serves as training data). Requires n >= 35.
+        ever serves as training data). The 30 candidates span 1e-4 to 10
+        times the leading eigenvalue of ``decomposition``, the sample's
+        covariance spectrum; a zero spectrum raises
+        DegenerateSpectrumError, before the length check. Requires n >= 35.
 
     The returned loss curve covers the whole grid; refitting on the full
     sample at the selected alpha is the caller's responsibility.
@@ -166,14 +135,18 @@ def cv_select_alpha(
         if n < 30:
             raise InsufficientDataError(f"holdout cross-validation needs n >= 30, got {n}")
         blocks = [np.arange(n - max(n // 5, 20), n)]
+        alphas = HOLDOUT_ALPHAS
     elif scheme == "k-fold-forward":
+        lam1 = float(decomposition.eigenvalues[0])
+        if lam1 <= 0:
+            raise DegenerateSpectrumError("covariance spectrum is identically zero")
         if n < 35:
             raise InsufficientDataError(f"k-fold-forward cross-validation needs n >= 35, got {n}")
         blocks = np.array_split(np.arange(n), 5)[1:]
+        alphas = lam1 * np.logspace(-4.0, 1.0, 30)
     else:
         raise ValueError(f"unknown cross-validation scheme: {scheme!r}")
 
-    alphas = grid.values
     losses = np.mean(
         [
             _fast_cv_losses(
@@ -188,6 +161,4 @@ def cv_select_alpha(
     )
     selected = _select_from_losses(alphas, losses)
     curve = tuple((float(a), float(l)) for a, l in zip(alphas, losses))
-    train_idx = tuple(range(int(blocks[0][0])))
-    val_idx = tuple(int(t) for block in blocks for t in block)
-    return CvResult(selected, curve, train_idx, val_idx, scheme=scheme)
+    return CvResult(selected, curve, scheme=scheme)

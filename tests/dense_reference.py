@@ -44,7 +44,7 @@ def truncation_kernel(values, weights, k):
 
 
 def cv_alpha(values, weights, scheme):
-    """Ridge strength by one-step forward cross-validation; None on a zero spectrum.
+    """(strength, strengths, losses) of one-step forward cross-validation; None on a zero spectrum.
 
     ``holdout`` validates the last max(n // 5, 20) curves over 25 strengths
     from 1e-5 to 1; ``k-fold-forward`` validates folds 2..5 of five, each
@@ -72,15 +72,15 @@ def cv_alpha(values, weights, scheme):
         for i, alpha in enumerate(alphas):
             psi = ridge_operator(c0, c1, alpha)
             losses[i] += np.mean(np.sum((target - lag @ psi.T) ** 2, axis=1)) / len(blocks)
-    return float(alphas[np.max(np.nonzero(losses == losses.min())[0])])
+    return float(alphas[np.max(np.nonzero(losses == losses.min())[0])]), alphas, losses
 
 
 def fit(values, weights, label, cv_scheme="holdout"):
     """(grid kernel, K or alpha) of an estimator id, or None where no fit exists."""
     kind, _, arg = label.partition(":")
     if kind == "tikhonov":
-        alpha = cv_alpha(values, weights, cv_scheme) if arg == "cv" else float(arg)
-        return None if alpha is None else (ridge_kernel(values, weights, alpha), alpha)
+        cv = cv_alpha(values, weights, cv_scheme) if arg == "cv" else (float(arg),)
+        return None if cv is None else (ridge_kernel(values, weights, cv[0]), cv[0])
     lam = np.maximum(np.linalg.eigvalsh(weighted_moments(values, weights)[0])[::-1], 0.0)
     if arg.startswith("K="):
         k = int(arg[2:])

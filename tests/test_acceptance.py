@@ -40,7 +40,12 @@ from farkit.evaluate import (
 )
 from farkit.fpca import eigendecompose, fpca_far_fit, select_k
 from farkit.grid import uniform_grid
-from farkit.moments import FunctionalSample, span_coordinates, weighted_moments
+from farkit.moments import (
+    FunctionalSample,
+    apply_kernel_matrix,
+    span_coordinates,
+    weighted_moments,
+)
 from farkit.preprocess import (
     PipelineConfig,
     RawDayRecord,
@@ -50,12 +55,7 @@ from farkit.preprocess import (
     smooth_days,
 )
 from farkit.simulate import REGIMES, draw_regime_operator, simulate_far1
-from farkit.tikhonov import (
-    _fast_cv_losses,
-    cv_select_alpha,
-    default_alpha_grid,
-    tikhonov_fit,
-)
+from farkit.tikhonov import HOLDOUT_ALPHAS, _fast_cv_losses, cv_select_alpha, tikhonov_fit
 from test_tikhonov import naive_holdout_cv
 
 
@@ -113,7 +113,7 @@ def forecast_error_sweep(train, test, alphas):
 def test_criterion_01_ridge_oracle_equivalence():
     with criterion(1, "ridge spectral route matches dense solves"):
         rng = np.random.default_rng(101)
-        alphas = default_alpha_grid().values
+        alphas = HOLDOUT_ALPHAS
         start = time.perf_counter()
         for _ in range(25):
             n = int(rng.integers(40, 121))
@@ -137,15 +137,15 @@ def test_criterion_01_ridge_oracle_equivalence():
 def test_criterion_02_fast_cv_equivalence():
     with criterion(2, "fast CV path equals naive per-alpha refits"):
         rng = np.random.default_rng(202)
-        grid = default_alpha_grid()
         start = time.perf_counter()
         for _ in range(10):
             n = int(rng.integers(40, 121))
             m = int(rng.integers(11, 42))
             sample = FunctionalSample(rng.standard_normal((n, m)), uniform_grid(m))
-            cv = cv_select_alpha(span_coordinates(sample), grid)
+            coords = span_coordinates(sample)
+            cv = cv_select_alpha(coords, eigendecompose(weighted_moments(coords)))
             fast = np.array([l for _, l in cv.cv_curve])
-            naive = naive_holdout_cv(sample, grid.values)
+            naive = naive_holdout_cv(sample, HOLDOUT_ALPHAS)
             assert fast.shape == (25,)
             assert np.abs(fast - naive).max() <= 1e-9 * np.abs(naive).max()
         elapsed = time.perf_counter() - start
@@ -167,9 +167,9 @@ def test_criterion_03_truncation_ridge_limit():
             ridge = tikhonov_fit(
                 coords, 1e-12 * dec.eigenvalues[0], moments=mom, decomposition=dec
             )
-            x = sample.curve(sample.n - 1)
-            a = full.predict(x).values
-            b = ridge.predict(x).values
+            x = sample.values[-1:]
+            a = apply_kernel_matrix(full, x)
+            b = apply_kernel_matrix(ridge, x)
             assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(b)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -178,7 +178,7 @@ def test_criterion_03_truncation_ridge_limit():
 def test_criterion_04_bias_bound():
     with criterion(4, "regularization bias within its envelope"):
         start = time.perf_counter()
-        alphas = default_alpha_grid().values
+        alphas = HOLDOUT_ALPHAS
         for beta in (0.25, 0.5, 1.0, 2.0):
             probe = TheoryProbe.diagonal(beta)  # eigenvalues k**-2
             rows = verify_bias_bound(probe, alphas)
@@ -247,7 +247,7 @@ def test_criterion_07_rate_slope(benchmark_report):
     """
     with criterion(7, "tuning-rate slope tracks the forecast oracle"):
         config = benchmark_report.config
-        grid = default_alpha_grid().values
+        grid = HOLDOUT_ALPHAS
         selected = {
             (r.regime, r.n, r.replication): r
             for r in benchmark_report.records

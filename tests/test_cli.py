@@ -300,8 +300,10 @@ class TestRollingCommand:
             lambda text: text.replace("\n2020-01-08,", "\n2020-01-08,x", 1),  # reading
             lambda text: text + text.split("\n")[1] + "\n",  # duplicate date
             None,  # missing file
+            # a cell beyond the csv module's 131072-character field limit
+            lambda text: text.replace("\n2020-01-08,", "\n2020-01-08," + "1" * 200000, 1),
         ],
-        ids=["header", "reading", "duplicate-date", "missing-file"],
+        ids=["header", "reading", "duplicate-date", "missing-file", "long-cell"],
     )
     def test_bad_raw_file_is_usage_error(self, tmp_path, capsys, edit):
         raw = tmp_path / "raw.csv"

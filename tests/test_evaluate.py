@@ -33,7 +33,7 @@ from farkit.simulate import (
     operator_kernel,
     simulate_far1,
 )
-from farkit.tikhonov import default_alpha_grid
+from farkit.tikhonov import HOLDOUT_ALPHAS
 from test_preprocess import spline_sample
 
 
@@ -193,6 +193,7 @@ class TestMisfe:
     def test_short_path_rejected(self, rng):
         g = uniform_grid(3)
         op = grid_operator(np.zeros((3, 3)), g)
+        # a one-curve path has no forecast pair; samples reject it on construction
         with pytest.raises(InsufficientDataError):
             misfe(op, FunctionalSample(np.ones((2, 3)), g).subsample(0, 1))
 
@@ -418,7 +419,7 @@ class TestRunBenchmark:
 
 class TestBiasBound:
     def test_bound_holds_across_betas(self):
-        alphas = default_alpha_grid().values
+        alphas = HOLDOUT_ALPHAS
         for beta in (0.25, 0.5, 1.0, 2.0):
             probe = TheoryProbe.diagonal(beta)
             rows = verify_bias_bound(probe, alphas)

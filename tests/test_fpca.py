@@ -9,8 +9,13 @@ from farkit.errors import (
     SingularSystemError,
 )
 from farkit.fpca import SpectralDecomposition, eigendecompose, fpca_far_fit, select_k
-from farkit.grid import Curve, inner_product, l2_norm, uniform_grid
-from farkit.moments import FunctionalSample, span_coordinates, weighted_moments
+from farkit.grid import uniform_grid
+from farkit.moments import (
+    FunctionalSample,
+    apply_kernel_matrix,
+    span_coordinates,
+    weighted_moments,
+)
 from farkit.tikhonov import tikhonov_fit
 
 PM10_SHARES = np.array([0.804, 0.091, 0.043, 0.03, 0.012, 0.008, 0.007, 0.005])
@@ -42,7 +47,7 @@ class TestEigendecompose:
         dec = eigendecompose(weighted_moments(coords))
         phi = coords.decode(dec.vectors.T)  # eigenfunction k in row k
         for k in range(4):
-            assert l2_norm(Curve(phi[k], g)) == pytest.approx(1.0, abs=1e-8)
+            assert np.sqrt(phi[k] ** 2 @ g.weights) == pytest.approx(1.0, abs=1e-8)
 
     def test_small_negative_eigenvalues_clamped(self):
         eps = 1e-12
@@ -103,12 +108,11 @@ def ar1_like_sample(rng, n, direction, coeff=0.0, noise=1.0):
     return FunctionalSample(np.outer(xi, direction), g), xi
 
 
-def fitted_scalar_coefficient(est, direction_curve):
-    """<phi, Psi phi> / <phi, phi> for a rank-one fit along direction_curve."""
-    image = est.predict(direction_curve)
-    return inner_product(direction_curve, image) / inner_product(
-        direction_curve, direction_curve
-    )
+def fitted_scalar_coefficient(est, direction):
+    """<phi, Psi phi> / <phi, phi> for a rank-one fit along the curve ``direction``."""
+    w = est.coordinates.grid.weights
+    image = apply_kernel_matrix(est, direction[None, :])[0]
+    return (direction * image) @ w / ((direction * direction) @ w)
 
 
 class TestFpcaFarFit:
@@ -116,7 +120,7 @@ class TestFpcaFarFit:
         direction = np.sin(2 * np.pi * np.linspace(0, 1, 21)) + 1.2
         sample, _ = ar1_like_sample(rng, 500, direction, coeff=0.0)
         est = fpca_far_fit(span_coordinates(sample), k=1)
-        unit = Curve(direction / np.linalg.norm(direction), sample.grid)
+        unit = direction / np.linalg.norm(direction)
         assert abs(fitted_scalar_coefficient(est, unit)) < 0.12
 
     def test_scalar_ar_recovery(self, rng):
@@ -124,7 +128,7 @@ class TestFpcaFarFit:
         sample, _ = ar1_like_sample(rng, 400, direction, coeff=0.5)
         est = fpca_far_fit(span_coordinates(sample), k=1)
         assert est.tuning == {"k": 1}
-        unit = Curve(direction / np.linalg.norm(direction), sample.grid)
+        unit = direction / np.linalg.norm(direction)
         assert fitted_scalar_coefficient(est, unit) == pytest.approx(0.5, abs=0.1)
 
     def test_prediction_equivalence_oracle(self, rng):
@@ -147,7 +151,7 @@ class TestFpcaFarFit:
         x = rng.standard_normal(12)
         scores = phi.T @ (g.weights * x)
         oracle = phi @ (a_pred @ scores)
-        got = est.predict(Curve(x, g)).values
+        got = apply_kernel_matrix(est, x[None, :])[0]
         assert np.linalg.norm(got - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
     def test_rank_at_most_k(self, rng):
@@ -180,9 +184,9 @@ class TestFpcaFarFit:
         dec = eigendecompose(mom)
         full = fpca_far_fit(coords, k=7, moments=mom, decomposition=dec)
         ridge = tikhonov_fit(coords, 1e-12 * dec.eigenvalues[0], moments=mom, decomposition=dec)
-        x = sample.curve(sample.n - 1)
-        a = full.predict(x).values
-        b = ridge.predict(x).values
+        x = sample.values[-1:]
+        a = apply_kernel_matrix(full, x)
+        b = apply_kernel_matrix(ridge, x)
         assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(b)
 
     def test_tau_resolves_k_and_records_both(self, rng):
@@ -203,8 +207,8 @@ class TestFpcaFarFit:
         scores = coords.values @ dec.vectors[:, :3]
         assert scores.shape == (20, 3)
         xbar = sample.values.mean(axis=0)
-        phi0 = Curve(coords.decode(dec.vectors[:, 0]), g)
-        expected = inner_product(Curve(sample.values[5] - xbar, g), phi0)
+        phi0 = coords.decode(dec.vectors[:, 0])
+        expected = (sample.values[5] - xbar) * phi0 @ g.weights
         assert scores[5, 0] == pytest.approx(expected, rel=1e-10)
 
     def test_k_beyond_grid_raises(self, rng):

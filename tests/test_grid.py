@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from farkit.errors import GridError
-from farkit.grid import (
-    Curve,
-    QuadratureGrid,
-    inner_product,
-    l2_norm,
-    make_trapezoid_grid,
-    uniform_grid,
-)
+from farkit.grid import QuadratureGrid, make_trapezoid_grid, uniform_grid
+from farkit.moments import FunctionalSample
 
 
 def sorted_points(rng, m):
@@ -64,38 +56,26 @@ class TestTrapezoidWeights:
             g.weights[0] = 2.0
 
 
+def inner(f, h, g):
+    """Trapezoid quadrature of f * h with the grid's weights."""
+    return float(np.sum(f * h * g.weights))
+
+
 class TestInnerProduct:
     def test_constant_one(self):
         g = make_trapezoid_grid([0.0, 0.2, 0.9, 1.0])
-        one = Curve(np.ones(4), g)
-        assert inner_product(one, one) == pytest.approx(1.0, abs=1e-15)
+        one = np.ones(4)
+        assert inner(one, one, g) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_curve(self):
         g = uniform_grid(11)
-        f = Curve(np.sin(g.points), g)
-        zero = Curve(np.zeros(11), g)
-        assert inner_product(f, zero) == 0.0
+        assert inner(np.sin(g.points), np.zeros(11), g) == 0.0
 
     def test_sine_squared_integral(self):
         # int_0^1 2 sin^2(2 pi u) du = 1
         g = uniform_grid(101)
-        f = Curve(np.sqrt(2.0) * np.sin(2 * np.pi * g.points), g)
-        assert inner_product(f, f) == pytest.approx(1.0, abs=1e-3)
-
-    def test_symmetry_and_bilinearity(self, rng):
-        g = uniform_grid(31)
-        f = Curve(rng.standard_normal(31), g)
-        h = Curve(rng.standard_normal(31), g)
-        assert inner_product(f, h) == inner_product(h, f)
-        combo = Curve(2.0 * f.values - 3.0 * h.values, g)
-        expected = 2.0 * inner_product(f, f) - 3.0 * inner_product(h, f)
-        assert inner_product(combo, f) == pytest.approx(expected, rel=1e-12)
-
-    def test_grid_mismatch(self):
-        f = Curve(np.ones(5), uniform_grid(5))
-        h = Curve(np.ones(6), uniform_grid(6))
-        with pytest.raises(GridError):
-            inner_product(f, h)
+        f = np.sqrt(2.0) * np.sin(2 * np.pi * g.points)
+        assert inner(f, f, g) == pytest.approx(1.0, abs=1e-3)
 
     def test_linear_integrand_exact_on_random_grids(self):
         # trapezoid integrates degree-1 integrands exactly on any grid
@@ -104,49 +84,31 @@ class TestInnerProduct:
             m = int(rng.integers(2, 30))
             g = make_trapezoid_grid(sorted_points(rng, m))
             a, b = rng.standard_normal(2)
-            f = Curve(a + b * g.points, g)
-            one = Curve(np.ones(m), g)
+            f = a + b * g.points
             u0, u1 = g.points[0], g.points[-1]
             exact = a * (u1 - u0) + b * (u1**2 - u0**2) / 2
-            assert inner_product(f, one) == pytest.approx(exact, rel=1e-12, abs=1e-14)
+            assert inner(f, np.ones(m), g) == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
 
 class TestNorm:
     def test_zero(self):
         g = uniform_grid(8)
-        assert l2_norm(Curve(np.zeros(8), g)) == 0.0
+        assert np.sqrt(inner(np.zeros(8), np.zeros(8), g)) == 0.0
 
     def test_constant(self):
         g = uniform_grid(12)
-        assert l2_norm(Curve(np.full(12, -3.5), g)) == pytest.approx(3.5, rel=1e-12)
+        f = np.full(12, -3.5)
+        assert np.sqrt(inner(f, f, g)) == pytest.approx(3.5, rel=1e-12)
 
     def test_cosine(self):
         g = uniform_grid(101)
-        f = Curve(np.sqrt(2.0) * np.cos(2 * np.pi * g.points), g)
-        assert l2_norm(f) == pytest.approx(1.0, abs=1e-3)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    data=st.lists(
-        st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=4, max_size=40
-    ),
-    seed=st.integers(0, 2**31),
-)
-def test_cauchy_schwarz(data, seed):
-    m = len(data)
-    rng = np.random.default_rng(seed)
-    interior = 0.02 + 0.96 * rng.uniform(size=m - 2)  # keep clear of the endpoints
-    g = make_trapezoid_grid(np.sort(np.r_[0.0, np.unique(interior)[: m - 2], 1.0]))
-    if g.size != m:
-        return  # duplicate interior draw; vanishing probability
-    f = Curve(np.array(data), g)
-    h = Curve(rng.standard_normal(m), g)
-    assert abs(inner_product(f, h)) <= l2_norm(f) * l2_norm(h) * (1 + 1e-10) + 1e-12
+        f = np.sqrt(2.0) * np.cos(2 * np.pi * g.points)
+        assert np.sqrt(inner(f, f, g)) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_curve_length_validation():
+    # a sample's curves must have one finite value per grid point
     with pytest.raises(GridError):
-        Curve(np.ones(4), uniform_grid(5))
+        FunctionalSample(np.ones((3, 4)), uniform_grid(5))
     with pytest.raises(GridError):
-        Curve(np.array([1.0, np.inf, 0.0]), uniform_grid(3))
+        FunctionalSample(np.array([[1.0, np.inf, 0.0], [0.0, 1.0, 2.0]]), uniform_grid(3))

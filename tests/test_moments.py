@@ -3,7 +3,7 @@ import pytest
 
 from conftest import grid_operator, rotation_coordinates, unit_weight_grid
 from farkit.errors import GridError, InsufficientDataError
-from farkit.grid import Curve, uniform_grid
+from farkit.grid import uniform_grid
 from farkit.moments import (
     FunctionalSample,
     SpanCoordinates,
@@ -116,38 +116,39 @@ class TestWeightedRepresentation:
             WeightedMomentPair(np.eye(4), np.eye(4), np.zeros(3))
 
 
+def apply_one(op, x):
+    """``apply_kernel_matrix`` on a single curve."""
+    return apply_kernel_matrix(op, np.asarray(x, float)[None, :])[0]
+
+
 class TestApplyKernel:
     def test_zero_kernel(self):
         g = uniform_grid(5)
         op = grid_operator(np.zeros((5, 5)), g, method="fpca")
-        out = op.predict(Curve(np.arange(5.0), g))
-        assert np.allclose(out.values, 0)
+        assert np.allclose(apply_one(op, np.arange(5.0)), 0)
 
     def test_ones_kernel_constant_input(self):
         g = uniform_grid(7)  # weights sum to 1
         op = grid_operator(np.ones((7, 7)), g, method="fpca")
-        out = op.predict(Curve(np.ones(7), g))
-        assert np.allclose(out.values, 1.0, atol=1e-14)
+        assert np.allclose(apply_one(op, np.ones(7)), 1.0, atol=1e-14)
 
     def test_single_row_hand_values(self):
         g = uniform_grid(3)  # weights 0.25, 0.5, 0.25
         kernel = np.zeros((3, 3))
         kernel[1] = [2.0, -1.0, 4.0]
         op = grid_operator(kernel, g, method="fpca")
-        x = Curve(np.array([1.0, 3.0, 5.0]), g)
-        out = op.predict(x)
+        out = apply_one(op, [1.0, 3.0, 5.0])
         # row quadrature: 2*1*0.25 - 1*3*0.5 + 4*5*0.25
-        assert out.values[1] == pytest.approx(0.5 - 1.5 + 5.0, rel=1e-14)
-        assert out.values[0] == out.values[2] == 0.0
+        assert out[1] == pytest.approx(0.5 - 1.5 + 5.0, rel=1e-14)
+        assert out[0] == out[2] == 0.0
 
     def test_linearity(self, rng):
         g = uniform_grid(6)
         op = grid_operator(rng.standard_normal((6, 6)), g)
-        x = Curve(rng.standard_normal(6), g)
-        y = Curve(rng.standard_normal(6), g)
-        combo = Curve(1.5 * x.values - 0.3 * y.values, g)
-        expected = 1.5 * op.predict(x).values - 0.3 * op.predict(y).values
-        got = op.predict(combo).values
+        x = rng.standard_normal(6)
+        y = rng.standard_normal(6)
+        expected = 1.5 * apply_one(op, x) - 0.3 * apply_one(op, y)
+        got = apply_one(op, 1.5 * x - 0.3 * y)
         assert np.abs(got - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1.0)
 
     def test_matrix_variant_matches_curve_variant(self, rng):
@@ -156,12 +157,12 @@ class TestApplyKernel:
         values = rng.standard_normal((4, 5))
         rows = apply_kernel_matrix(op, values)
         for t in range(4):
-            assert np.allclose(rows[t], op.predict(Curve(values[t], g)).values)
+            assert np.allclose(rows[t], apply_one(op, values[t]))
 
     def test_grid_mismatch(self):
         op = grid_operator(np.zeros((3, 3)), uniform_grid(3), method="fpca")
         with pytest.raises(GridError):
-            op.predict(Curve(np.zeros(4), uniform_grid(4)))
+            apply_one(op, np.zeros(4))
 
 
 def unweighted(psi, coords):

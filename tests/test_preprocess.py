@@ -7,7 +7,7 @@ import dense_reference
 from farkit.errors import InsufficientDataError, SingularSystemError
 from farkit.evaluate import fit_method
 from farkit.grid import uniform_grid
-from farkit.moments import FunctionalSample, span_coordinates
+from farkit.moments import FunctionalSample, apply_kernel_matrix, span_coordinates
 from farkit.preprocess import (
     SLOTS_PER_DAY,
     PipelineConfig,
@@ -330,7 +330,7 @@ class TestRollingForecast:
         for row in scored:
             start = row.index - row.index % 10
             est, _ = fit_method(coords.subsample(start - 100, start), "fpca:0.90")
-            forecast = est.predict(sample.curve(row.index - 1)).values
+            forecast = apply_kernel_matrix(est, sample.values[row.index - 1 : row.index])[0]
             expected = np.mean((forecast - sample.values[row.index]) ** 2)
             assert row.ise == pytest.approx(expected, rel=1e-10)
 

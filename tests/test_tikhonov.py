@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
+import dense_reference
 from conftest import moment_pair, random_spd, rotation_coordinates
-from farkit.errors import InsufficientDataError
+from farkit.errors import DegenerateSpectrumError, InsufficientDataError
+from farkit.fpca import eigendecompose
 from farkit.grid import uniform_grid
-from farkit.moments import FunctionalSample, span_coordinates
-from farkit.tikhonov import (
-    AlphaGrid,
-    application_alpha_grid,
-    cv_select_alpha,
-    default_alpha_grid,
-    tikhonov_fit,
-)
+from farkit.moments import FunctionalSample, span_coordinates, weighted_moments
+from farkit.tikhonov import HOLDOUT_ALPHAS, cv_select_alpha, tikhonov_fit
+
+
+def run_cv(sample, scheme="holdout"):
+    """``cv_select_alpha`` on a grid sample, with the decomposition it is given."""
+    coords = span_coordinates(sample)
+    return cv_select_alpha(coords, eigendecompose(weighted_moments(coords)), scheme)
+
+
+def curve_arrays(result):
+    """(alphas, losses) of a CvResult's loss curve."""
+    return np.array(result.cv_curve).T
 
 
 def naive_holdout_cv(sample, alphas):
@@ -77,7 +84,7 @@ class TestTikhonovFit:
         pair = moment_pair(random_spd(rng, 7), rng.standard_normal((7, 7)))
         norms = [
             np.linalg.norm(tikhonov_fit(coords, a, moments=pair).matrix, 2)
-            for a in default_alpha_grid().values
+            for a in HOLDOUT_ALPHAS
         ]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
@@ -93,43 +100,49 @@ class TestTikhonovFit:
 
 class TestAlphaGrids:
     def test_default_grid(self):
-        grid = default_alpha_grid()
-        assert len(grid) == 25
-        assert grid.values[0] == pytest.approx(1e-5, rel=1e-12)
-        assert grid.values[-1] == pytest.approx(1.0, rel=1e-12)
-        ratios = grid.values[1:] / grid.values[:-1]
+        assert len(HOLDOUT_ALPHAS) == 25
+        assert HOLDOUT_ALPHAS[0] == pytest.approx(1e-5, rel=1e-12)
+        assert HOLDOUT_ALPHAS[-1] == pytest.approx(1.0, rel=1e-12)
+        ratios = HOLDOUT_ALPHAS[1:] / HOLDOUT_ALPHAS[:-1]
         assert np.allclose(ratios, 10 ** (5 / 24), rtol=1e-10)
         assert 10 ** (5 / 24) == pytest.approx(1.6156, abs=5e-5)
 
-    def test_default_grid_rescaled(self):
-        grid = default_alpha_grid(scale=10.0)
-        assert grid.values[0] == pytest.approx(1e-4, rel=1e-12)
-        assert grid.values[-1] == pytest.approx(10.0, rel=1e-12)
+    def test_default_grid_rescaled(self, rng):
+        # the holdout grid is fixed: rescaling the data leaves it alone
+        values = rng.standard_normal((40, 5))
+        for scale in (1.0, 10.0):
+            alphas, _ = curve_arrays(run_cv(FunctionalSample(scale * values, uniform_grid(5))))
+            assert np.array_equal(alphas, HOLDOUT_ALPHAS)
 
     def test_default_grid_rejects_bad_scale(self):
         with pytest.raises(ValueError):
-            default_alpha_grid(scale=0.0)
+            HOLDOUT_ALPHAS[0] = 2.0
 
-    def test_application_grid(self):
-        grid = application_alpha_grid(1.0)
-        assert len(grid) == 30
-        assert grid.values[0] == pytest.approx(1e-4, rel=1e-12)
-        assert grid.values[-1] == pytest.approx(10.0, rel=1e-12)
-        assert grid.provenance == "eigenvalue-scaled"
+    def test_application_grid(self, rng):
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 6)), uniform_grid(6)))
+        dec = eigendecompose(weighted_moments(coords))
+        alphas, _ = curve_arrays(cv_select_alpha(coords, dec, "k-fold-forward"))
+        lam1 = dec.eigenvalues[0]
+        assert len(alphas) == 30
+        assert alphas[0] == pytest.approx(1e-4 * lam1, rel=1e-12)
+        assert alphas[-1] == pytest.approx(10.0 * lam1, rel=1e-12)
 
-    def test_application_grid_scales_with_lambda(self):
-        grid = application_alpha_grid(2.0)
-        assert grid.values[0] == pytest.approx(2e-4, rel=1e-12)
-        assert grid.values[-1] == pytest.approx(20.0, rel=1e-12)
-        assert np.all(np.diff(grid.values) > 0)
+    def test_application_grid_scales_with_lambda(self, rng):
+        values = rng.standard_normal((60, 6))
+        one, two = (
+            curve_arrays(run_cv(FunctionalSample(c * values, uniform_grid(6)), "k-fold-forward"))[0]
+            for c in (1.0, np.sqrt(2.0))
+        )
+        assert np.allclose(two, 2.0 * one, rtol=1e-12)
+        assert np.all(np.diff(two) > 0)
 
     def test_alpha_grid_validation(self):
-        with pytest.raises(ValueError):
-            AlphaGrid(np.array([]))
-        with pytest.raises(ValueError):
-            AlphaGrid(np.array([0.1, 0.1]))
-        with pytest.raises(ValueError):
-            AlphaGrid(np.array([-0.1, 0.5]))
+        # a zero spectrum has no forward grid; that is checked before the
+        # length, and the fixed holdout grid does not need a spectrum
+        zeros = FunctionalSample(np.zeros((30, 5)), uniform_grid(5))
+        with pytest.raises(DegenerateSpectrumError):
+            run_cv(zeros, "k-fold-forward")
+        assert run_cv(zeros).selected_alpha == HOLDOUT_ALPHAS[-1]
 
 
 def noiseless_far_sample(rng, n=60, m=15, radius=0.85):
@@ -149,85 +162,85 @@ class TestCvSelectAlpha:
         # exact transition data: the loss is regularization bias plus the
         # small exactness floor left by training-mean centering, so the top
         # decade of the grid is strictly dominated and never selected
-        sample = noiseless_far_sample(rng)
-        grid = default_alpha_grid()
-        cv = cv_select_alpha(span_coordinates(sample), grid)
+        cv = run_cv(noiseless_far_sample(rng))
         losses = np.array([l for _, l in cv.cv_curve])
         assert np.all(np.diff(losses[-5:]) > 0)
-        assert cv.selected_alpha < grid.values[20]
+        assert cv.selected_alpha < HOLDOUT_ALPHAS[20]
         assert losses[-1] > losses.min() * 1.02
 
     def test_white_noise_prefers_heavy_regularization(self, rng):
         g = uniform_grid(11)
-        coords = span_coordinates(FunctionalSample(rng.standard_normal((200, 11)), g))
-        grid = default_alpha_grid()
-        cv = cv_select_alpha(coords, grid)
-        assert cv.selected_alpha >= grid.values[12]
+        sample = FunctionalSample(rng.standard_normal((200, 11)), g)
+        cv = run_cv(sample)
+        assert cv.selected_alpha >= HOLDOUT_ALPHAS[12]
 
         from farkit.evaluate import misfe
 
+        coords = span_coordinates(sample)
         test = FunctionalSample(rng.standard_normal((200, 11)), g)
         selected = misfe(tikhonov_fit(coords, cv.selected_alpha), test)
-        overfit = misfe(tikhonov_fit(coords, grid.values[0]), test)
+        overfit = misfe(tikhonov_fit(coords, HOLDOUT_ALPHAS[0]), test)
         assert selected <= overfit
 
     def test_fast_path_equals_naive_path(self, rng):
         g = uniform_grid(21)
         sample = FunctionalSample(rng.standard_normal((60, 21)), g)
-        grid = default_alpha_grid()
-        cv = cv_select_alpha(span_coordinates(sample), grid)
-        naive = naive_holdout_cv(sample, grid.values)
-        fast = np.array([l for _, l in cv.cv_curve])
+        naive = naive_holdout_cv(sample, HOLDOUT_ALPHAS)
+        fast = np.array([l for _, l in run_cv(sample).cv_curve])
         assert np.abs(fast - naive).max() <= 1e-9 * np.abs(naive).max()
 
     def test_holdout_split_record(self, rng):
         g = uniform_grid(5)
         sample = FunctionalSample(rng.standard_normal((100, 5)), g)
-        cv = cv_select_alpha(span_coordinates(sample), default_alpha_grid())
-        assert cv.train_indices == tuple(range(80))
-        assert cv.validation_indices == tuple(range(80, 100))
+        cv = run_cv(sample)
         assert cv.scheme == "holdout"
+        # the last 20 curves are validated from a dense refit on the first 80
+        alpha, ref_alphas, ref_losses = dense_reference.cv_alpha(
+            sample.values, g.weights, "holdout"
+        )
+        alphas, losses = curve_arrays(cv)
+        assert np.array_equal(alphas, ref_alphas)
+        assert np.abs(losses - ref_losses).max() <= 1e-9 * np.abs(ref_losses).max()
+        assert cv.selected_alpha == alpha
 
     def test_flat_curve_ties_to_largest_alpha(self):
         g = uniform_grid(5)
-        sample = FunctionalSample(np.zeros((40, 5)), g)
-        grid = default_alpha_grid()
-        cv = cv_select_alpha(span_coordinates(sample), grid)
+        cv = run_cv(FunctionalSample(np.zeros((40, 5)), g))
         losses = [l for _, l in cv.cv_curve]
         assert losses == [0.0] * 25
-        assert cv.selected_alpha == grid.values[-1]
+        assert cv.selected_alpha == HOLDOUT_ALPHAS[-1]
 
     def test_deterministic(self, rng):
         g = uniform_grid(7)
-        coords = span_coordinates(FunctionalSample(rng.standard_normal((50, 7)), g))
-        a = cv_select_alpha(coords, default_alpha_grid())
-        b = cv_select_alpha(coords, default_alpha_grid())
+        sample = FunctionalSample(rng.standard_normal((50, 7)), g)
+        a = run_cv(sample)
+        b = run_cv(sample)
         assert a.selected_alpha == b.selected_alpha
         assert a.cv_curve == b.cv_curve
 
     def test_kfold_forward_runs_and_differs_from_holdout(self, rng):
         g = uniform_grid(9)
-        coords = span_coordinates(FunctionalSample(rng.standard_normal((80, 9)), g))
-        cv = cv_select_alpha(coords, default_alpha_grid(), scheme="k-fold-forward")
+        sample = FunctionalSample(rng.standard_normal((80, 9)), g)
+        cv = run_cv(sample, "k-fold-forward")
         assert cv.scheme == "k-fold-forward"
-        # fold 1 is training-only; validated targets are the remaining folds
-        assert cv.train_indices == tuple(range(16))
-        assert cv.validation_indices == tuple(range(16, 80))
+        # fold 1 is training-only; folds 2..5 are validated, each from a
+        # dense refit on the curves before it
+        alpha, ref_alphas, ref_losses = dense_reference.cv_alpha(
+            sample.values, g.weights, "k-fold-forward"
+        )
+        alphas, losses = curve_arrays(cv)
+        assert np.abs(alphas - ref_alphas).max() <= 1e-9 * ref_alphas.max()
+        assert np.abs(losses - ref_losses).max() <= 1e-9 * np.abs(ref_losses).max()
+        assert cv.selected_alpha == pytest.approx(alpha, rel=1e-9)
 
     def test_sample_too_short(self, rng):
         g = uniform_grid(4)
-        short = span_coordinates(FunctionalSample(rng.standard_normal((20, 4)), g))
         with pytest.raises(InsufficientDataError):
-            cv_select_alpha(short, default_alpha_grid())
+            run_cv(FunctionalSample(rng.standard_normal((20, 4)), g))
         with pytest.raises(InsufficientDataError):
-            cv_select_alpha(
-                span_coordinates(FunctionalSample(rng.standard_normal((30, 4)), g)),
-                default_alpha_grid(),
-                scheme="k-fold-forward",
-            )
+            run_cv(FunctionalSample(rng.standard_normal((30, 4)), g), "k-fold-forward")
 
     def test_unknown_scheme(self, rng):
         g = uniform_grid(4)
-        coords = span_coordinates(FunctionalSample(rng.standard_normal((40, 4)), g))
         with pytest.raises(ValueError):
-            cv_select_alpha(coords, default_alpha_grid(), scheme="loo")
+            run_cv(FunctionalSample(rng.standard_normal((40, 4)), g), "loo")
