@@ -38,6 +38,7 @@ from .moments import (
 __all__ = [
     "SpectralDecomposition",
     "eigendecompose",
+    "checked_eigh",
     "select_k",
     "usable_directions",
     "fpca_far_fit",
@@ -63,28 +64,40 @@ class SpectralDecomposition:
 def eigendecompose(moments: WeightedMomentPair) -> SpectralDecomposition:
     """Full symmetric eigendecomposition of the covariance matrix.
 
-    Eigenvalues are sorted nonincreasing. Small negative values (above
-    -1e-10 relative to the leading eigenvalue) are rounding artefacts and
-    are clamped to zero; anything more negative raises NumericalError.
+    Eigenvalues are sorted nonincreasing and clamped at zero; ``checked_eigh``
+    holds the checks, which raise NumericalError.
     """
-    c0 = moments.c0
-    scale = np.abs(c0).max()
-    if scale > 0 and np.abs(c0 - c0.T).max() > 1e-8 * scale:
+    return SpectralDecomposition(*checked_eigh(moments.c0))
+
+
+def checked_eigh(c0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of one covariance or of a ``(..., r, r)`` stack.
+
+    The whole stack is decomposed in one ``np.linalg.eigh`` call, which
+    gives each matrix the same bits as decomposing it alone. Eigenvalues
+    are sorted nonincreasing along the last axis, with the eigenvectors in
+    the matching columns. Every matrix must be symmetric to 1e-8 of its
+    largest entry. Small negative eigenvalues (above -1e-10 relative to
+    their matrix's leading eigenvalue) are rounding artefacts and are
+    clamped to zero; anything more negative raises NumericalError, as
+    does a failed decomposition.
+    """
+    c0t = np.swapaxes(c0, -1, -2)
+    scale = np.abs(c0).max(axis=(-2, -1))
+    if np.any((scale > 0) & (np.abs(c0 - c0t).max(axis=(-2, -1)) > 1e-8 * scale)):
         raise NumericalError("covariance matrix is not symmetric")
     try:
-        lam, vectors = np.linalg.eigh((c0 + c0.T) / 2.0)
+        lam, vectors = np.linalg.eigh((c0 + c0t) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    lam = lam[::-1]
-    vectors = vectors[:, ::-1]
-    lam_max = max(float(lam[0]), 0.0)
-    floor = -NEGATIVE_EIGENVALUE_TOL * lam_max
+    lam = lam[..., ::-1]
+    vectors = vectors[..., ::-1]
+    floor = -NEGATIVE_EIGENVALUE_TOL * np.maximum(lam[..., :1], 0.0)
     if np.any(lam < floor):
         raise NumericalError(
             f"covariance eigenvalues below the PSD tolerance (min {lam.min():.3e})"
         )
-    lam = np.maximum(lam, 0.0)
-    return SpectralDecomposition(lam, vectors)
+    return np.maximum(lam, 0.0), vectors
 
 
 def select_k(eigenvalues, tau: float) -> int:

@@ -4,9 +4,11 @@ Instead of truncating the covariance spectrum, every direction is kept and
 small eigenvalues are damped through (C0 + alpha I)^{-1}. The ridge
 strength alpha is selected by one-step-ahead cross-validation. A scheme
 fixes the whole selection: its validation blocks, the shortest sample it
-accepts and its candidate grid. Each block costs one eigendecomposition of
-its training covariance, after which every candidate costs only O(r^2)
-work on the rotated validation data.
+accepts and its candidate grid. The training covariances of all of a
+sample's blocks are eigendecomposed together, in one stacked call. In
+that spectrum the ridge acts as the filter 1 / (lambda + alpha), so each
+block then scores its whole grid with one matrix product on the rotated
+validation data.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InsufficientDataError
-from .fpca import SpectralDecomposition, eigendecompose
+from .fpca import SpectralDecomposition, checked_eigh, eigendecompose
 from .moments import OperatorEstimate, SpanCoordinates, WeightedMomentPair, weighted_moments
 
 __all__ = [
@@ -67,34 +69,43 @@ def tikhonov_fit(
 
 
 def _fast_cv_losses(train: SpanCoordinates, lag_values, target_values, alphas):
-    """Mean squared L2 one-step errors for every alpha, via one eigendecomposition.
+    """Mean squared L2 one-step errors for every alpha on one validation block.
 
     The estimator is fitted on ``train``; each row of ``target_values`` is
     predicted from the matching row of ``lag_values``, both in the
-    coordinates of ``train``. Both are centered at the training mean before
-    rotation, because the fitted operator models fluctuations around that
-    mean.
+    coordinates of ``train``. The training covariance costs one
+    eigendecomposition, and ``_block_losses`` scores the whole grid in one
+    matrix product. ``cv_select_alpha`` runs the same kernel on each of its
+    blocks, after decomposing all of a sample's training covariances in one
+    stacked call.
     """
     mom = weighted_moments(train)
     dec = eigendecompose(mom)
-    lam = dec.eigenvalues
-    q = dec.vectors
+    return _block_losses(mom, dec.eigenvalues, dec.vectors, lag_values, target_values, alphas)
 
+
+def _block_losses(mom: WeightedMomentPair, lam, q, lag_values, target_values, alphas):
+    """Mean squared one-step errors of one validation block, one per alpha.
+
+    ``mom`` holds the training moments and ``lam``, ``q`` the spectrum of
+    their ``c0``. Lags and targets are centred at the training mean before
+    rotation, because the fitted operator models fluctuations around that
+    mean. With ``B = C1 Q``, ``r = Q^T lag`` and the ridge filter
+    ``d_a = 1 / (lam + alpha_a)``, the error ``||z - B diag(d_a) r||^2``
+    expands into a constant, a linear and a quadratic form in ``d_a``, so
+    the filters of all strengths, stacked as the rows of one (A, r)
+    matrix, are scored by one matrix product.
+    """
     z_tgt = target_values - mom.mean
     rotated_lags = (lag_values - mom.mean) @ q
     b = mom.c1 @ q
 
-    # ||z - B diag(d) r||^2 expanded once; per-alpha cost is O(r^2)
     const = float(np.sum(z_tgt**2))
     linear = np.sum((z_tgt @ b) * rotated_lags, axis=0)
     quad = (b.T @ b) * (rotated_lags.T @ rotated_lags)
 
-    n_pairs = target_values.shape[0]
-    losses = np.empty(len(alphas))
-    for i, alpha in enumerate(alphas):
-        d = 1.0 / (lam + alpha)
-        losses[i] = (const - 2.0 * float(linear @ d) + float(d @ quad @ d)) / n_pairs
-    return losses
+    d = 1.0 / (lam[None, :] + alphas[:, None])
+    return (const - 2.0 * (d @ linear) + np.einsum("ar,ar->a", d @ quad, d)) / len(target_values)
 
 
 def _select_from_losses(alphas, losses) -> float:
@@ -147,15 +158,14 @@ def cv_select_alpha(
     else:
         raise ValueError(f"unknown cross-validation scheme: {scheme!r}")
 
+    # weighted_moments applies its constant-row rule to every prefix; their
+    # covariances then share one eigh call
+    moments = [weighted_moments(coords.subsample(0, int(block[0]))) for block in blocks]
+    lam, q = checked_eigh(np.stack([mom.c0 for mom in moments]))
     losses = np.mean(
         [
-            _fast_cv_losses(
-                coords.subsample(0, int(block[0])),
-                lag_values=coords.values[block - 1],
-                target_values=coords.values[block],
-                alphas=alphas,
-            )
-            for block in blocks
+            _block_losses(mom, lam_b, q_b, coords.values[block - 1], coords.values[block], alphas)
+            for mom, lam_b, q_b, block in zip(moments, lam, q, blocks)
         ],
         axis=0,
     )

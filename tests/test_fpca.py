@@ -8,7 +8,13 @@ from farkit.errors import (
     NumericalError,
     SingularSystemError,
 )
-from farkit.fpca import SpectralDecomposition, eigendecompose, fpca_far_fit, select_k
+from farkit.fpca import (
+    SpectralDecomposition,
+    checked_eigh,
+    eigendecompose,
+    fpca_far_fit,
+    select_k,
+)
 from farkit.grid import uniform_grid
 from farkit.moments import (
     FunctionalSample,
@@ -64,6 +70,41 @@ class TestEigendecompose:
         c0 = np.array([[1.0, 0.4], [0.0, 1.0]])
         with pytest.raises(NumericalError):
             eigendecompose(moment_pair(c0, np.zeros((2, 2))))
+
+
+class TestCheckedEigh:
+    def stack(self, rng):
+        # full-rank members of several scales, a rank-deficient one whose
+        # rounding-level eigenvalues are clamped, and a zero matrix
+        x = rng.standard_normal((3, 6))
+        members = [random_spd(rng, 6, scale) for scale in (1.0, 1e-3, 50.0)]
+        return np.stack(members + [x.T @ x / 3, np.zeros((6, 6))])
+
+    def test_stack_equals_single_decompositions_bit_for_bit(self, rng):
+        c0s = self.stack(rng)
+        lam, vectors = checked_eigh(c0s)
+        for i, c0 in enumerate(c0s):
+            dec = eigendecompose(moment_pair(c0, np.zeros((6, 6))))
+            assert np.array_equal(lam[i], dec.eigenvalues)
+            assert np.array_equal(vectors[i], dec.vectors)
+
+    def test_one_asymmetric_member_raises(self, rng):
+        # each member is checked on its own scale: this asymmetry is within
+        # the tolerance of the largest member, not of its own
+        c0s = self.stack(rng)
+        c0s[1, 0, 1] += 1e-6 * np.abs(c0s[1]).max()
+        with pytest.raises(NumericalError, match="not symmetric"):
+            checked_eigh(c0s)
+
+    def test_one_member_below_psd_floor_raises(self, rng):
+        # the small member gets an eigenvalue at -1e-8 of its own leading one,
+        # which the largest member's floor would let pass
+        c0s = self.stack(rng)
+        lam, vectors = np.linalg.eigh(c0s[1])
+        lam[0] = -1e-8 * lam[-1]
+        c0s[1] = (vectors * lam) @ vectors.T
+        with pytest.raises(NumericalError, match="below the PSD tolerance"):
+            checked_eigh(c0s)
 
 
 class TestSelectK:

@@ -3,10 +3,17 @@ import pytest
 
 import dense_reference
 from conftest import moment_pair, random_spd, rotation_coordinates
-from farkit.errors import DegenerateSpectrumError, InsufficientDataError
+from farkit import tikhonov
+from farkit.errors import DegenerateSpectrumError, InsufficientDataError, NumericalError
+from farkit.evaluate import fit_methods
 from farkit.fpca import eigendecompose
 from farkit.grid import uniform_grid
-from farkit.moments import FunctionalSample, span_coordinates, weighted_moments
+from farkit.moments import (
+    FunctionalSample,
+    WeightedMomentPair,
+    span_coordinates,
+    weighted_moments,
+)
 from farkit.tikhonov import HOLDOUT_ALPHAS, cv_select_alpha, tikhonov_fit
 
 
@@ -19,6 +26,38 @@ def run_cv(sample, scheme="holdout"):
 def curve_arrays(result):
     """(alphas, losses) of a CvResult's loss curve."""
     return np.array(result.cv_curve).T
+
+
+def per_block_cv(coords, scheme):
+    """(selected alpha, losses) by the per-block route the stacked sweep replaced.
+
+    Each training prefix gets its own ``eigendecompose``, and each strength
+    one pass of a Python loop.
+    """
+    n = coords.n
+    if scheme == "holdout":
+        blocks = [np.arange(n - max(n // 5, 20), n)]
+        alphas = HOLDOUT_ALPHAS
+    else:
+        blocks = np.array_split(np.arange(n), 5)[1:]
+        alphas = eigendecompose(weighted_moments(coords)).eigenvalues[0] * np.logspace(-4, 1, 30)
+    per_block = []
+    for block in blocks:
+        mom = weighted_moments(coords.subsample(0, int(block[0])))
+        dec = eigendecompose(mom)
+        z_tgt = coords.values[block] - mom.mean
+        rotated_lags = (coords.values[block - 1] - mom.mean) @ dec.vectors
+        b = mom.c1 @ dec.vectors
+        const = float(np.sum(z_tgt**2))
+        linear = np.sum((z_tgt @ b) * rotated_lags, axis=0)
+        quad = (b.T @ b) * (rotated_lags.T @ rotated_lags)
+        losses = np.empty(len(alphas))
+        for i, alpha in enumerate(alphas):
+            d = 1.0 / (dec.eigenvalues + alpha)
+            losses[i] = (const - 2.0 * float(linear @ d) + float(d @ quad @ d)) / len(block)
+        per_block.append(losses)
+    losses = np.mean(per_block, axis=0)
+    return float(alphas[np.max(np.nonzero(losses == losses.min())[0])]), losses
 
 
 def naive_holdout_cv(sample, alphas):
@@ -244,3 +283,64 @@ class TestCvSelectAlpha:
         g = uniform_grid(4)
         with pytest.raises(ValueError):
             run_cv(FunctionalSample(rng.standard_normal((40, 4)), g), "loo")
+
+
+def constant_prefix_sample(rng, n=60, m=9):
+    """A sample whose first forward fold (the first n // 5 curves) is one repeated curve."""
+    values = rng.standard_normal((n, m))
+    values[: n // 5] = values[0] + 3.7
+    return FunctionalSample(values, uniform_grid(m))
+
+
+class TestStackedSweep:
+    """The stacked sweep against the per-block route it replaced."""
+
+    @pytest.mark.parametrize("scheme", ["holdout", "k-fold-forward"])
+    def test_matches_per_block_route(self, rng, scheme):
+        samples = [
+            FunctionalSample(rng.standard_normal((n, m)), uniform_grid(m))
+            for n, m in ((40, 5), (60, 12), (97, 21), (150, 8))
+        ]
+        if scheme == "k-fold-forward":
+            samples.append(constant_prefix_sample(np.random.default_rng(0)))
+        for sample in samples:
+            coords = span_coordinates(sample)
+            cv = cv_select_alpha(coords, eigendecompose(weighted_moments(coords)), scheme)
+            alpha, ref = per_block_cv(coords, scheme)
+            _, losses = curve_arrays(cv)
+            assert np.abs(losses - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert cv.selected_alpha == alpha
+
+    def test_constant_first_prefix_has_zero_spectrum(self):
+        # the prefix's coordinates differ by rounding only; the 8-ulp rule in
+        # weighted_moments zeroes them, so the block sees a zero spectrum
+        coords = span_coordinates(constant_prefix_sample(np.random.default_rng(0)))
+        prefix = coords.values[:12]
+        assert np.abs(prefix - prefix.mean(axis=0)).max() > 0
+        assert not np.any(weighted_moments(coords.subsample(0, 12)).c0)
+
+    @pytest.mark.parametrize("scheme", ["holdout", "k-fold-forward"])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda c0: c0 + np.triu(np.abs(c0).max() * np.ones_like(c0), 1), "not symmetric"),
+            (lambda c0: -c0, "below the PSD tolerance"),
+        ],
+        ids=["asymmetric", "negative"],
+    )
+    def test_fold_spectrum_failure_is_a_numerical_error_outcome(
+        self, rng, monkeypatch, scheme, fault, message
+    ):
+        # only the training prefixes are broken: the sample's own spectrum,
+        # computed in evaluate, stays valid
+        def faulty_moments(coords):
+            mom = weighted_moments(coords)
+            return WeightedMomentPair(fault(mom.c0), mom.c1, mom.mean)
+
+        monkeypatch.setattr(tikhonov, "weighted_moments", faulty_moments)
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 6)), uniform_grid(6)))
+        cv, fixed = fit_methods(coords, ["tikhonov:cv", "tikhonov:0.1"], cv_scheme=scheme)
+        assert cv.estimate is None
+        assert cv.error.startswith(f"{NumericalError.__name__}: ")
+        assert message in cv.error
+        assert fixed.error is None
