@@ -14,7 +14,7 @@ Output files by command:
                    regret.csv   (regime,n,method,mean_misfe,count,regret_pct)
                    worst_case.csv (method,n,worst_mean_misfe)
                    tuning.csv   (regime,n,method,mean_tuning)
-                   summary.json (rate slope, timings, resolved config)
+                   summary.json (rate slope, timings, span ranks, resolved config)
 * ``rolling``   -> forecasts.csv (date,method,ise,alpha_or_k,refit_flag)
                    summary.csv  (method,mean_ise,median_ise,regret_pct,failures)
                    weekday_means.csv (weekday,h01..h48), rolling.meta.json
@@ -285,6 +285,7 @@ def cmd_benchmark(args) -> int:
             "fit_seconds_by_method": seconds_by_method,
             "failed_fits": sum(1 for r in report.records if r.failed),
             "failures_by_class": _failures_by_class(report.records),
+            "span_ranks": report.span_ranks,
         },
     )
     slope_text = "n/a" if slope is None else f"{slope:.3f}"

@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -237,11 +238,33 @@ def misfe(op: OperatorEstimate, test: FunctionalSample) -> float:
 
     Every curve after the first is predicted from its predecessor by the
     estimate; squared errors are integrated with the grid's quadrature
-    weights and averaged over the T-1 forecast pairs.
+    weights and averaged over the T-1 forecast pairs. The error is
+    computed in the estimate's span coordinates, plus the energy of the
+    targets outside the span, which no forecast reaches.
     """
-    preds = apply_kernel_matrix(op, test.values[:-1])
-    sq_err = (test.values[1:] - preds) ** 2
-    return float(np.mean(sq_err @ test.grid.weights))
+    coords = op.coordinates
+    if test.grid.size != coords.grid.size:
+        raise GridError("test path must be on the operator grid")
+    return _path_misfe(op.matrix, *_encode_path(coords, test.values))
+
+
+def _encode_path(coords: SpanCoordinates, values: np.ndarray):
+    """Span coordinates of a path's curves and the summed out-of-span energy of its targets.
+
+    The energy ``sum_w x^2 - ||enc x||^2`` of curves 2..T is 0 when the
+    span fills the grid.
+    """
+    encoded = coords.encode(values)
+    outside = 0.0
+    if coords.dim < coords.grid.size:
+        outside = float(np.sum(values[1:] ** 2 @ coords.grid.weights) - np.sum(encoded[1:] ** 2))
+    return encoded, outside
+
+
+def _path_misfe(matrix: np.ndarray, encoded: np.ndarray, outside: float) -> float:
+    """``misfe`` of an r x r operator matrix on a path encoded by ``_encode_path``."""
+    residual = encoded[1:] - encoded[:-1] @ matrix.T
+    return (float(np.sum(residual**2)) + outside) / (encoded.shape[0] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +380,7 @@ class BenchmarkReport:
     records: tuple
     config: BenchmarkConfig
     wall_clock_seconds: float = 0.0
+    span_ranks: dict = field(default_factory=dict)  # training paths counted by span rank
 
 
 def _regime_seed(master_seed: int, regime: str) -> np.random.SeedSequence:
@@ -384,7 +408,10 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     fits every method to the same training path, and records the test-path
     forecast error, the resolved tuning value, and the incremental fit
     time. Fit failures are recorded on the cell and never abort the run.
-    The report is a pure function of the config (timings aside).
+    The report is a pure function of the config (timings aside); its
+    ``span_ranks`` counts the training paths by the rank of their span.
+    Each test path is encoded once in its training path's coordinates and
+    every method is scored there, as ``misfe`` scores one.
 
     Paths stay in the simulator's J Fourier coefficients, on a unit-weight
     grid of J points: the basis is orthonormal under the regime grid's
@@ -420,10 +447,11 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
             )
             for length, tag in ((n, _TRAIN_TAG), (config.test_length, _TEST_TAG))
         )
-        results = []
+        results, ranks = [], []
         for rep, train_states, test_states in zip(reps, train, test):
             coords = span_coordinates(FunctionalSample(train_states, grid))
-            test_path = FunctionalSample(test_states, grid)
+            ranks.append(coords.rank)
+            test_path = _encode_path(coords, test_states)
             for method, outcome in zip(methods, fit_methods(coords, methods)):
                 est = outcome.estimate
                 results.append(
@@ -432,13 +460,13 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
                         n,
                         method.label,
                         rep,
-                        misfe=float("nan") if est is None else misfe(est, test_path),
+                        misfe=float("nan") if est is None else _path_misfe(est.matrix, *test_path),
                         tuning=float("nan") if est is None else tuning_value(est),
                         seconds=outcome.seconds,
                         error=outcome.error,
                     )
                 )
-        return results
+        return results, ranks
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -446,8 +474,14 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     else:
         per_task = [run_batch(task) for task in tasks]
 
-    records = tuple(record for task_records in per_task for record in task_records)
-    return BenchmarkReport(records, config, wall_clock_seconds=time.perf_counter() - t_start)
+    records = tuple(record for task_records, _ in per_task for record in task_records)
+    ranks = Counter(rank for _, task_ranks in per_task for rank in task_ranks)
+    return BenchmarkReport(
+        records,
+        config,
+        wall_clock_seconds=time.perf_counter() - t_start,
+        span_ranks=dict(sorted(ranks.items())),
+    )
 
 
 def _cells(records):

@@ -119,13 +119,25 @@ def span_coordinates(sample: FunctionalSample) -> SpanCoordinates:
     of their span, with the rank r cut by numpy's default ``matrix_rank``
     tolerance. Every subsample's centred curves lie in that span, so its
     moments, eigenvalues and fits in these coordinates are those of the
-    grid, and the fitted kernels vanish outside the span. A full-rank
-    sample gets r = M, a plain rotation. Centring first keeps an exactly
-    constant sample at exactly zero coordinates, as on the grid; the basis
-    then keeps one direction, which carries only rounding.
+    grid, and the fitted kernels vanish outside the span. Centring first
+    keeps an exactly constant sample at exactly zero coordinates, as on the
+    grid; the basis then keeps one direction, which carries only rounding.
+
+    A sample certified to have full rank M gets the identity basis and no
+    SVD: more curves than grid points, a finite Gram ``z^T z`` and its
+    eigenvalues within a ratio of 1e-10, so that the smallest singular
+    value is over 1e-5 times the largest, far above the rank tolerance.
     """
     z = sample.values - sample.values.mean(axis=0)
     z *= sample.grid.sqrt_weights
+    n, m = z.shape
+    if n > m:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = z.T @ z
+        if np.all(np.isfinite(gram)):
+            lam = np.linalg.eigvalsh(gram)
+            if lam[0] > 1e-10 * lam[-1]:
+                return SpanCoordinates(z, np.eye(m), sample.grid, m)
     # the M x M triangular factor has the singular values and right singular
     # vectors of z, without an n x M left factor
     _, s, vt = np.linalg.svd(np.linalg.qr(z, mode="r"))

@@ -23,10 +23,16 @@ def moment_pair(c0, c1) -> WeightedMomentPair:
 
 
 def rotation_coordinates(m: int, grid: QuadratureGrid | None = None) -> SpanCoordinates:
-    """Full-rank span coordinates of a noise sample: an m x m rotation of the grid."""
+    """Full-rank span coordinates of a noise sample in a random m x m rotation of the grid.
+
+    ``span_coordinates`` gives such a sample the identity basis; the
+    rotation keeps a basis V != I in the tests that use this helper.
+    """
     rng = np.random.default_rng(7)
     grid = unit_weight_grid(m) if grid is None else grid
-    return span_coordinates(FunctionalSample(rng.standard_normal((m + 5, m)), grid))
+    coords = span_coordinates(FunctionalSample(rng.standard_normal((m + 5, m)), grid))
+    rotation, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return SpanCoordinates(coords.values @ rotation, coords.basis @ rotation, grid, m)
 
 
 def grid_operator(kernel, grid, method="tikhonov") -> OperatorEstimate:

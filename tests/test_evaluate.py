@@ -25,7 +25,12 @@ from farkit.evaluate import (
 )
 from conftest import grid_operator
 from farkit.grid import make_trapezoid_grid, uniform_grid
-from farkit.moments import FunctionalSample, span_coordinates
+from farkit.moments import (
+    FunctionalSample,
+    OperatorEstimate,
+    apply_kernel_matrix,
+    span_coordinates,
+)
 from farkit.simulate import (
     REGIMES,
     draw_regime_operator,
@@ -189,6 +194,21 @@ class TestMisfe:
         left = misfe(op, FunctionalSample(values[: s + 1], g)) * s
         right = misfe(op, FunctionalSample(values[s:], g)) * (8 - s)
         assert total == pytest.approx(left + right, rel=1e-12)
+
+    def test_energy_outside_a_rank_deficient_span(self, rng):
+        # 6 training curves span 5 of the 9 grid directions; the test path's
+        # energy outside that span is part of every forecast error
+        g = make_trapezoid_grid(np.cumsum(rng.uniform(0.5, 1.5, 9)))
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((6, 9)), g))
+        assert coords.dim == 5
+        op = OperatorEstimate(rng.standard_normal((5, 5)), coords, "tikhonov")
+        path = FunctionalSample(rng.standard_normal((30, 9)), g)
+        preds = apply_kernel_matrix(op, path.values[:-1])
+        expected = np.mean((path.values[1:] - preds) ** 2 @ g.weights)
+        encoded = coords.encode(path.values)
+        in_span = np.mean(np.sum((encoded[1:] - encoded[:-1] @ op.matrix.T) ** 2, axis=1))
+        assert expected - in_span > 0.1 * expected
+        assert misfe(op, path) == pytest.approx(expected, rel=1e-12)
 
     def test_short_path_rejected(self, rng):
         g = uniform_grid(3)
@@ -354,12 +374,14 @@ class TestRunBenchmark:
         assert len(set(keys)) == 2 * 2 * 2 * (BATCH_SIZE + 2)
         assert [(r.misfe, r.tuning) for r in a.records] == [(r.misfe, r.tuning) for r in b.records]
 
-    def test_records_match_dense_grid_refits(self):
+    @pytest.mark.parametrize("n", [100, 36])
+    def test_records_match_dense_grid_refits(self, n):
         # the benchmark fits in Fourier coefficients; the reference refits
         # the 101-point grid curves of simulate_far1 with numpy alone, on
-        # the first replication of a batch and the last of the next one
+        # the first replication of a batch and the last of the next one;
+        # 36 curves span fewer than the 40 coefficients
         config = BenchmarkConfig(
-            regimes=("I", "III"), n_values=(100,),
+            regimes=("I", "III"), n_values=(n,),
             methods=("fpca:0.90", "fpca:K=3", "tikhonov:cv"),
             replications=BATCH_SIZE + 2, master_seed=7,
         )
@@ -371,8 +393,8 @@ class TestRunBenchmark:
             op = draw_regime_operator(spec, np.random.SeedSequence([7, code]))
             for rep in (0, BATCH_SIZE + 1):
                 train, test = (
-                    simulate_far1(op, spec, length, np.random.SeedSequence([7, code, 100, rep, tag]))
-                    for length, tag in ((100, 0), (config.test_length, 1))
+                    simulate_far1(op, spec, length, np.random.SeedSequence([7, code, n, rep, tag]))
+                    for length, tag in ((n, 0), (config.test_length, 1))
                 )
                 w = test.grid.weights
                 for label in config.methods:

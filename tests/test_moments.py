@@ -3,6 +3,7 @@ import pytest
 
 from conftest import grid_operator, rotation_coordinates, unit_weight_grid
 from farkit.errors import GridError, InsufficientDataError
+from farkit.evaluate import fit_method
 from farkit.grid import uniform_grid
 from farkit.moments import (
     FunctionalSample,
@@ -114,6 +115,52 @@ class TestWeightedRepresentation:
     def test_dimension_mismatch(self):
         with pytest.raises(GridError):
             WeightedMomentPair(np.eye(4), np.eye(4), np.zeros(3))
+
+
+def centred_rank(sample):
+    """numpy's rank of the centred sqrt-weighted curves."""
+    z = (sample.values - sample.values.mean(axis=0)) * sample.grid.sqrt_weights
+    return int(np.linalg.matrix_rank(z))
+
+
+def svd_coordinates(sample):
+    """Coordinates in the right singular vectors of the centred sqrt-weighted curves."""
+    z = (sample.values - sample.values.mean(axis=0)) * sample.grid.sqrt_weights
+    basis = np.linalg.svd(z, full_matrices=False)[2].T
+    return SpanCoordinates(z @ basis, basis, sample.grid, basis.shape[1])
+
+
+class TestSpanCoordinates:
+    def test_full_rank_sample_gets_identity_basis(self, rng):
+        g = uniform_grid(12)
+        sample = FunctionalSample(np.cos(3 * g.points) + rng.standard_normal((80, 12)), g)
+        coords = span_coordinates(sample)
+        assert np.array_equal(coords.basis, np.eye(12))
+        assert coords.rank == centred_rank(sample) == 12
+        reference = svd_coordinates(sample)
+        for label in ("fpca:0.80", "fpca:0.95", "fpca:K=4", "tikhonov:0.05", "tikhonov:cv"):
+            est, _ = fit_method(coords, label)
+            ref, _ = fit_method(reference, label)
+            assert est.tuning == ref.tuning, label
+            gap = np.linalg.norm(est.kernel - ref.kernel)
+            assert gap <= 1e-12 * np.linalg.norm(ref.kernel), (label, gap)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9], ids=["duplicated", "scaled-1e-9"])
+    def test_dependent_column_takes_the_svd(self, rng, scale):
+        # more curves than grid points, but one grid column depends on another
+        values = rng.standard_normal((50, 10))
+        values[:, 7] = scale * values[:, 2]
+        sample = FunctionalSample(values, uniform_grid(10))
+        coords = span_coordinates(sample)
+        assert coords.rank == centred_rank(sample) == 9
+        assert coords.basis.shape == (10, 9)
+        assert np.allclose(coords.basis.T @ coords.basis, np.eye(9), atol=1e-12)
+
+    def test_overflowing_gram_takes_the_svd(self, rng):
+        sample = FunctionalSample(rng.standard_normal((60, 8)) * 1e156, uniform_grid(8))
+        coords = span_coordinates(sample)
+        assert coords.rank == 8
+        assert not np.array_equal(coords.basis, np.eye(8))
 
 
 def apply_one(op, x):
