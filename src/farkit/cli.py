@@ -18,6 +18,7 @@ Output files by command:
 * ``rolling``   -> forecasts.csv (date,method,ise,alpha_or_k,refit_flag)
                    summary.csv  (method,mean_ise,median_ise,regret_pct,failures)
                    weekday_means.csv (weekday,h01..h48), rolling.meta.json
+                   (settings, failures, stage seconds, single-member refits)
 * ``verify``    -> verify.json; exit status 0 only if every check passes
 """
 
@@ -27,6 +28,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -317,8 +319,10 @@ def cmd_rolling(args) -> int:
             methods=methods,
             gap_policy=args.gap_policy,
         )
+        t0 = time.perf_counter()
         complete = filter_and_interpolate(load_halfhourly_csv(args.raw), pipeline)
         prepared = preprocess_curves(complete, pipeline)
+        preprocess_seconds = time.perf_counter() - t0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -395,6 +399,12 @@ def cmd_rolling(args) -> int:
             "gap_policy": args.gap_policy,
             "methods": methods,
             "span_rank": result.span_rank,
+            "single_member_refits": result.single_member_refits,
+            "stage_seconds": {
+                "preprocess": preprocess_seconds,
+                "fit": result.fit_seconds,
+                "score": result.score_seconds,
+            },
             "summary": summary,
         },
     )

@@ -25,7 +25,7 @@ from .errors import (
     NumericalError,
     SingularSystemError,
 )
-from .fpca import SpectralDecomposition, eigendecompose, fpca_far_fit, usable_directions
+from .fpca import SpectralDecomposition, eigendecompose, fpca_far_fit, spectra, usable_directions
 from .grid import QuadratureGrid, uniform_grid
 from .moments import (
     FunctionalSample,
@@ -43,7 +43,7 @@ from .simulate import (
     simulate_far1,
     simulate_states,
 )
-from .tikhonov import HOLDOUT_ALPHAS, CvResult, cv_select_alpha, tikhonov_fit
+from .tikhonov import HOLDOUT_ALPHAS, CvResult, _cv_select, cv_select_alpha, tikhonov_fit
 
 __all__ = [
     "MethodSpec",
@@ -147,48 +147,68 @@ def fit_method(
     moments: WeightedMomentPair | None = None,
     decomposition: SpectralDecomposition | None = None,
     cv_scheme: str = "holdout",
-) -> tuple[OperatorEstimate, CvResult | None]:
+):
     """Fit one estimator id to a sample in span coordinates; returns ``(estimate, cv)``.
 
     For ``tikhonov:cv`` the strength is selected with ``cv_scheme`` and the
     estimator is refitted on the full sample; ``cv`` is that selection's
-    ``CvResult`` (None for every other method).
+    ``CvResult`` (None for every other method). A stack of samples is
+    fitted in one pass and gives a list of such pairs, one per member; a
+    failure of any member raises for the whole stack.
     """
     if isinstance(method, str):
         method = parse_method(method)
     if moments is None:
         moments = weighted_moments(coords)
     if decomposition is None:
-        decomposition = eigendecompose(moments)
+        decomposition = spectra(moments)
+    cv = None
     if method.kind == "fpca":
         if method.k is not None:
             # one failure class for every K beyond the covariance's usable
             # directions, whatever the grid size and the sample length
             usable = usable_directions(decomposition.eigenvalues)
-            if method.k > usable:
+            if np.any(method.k > usable):
                 raise SingularSystemError(
                     f"K={method.k} exceeds the {usable} usable covariance directions"
                 )
         est = fpca_far_fit(
             coords, tau=method.tau, k=method.k, moments=moments, decomposition=decomposition
         )
-        return est, None
-    if not method.cv:
+    elif not method.cv:
         est = tikhonov_fit(coords, method.alpha, moments=moments, decomposition=decomposition)
-        return est, None
-    cv = cv_select_alpha(coords, decomposition, scheme=cv_scheme)
-    est = tikhonov_fit(coords, cv.selected_alpha, moments=moments, decomposition=decomposition)
-    return replace(est, tuning={**est.tuning, "selected_by": cv.scheme}), cv
+    elif not coords.stacked:
+        cv = cv_select_alpha(coords, decomposition, scheme=cv_scheme)
+        est = tikhonov_fit(coords, cv.selected_alpha, moments=moments, decomposition=decomposition)
+    else:
+        cv = _cv_select(coords, decomposition, scheme=cv_scheme)
+        alphas = [c.selected_alpha for c in cv]
+        est = tikhonov_fit(coords, alphas, moments=moments, decomposition=decomposition)
+    if not coords.stacked:
+        return _with_cv(est, cv)
+    return [_with_cv(e, c) for e, c in zip(est, cv or [None] * len(est))]
+
+
+def _with_cv(est: OperatorEstimate, cv: CvResult | None):
+    """``(estimate, cv)``, the estimate's tuning naming the scheme that selected it."""
+    if cv is not None:
+        est = replace(est, tuning={**est.tuning, "selected_by": cv.scheme})
+    return est, cv
 
 
 @dataclass(frozen=True, eq=False)
 class FitOutcome:
-    """One method fitted to one sample: the estimate, or the error that stopped it."""
+    """One method fitted to one sample: the estimate, or the error that stopped it.
+
+    ``refit_alone`` marks a member of a stack whose stacked step raised,
+    so that it was refitted on its own.
+    """
 
     estimate: OperatorEstimate | None
     error: str | None
     seconds: float  # this method's own fit time, shared decomposition excluded
     cv: CvResult | None = None  # the strength selection of a tikhonov:cv fit
+    refit_alone: bool = False
 
 
 def _error_text(exc: Exception) -> str:
@@ -208,25 +228,68 @@ def fit_methods(
     one at a time. Estimator failures (``FIT_ERRORS``) become outcomes
     with the error text, including a failed shared decomposition, which
     fails every method; any other exception propagates.
+
+    A stack of samples (``SpanCoordinates.windows``) is fitted through the
+    same steps, each step once for the whole stack, and yields per method
+    a tuple of outcomes, one per member, whose ``seconds`` share the
+    step's time. When a stacked step raises a ``FIT_ERRORS`` class, that
+    step is rerun for each member alone (``refit_alone``): each member
+    then records the outcome it would record alone, and a failing member
+    leaves its neighbours' fits unchanged.
     """
     methods = [parse_method(m) if isinstance(m, str) else m for m in methods]
     try:
         moments = weighted_moments(coords)
-        decomposition = eigendecompose(moments)
+        decomposition = spectra(moments)
     except FIT_ERRORS as exc:
+        if coords.stacked:
+            alone = [fit_methods(m, methods, cv_scheme=cv_scheme) for m in coords.members()]
+            for outcomes in zip(*alone):
+                yield tuple(replace(outcome, refit_alone=True) for outcome in outcomes)
+            return
         for _ in methods:
             yield FitOutcome(None, _error_text(exc), 0.0)
         return
     for method in methods:
-        t0 = time.perf_counter()
-        try:
-            est, cv = fit_method(
-                coords, method, moments=moments, decomposition=decomposition, cv_scheme=cv_scheme
+        yield _fit_outcome(coords, method, moments, decomposition, cv_scheme)
+
+
+def _fit_outcome(coords, method, moments, decomposition, cv_scheme):
+    """One method's FitOutcome for a sample, or its tuple of outcomes for a stack."""
+    t0 = time.perf_counter()
+    try:
+        fitted = fit_method(
+            coords, method, moments=moments, decomposition=decomposition, cv_scheme=cv_scheme
+        )
+    except FIT_ERRORS as exc:
+        if not coords.stacked:
+            return FitOutcome(None, _error_text(exc), time.perf_counter() - t0)
+        # each member alone, from its slice of the stack's moments and spectrum
+        return tuple(
+            replace(
+                _fit_outcome(
+                    member,
+                    method,
+                    WeightedMomentPair(c0, c1, mean),
+                    SpectralDecomposition(lam, vectors),
+                    cv_scheme,
+                ),
+                refit_alone=True,
             )
-        except FIT_ERRORS as exc:
-            yield FitOutcome(None, _error_text(exc), time.perf_counter() - t0)
-        else:
-            yield FitOutcome(est, None, time.perf_counter() - t0, cv)
+            for member, c0, c1, mean, lam, vectors in zip(
+                coords.members(),
+                moments.c0,
+                moments.c1,
+                moments.mean,
+                decomposition.eigenvalues,
+                decomposition.vectors,
+            )
+        )
+    seconds = time.perf_counter() - t0
+    if coords.stacked:
+        return tuple(FitOutcome(est, None, seconds / len(fitted), cv) for est, cv in fitted)
+    est, cv = fitted
+    return FitOutcome(est, None, seconds, cv)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ With every component retained this makes the fitted operator coincide with
 the unregularized moment solve C1 C0^{-1}, so it agrees with the ridge
 estimator in the limit of vanishing regularization; a pairwise-summed
 least-squares Gram would differ from that limit at order 1/n.
+
+Every stage takes a stack of samples in shared coordinates along a
+leading axis, as the rolling backtest fits its windows: the stack's
+covariances share one ``eigh`` call, each member keeps its own K, and
+the members that picked the same K are fitted in one batched product.
+``eigendecompose`` stays a one-sample function.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .moments import (
 __all__ = [
     "SpectralDecomposition",
     "eigendecompose",
+    "spectra",
     "checked_eigh",
     "select_k",
     "usable_directions",
@@ -55,18 +62,32 @@ NEGATIVE_EIGENVALUE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (nonincreasing, clamped >= 0) and eigenvectors of the covariance."""
+    """Eigenvalues (nonincreasing, clamped >= 0) and eigenvectors of the covariance.
+
+    A stack's decomposition carries its leading axis on both arrays.
+    """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray  # orthonormal columns in span coordinates
 
 
 def eigendecompose(moments: WeightedMomentPair) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition of the covariance matrix.
+    """Full symmetric eigendecomposition of one sample's covariance matrix.
 
     Eigenvalues are sorted nonincreasing and clamped at zero; ``checked_eigh``
     holds the checks, which raise NumericalError.
     """
+    return SpectralDecomposition(*checked_eigh(moments.c0))
+
+
+def spectra(moments: WeightedMomentPair) -> SpectralDecomposition:
+    """``eigendecompose`` for one sample; a stack's covariances in one ``checked_eigh`` call.
+
+    The decomposition of a stack holds (B, r) eigenvalues and (B, r, r)
+    eigenvectors.
+    """
+    if moments.c0.ndim == 2:
+        return eigendecompose(moments)
     return SpectralDecomposition(*checked_eigh(moments.c0))
 
 
@@ -100,32 +121,39 @@ def checked_eigh(c0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(lam, 0.0), vectors
 
 
-def select_k(eigenvalues, tau: float) -> int:
-    """Smallest K whose leading eigenvalue share reaches the threshold tau."""
+def select_k(eigenvalues, tau: float):
+    """Smallest K whose leading eigenvalue share reaches the threshold tau.
+
+    Eigenvalues of a stack, one spectrum per row, give one K per row; any
+    zero spectrum raises DegenerateSpectrumError.
+    """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"variance threshold must lie in (0, 1], got {tau}")
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.size == 0 or np.any(lam < 0):
+    if lam.size == 0 or (lam < 0).any():
         raise ValueError("eigenvalues must be a nonempty nonnegative sequence")
-    total = lam.sum()
-    if total <= 0:
+    total = lam.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         raise DegenerateSpectrumError("all eigenvalues are zero")
-    shares = np.cumsum(lam) / total
-    return int(np.searchsorted(shares, tau - 1e-12) + 1)
+    # the shares are nondecreasing: counting those below tau is a left searchsorted
+    k = (np.cumsum(lam, axis=-1) / total < tau - 1e-12).sum(axis=-1) + 1
+    return int(k) if lam.ndim == 1 else k
 
 
-def usable_directions(eigenvalues) -> int:
+def usable_directions(eigenvalues):
     """Number of leading eigenvalues a truncation can keep without a singular score Gram.
 
     A direction counts when its eigenvalue is positive and within
     GRAM_CONDITION_LIMIT of the leading one; eigenvalues are nonincreasing,
-    so the usable directions are a prefix.
+    so the usable directions are a prefix. A stack of spectra, one per
+    row, gives one count per row.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    positive = lam[lam > 0]
-    if positive.size == 0:
-        return 0
-    return int(np.count_nonzero(positive[0] / positive <= GRAM_CONDITION_LIMIT))
+    # the leading eigenvalue is the first positive one of a spectrum that has
+    # any; a zero eigenvalue gives an infinite or NaN ratio and does not count
+    with np.errstate(divide="ignore", invalid="ignore"):
+        usable = (lam[..., :1] / lam <= GRAM_CONDITION_LIMIT).sum(axis=-1)
+    return int(usable) if lam.ndim == 1 else usable
 
 
 def fpca_far_fit(
@@ -147,7 +175,9 @@ def fpca_far_fit(
     curve against the leading eigenfunctions, advancing the scores one step
     with the fitted autoregression matrix, and re-expanding in the
     eigenfunction basis. A grid sample is accepted too and is projected
-    with ``span_coordinates`` first.
+    with ``span_coordinates`` first. A stack of samples gives a tuple of
+    estimates, one per member at its own K; a check that fails for any
+    member raises for the whole stack.
     """
     if (tau is None) == (k is None):
         raise ValueError("give exactly one of tau and k")
@@ -156,27 +186,57 @@ def fpca_far_fit(
     if moments is None:
         moments = weighted_moments(coords)
     if decomposition is None:
-        decomposition = eigendecompose(moments)
+        decomposition = spectra(moments)
     lam = decomposition.eigenvalues
     if tau is not None:
         k = select_k(lam, tau)
-    k = int(k)
+    # one K per member, or the one K of a sample
+    if coords.stacked:
+        ks, usable = np.broadcast_to(k, lam.shape[:-1]).tolist(), usable_directions(lam).tolist()
+    else:
+        ks, usable = [int(k)], [usable_directions(lam)]
+    k = max(ks)
     m = coords.grid.size
-    if not 1 <= k <= m:
+    if min(ks) < 1 or k > m:
         raise ValueError(f"truncation level {k} outside 1..{m}")
     if coords.n < k + 2:
         raise InsufficientDataError(
             f"need at least K+2 = {k + 2} curves to fit a rank-{k} autoregression"
         )
-    if k > usable_directions(lam):
+    if any(k_i > u for k_i, u in zip(ks, usable)):
         raise SingularSystemError(
             f"score Gram matrix is numerically singular at K={k} "
             f"(condition above {GRAM_CONDITION_LIMIT:.0e})"
         )
-    q_k = decomposition.vectors[:, :k]
+    matrices = _truncation_matrices(moments.c1, lam, decomposition.vectors, ks)
+    tuning = {} if tau is None else {"tau": float(tau)}
+    if not coords.stacked:
+        return OperatorEstimate(matrices, coords, method="fpca", tuning={"k": k, **tuning})
+    return tuple(
+        OperatorEstimate(matrix, member, method="fpca", tuning={"k": k_i, **tuning})
+        for matrix, member, k_i in zip(matrices, coords.members(), ks)
+    )
+
+
+def _truncation_matrices(c1, lam, vectors, ks: list) -> np.ndarray:
+    """Rank-K truncation matrices of one sample or a stack, each member at its K in ``ks``.
+
+    The members that share a K are fitted in one batched product.
+    """
+    if len(set(ks)) == 1:
+        return _truncation(c1, lam, vectors, ks[0])
+    ks = np.array(ks)
+    matrices = np.empty_like(c1)
+    for k in np.unique(ks):
+        members = ks == k
+        matrices[members] = _truncation(c1[members], lam[members], vectors[members], k)
+    return matrices
+
+
+def _truncation(c1, lam, vectors, k: int) -> np.ndarray:
+    """The rank-k truncation matrix of one sample, or of each member of a stack."""
+    q_k = vectors[..., :k]
+    q_kt = q_k.swapaxes(-1, -2)
     # prediction-form coefficient matrix: new scores = a_pred @ old scores
-    a_pred = (q_k.T @ moments.c1 @ q_k) / lam[None, :k]
-    tuning = {"k": k}
-    if tau is not None:
-        tuning["tau"] = float(tau)
-    return OperatorEstimate(q_k @ a_pred @ q_k.T, coords, method="fpca", tuning=tuning)
+    a_pred = (q_kt @ c1 @ q_k) / lam[..., None, :k]
+    return q_k @ a_pred @ q_kt

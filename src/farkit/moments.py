@@ -4,7 +4,9 @@ Every fit runs in L2-orthonormal coordinates of the span of a sample's
 centred curves, built once by ``span_coordinates``: there the L2 inner
 product is the Euclidean one, so the moment matrices and estimators see
 unit weights, and the quadrature weights enter only where curves are
-encoded, forecasts decoded, or a grid kernel is formed.
+encoded, forecasts decoded, or a grid kernel is formed. Samples that
+share a basis, such as the windows of a rolling backtest, can be stacked
+along a leading axis; the moments of a stack are computed in one pass.
 """
 
 from __future__ import annotations
@@ -74,6 +76,10 @@ class SpanCoordinates:
     ``encode``, ``decode`` and ``kernel``. ``rank`` is the
     numerical rank of the centred curves; the basis keeps one column more
     only when that rank is 0. Built by ``span_coordinates``.
+
+    ``values`` of shape (B, n, r) is a stack of B samples in the same
+    coordinates, made by ``windows``; the fit path fits each member as it
+    would fit that member alone.
     """
 
     values: np.ndarray
@@ -83,15 +89,28 @@ class SpanCoordinates:
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    @property
+    def stacked(self) -> bool:
+        return self.values.ndim == 3
+
     def subsample(self, start: int, stop: int) -> "SpanCoordinates":
-        """Contiguous rows [start, stop) in the same coordinates."""
-        return replace(self, values=self.values[start:stop])
+        """Contiguous rows [start, stop) in the same coordinates, of every member of a stack."""
+        return replace(self, values=self.values[..., start:stop, :])
+
+    def windows(self, starts, length: int) -> "SpanCoordinates":
+        """The stack of the ``length``-row subsamples starting at each of ``starts``."""
+        rows = np.asarray(starts)[:, None] + np.arange(length)
+        return replace(self, values=self.values[rows])
+
+    def members(self) -> tuple:
+        """The samples of a stack, each in the same coordinates."""
+        return tuple(SpanCoordinates(v, self.basis, self.grid, self.rank) for v in self.values)
 
     def encode(self, values) -> np.ndarray:
         """Coordinates ``(x * sqrt(w)) @ V`` of grid curves, one per row.
@@ -151,7 +170,9 @@ class WeightedMomentPair:
     """Covariance and lag-one cross-covariance in span coordinates, with the mean.
 
     The coordinates are L2-orthonormal, so these are the sample covariance
-    operators of the curves restricted to their span.
+    operators of the curves restricted to their span. The moments of a
+    stack carry its leading axis: ``c0`` and ``c1`` are (B, r, r) and
+    ``mean`` is (B, r).
     """
 
     c0: np.ndarray
@@ -159,12 +180,13 @@ class WeightedMomentPair:
     mean: np.ndarray
 
     def __post_init__(self):
-        r = np.size(self.mean)
+        mean = np.asarray(self.mean, dtype=float)
+        r = mean.shape[-1] if mean.ndim else 1
         for name in ("c0", "c1"):
             mat = np.asarray(getattr(self, name), dtype=float)
-            if mat.shape != (r, r):
+            if mat.shape != mean.shape[:-1] + (r, r):
                 raise GridError(f"{name} must be {r}x{r} to match the mean")
-            if not np.all(np.isfinite(mat)):
+            if not np.isfinite(mat).all():
                 raise GridError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, mat)
 
@@ -190,7 +212,7 @@ class OperatorEstimate:
         r = self.coordinates.dim
         if matrix.shape != (r, r):
             raise GridError(f"operator matrix must be {r}x{r} to match the coordinates")
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise GridError("operator matrix contains non-finite entries")
         object.__setattr__(self, "matrix", matrix)
 
@@ -208,17 +230,20 @@ def weighted_moments(coords: SpanCoordinates) -> WeightedMomentPair:
     coordinate j; ``mean`` is zbar. Rows that are identical to within a few
     ulps of their largest coordinate centre to exact zeros, so such a
     window has the zero spectrum of rows at the sample mean instead of
-    one fitted to rounding residues.
+    one fitted to rounding residues. Each member of a stack gets the
+    moments, and the rule, it would get alone, with the same bits.
     """
     n = coords.n
     if n < 2:
         raise InsufficientDataError("moment estimation needs at least 2 curves")
-    zbar = coords.values.mean(axis=0)
-    centered = coords.values - zbar
-    if np.abs(centered).max() <= 8 * np.finfo(float).eps * np.abs(coords.values).max():
-        centered = np.zeros_like(centered)
-    c0 = centered.T @ centered / n
-    c1 = centered[1:].T @ centered[:-1] / (n - 1)
+    values = coords.values
+    zbar = values.mean(axis=-2)
+    centered = values - zbar[..., None, :]
+    tol = 8 * np.finfo(float).eps
+    constant = np.abs(centered).max(axis=(-2, -1)) <= tol * np.abs(values).max(axis=(-2, -1))
+    centered[constant] = 0.0
+    c0 = centered.swapaxes(-1, -2) @ centered / n
+    c1 = centered[..., 1:, :].swapaxes(-1, -2) @ centered[..., :-1, :] / (n - 1)
     return WeightedMomentPair(c0, c1, zbar)
 
 

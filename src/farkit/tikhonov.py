@@ -9,6 +9,12 @@ sample's blocks are eigendecomposed together, in one stacked call. In
 that spectrum the ridge acts as the filter 1 / (lambda + alpha), so each
 block then scores its whole grid with one matrix product on the rotated
 validation data.
+
+The fit and the sweep also take a stack of samples in shared coordinates
+along a leading axis, as the rolling backtest fits its windows: then the
+training covariances of every member's blocks share the ``eigh`` call,
+and each member gets the strength, curve and fit it would get alone.
+``cv_select_alpha`` stays a one-sample function over the same kernel.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, InsufficientDataError
-from .fpca import SpectralDecomposition, checked_eigh, eigendecompose
+from .errors import DegenerateSpectrumError, InsufficientDataError, NumericalError
+from .fpca import SpectralDecomposition, checked_eigh, eigendecompose, spectra
 from .moments import OperatorEstimate, SpanCoordinates, WeightedMomentPair, weighted_moments
 
 __all__ = [
@@ -44,28 +50,37 @@ class CvResult:
 
 def tikhonov_fit(
     coords: SpanCoordinates,
-    alpha: float,
+    alpha,
     *,
     moments: WeightedMomentPair | None = None,
     decomposition: SpectralDecomposition | None = None,
-) -> OperatorEstimate:
+):
     """Ridge estimate of the autoregression operator at a fixed strength.
 
     Computes C1 (C0 + alpha I)^{-1} in span coordinates through the
     spectral decomposition of C0. Precomputed moments of ``coords`` and
-    the decomposition of their ``c0`` skip the O(r^3) work.
+    the decomposition of their ``c0`` skip the O(r^3) work. A stack of
+    samples gives a tuple of estimates, one per member, at one strength
+    or at one strength per member.
     """
-    alpha = float(alpha)
-    if not alpha > 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if not (alpha > 0).all():
         raise ValueError(f"ridge strength must be positive, got {alpha}")
     if moments is None:
         moments = weighted_moments(coords)
     if decomposition is None:
-        decomposition = eigendecompose(moments)
+        decomposition = spectra(moments)
     lam = decomposition.eigenvalues
     q = decomposition.vectors
-    psi = ((moments.c1 @ q) / (lam + alpha)[None, :]) @ q.T
-    return OperatorEstimate(psi, coords, method="tikhonov", tuning={"alpha": alpha})
+    filters = (lam + alpha[..., None])[..., None, :]
+    psi = ((moments.c1 @ q) / filters) @ q.swapaxes(-1, -2)
+    if not coords.stacked:
+        return OperatorEstimate(psi, coords, method="tikhonov", tuning={"alpha": float(alpha)})
+    alphas = np.broadcast_to(alpha, len(psi)).tolist()
+    return tuple(
+        OperatorEstimate(matrix, member, method="tikhonov", tuning={"alpha": a})
+        for matrix, member, a in zip(psi, coords.members(), alphas)
+    )
 
 
 def _fast_cv_losses(train: SpanCoordinates, lag_values, target_values, alphas):
@@ -94,24 +109,28 @@ def _block_losses(mom: WeightedMomentPair, lam, q, lag_values, target_values, al
     ``d_a = 1 / (lam + alpha_a)``, the error ``||z - B diag(d_a) r||^2``
     expands into a constant, a linear and a quadratic form in ``d_a``, so
     the filters of all strengths, stacked as the rows of one (A, r)
-    matrix, are scored by one matrix product.
+    matrix, are scored by one matrix product. Every argument may carry
+    the leading axis of a stack, and the losses then carry it too.
     """
-    z_tgt = target_values - mom.mean
-    rotated_lags = (lag_values - mom.mean) @ q
+    mean = mom.mean[..., None, :]
+    z_tgt = target_values - mean
+    rotated_lags = (lag_values - mean) @ q
     b = mom.c1 @ q
 
-    const = float(np.sum(z_tgt**2))
-    linear = np.sum((z_tgt @ b) * rotated_lags, axis=0)
-    quad = (b.T @ b) * (rotated_lags.T @ rotated_lags)
+    const = np.sum(z_tgt**2, axis=(-2, -1))
+    linear = np.sum((z_tgt @ b) * rotated_lags, axis=-2)
+    quad = (b.swapaxes(-1, -2) @ b) * (rotated_lags.swapaxes(-1, -2) @ rotated_lags)
 
-    d = 1.0 / (lam[None, :] + alphas[:, None])
-    return (const - 2.0 * (d @ linear) + np.einsum("ar,ar->a", d @ quad, d)) / len(target_values)
+    d = 1.0 / (lam[..., None, :] + alphas[..., :, None])
+    losses = const[..., None] - 2.0 * (d @ linear[..., None])[..., 0]
+    return (losses + np.einsum("...ar,...ar->...a", d @ quad, d)) / target_values.shape[-2]
 
 
-def _select_from_losses(alphas, losses) -> float:
-    """Grid value with the smallest loss; exact ties go to the larger alpha."""
-    best = losses.min()
-    return float(alphas[np.max(np.nonzero(losses == best)[0])])
+def _last_minimum(losses):
+    """Index of the smallest loss in each row; exact ties go to the last, the larger alpha."""
+    if np.isnan(losses).any():
+        raise NumericalError("cross-validation losses are not numbers")
+    return losses.shape[-1] - 1 - losses[..., ::-1].argmin(axis=-1)
 
 
 def cv_select_alpha(
@@ -139,7 +158,18 @@ def cv_select_alpha(
         DegenerateSpectrumError, before the length check. Requires n >= 35.
 
     The returned loss curve covers the whole grid; refitting on the full
-    sample at the selected alpha is the caller's responsibility.
+    sample at the selected alpha is the caller's responsibility. This
+    function takes one sample; ``_cv_select`` runs the same sweep on a
+    stack.
+    """
+    return _cv_select(coords, decomposition, scheme)
+
+
+def _cv_select(coords: SpanCoordinates, decomposition: SpectralDecomposition, scheme: str):
+    """``cv_select_alpha`` of one sample, or a tuple of one CvResult per member of a stack.
+
+    A stack's members share the scheme's blocks, because they share the
+    length n. Any member's failure raises for the whole stack.
     """
     n = coords.n
     if scheme == "holdout":
@@ -148,8 +178,8 @@ def cv_select_alpha(
         blocks = [np.arange(n - max(n // 5, 20), n)]
         alphas = HOLDOUT_ALPHAS
     elif scheme == "k-fold-forward":
-        lam1 = float(decomposition.eigenvalues[0])
-        if lam1 <= 0:
+        lam1 = decomposition.eigenvalues[..., :1]
+        if (lam1 <= 0).any():
             raise DegenerateSpectrumError("covariance spectrum is identically zero")
         if n < 35:
             raise InsufficientDataError(f"k-fold-forward cross-validation needs n >= 35, got {n}")
@@ -162,13 +192,24 @@ def cv_select_alpha(
     # covariances then share one eigh call
     moments = [weighted_moments(coords.subsample(0, int(block[0]))) for block in blocks]
     lam, q = checked_eigh(np.stack([mom.c0 for mom in moments]))
+    # np.take keeps each member's rows contiguous, so that its loss sums
+    # run in the order of a sample alone
+    values = coords.values
     losses = np.mean(
         [
-            _block_losses(mom, lam_b, q_b, coords.values[block - 1], coords.values[block], alphas)
+            _block_losses(
+                mom, lam_b, q_b, np.take(values, block - 1, -2), np.take(values, block, -2), alphas
+            )
             for mom, lam_b, q_b, block in zip(moments, lam, q, blocks)
         ],
         axis=0,
     )
-    selected = _select_from_losses(alphas, losses)
-    curve = tuple((float(a), float(l)) for a, l in zip(alphas, losses))
-    return CvResult(selected, curve, scheme=scheme)
+    best = _last_minimum(losses)
+    if not coords.stacked:
+        return CvResult(float(alphas[best]), tuple(zip(alphas.tolist(), losses.tolist())), scheme)
+    alphas = np.broadcast_to(alphas, losses.shape)
+    selected = np.take_along_axis(alphas, best[:, None], 1)[:, 0]
+    return tuple(
+        CvResult(s, tuple(zip(a, l)), scheme)
+        for s, a, l in zip(selected.tolist(), alphas.tolist(), losses.tolist())
+    )

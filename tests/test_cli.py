@@ -227,6 +227,10 @@ class TestRollingCommand:
         weekday = read_csv_rows(out / "weekday_means.csv")
         assert len(weekday) - 1 == 7
         assert len(weekday[1].split(",")) == 49
+        meta = json.loads((out / "rolling.meta.json").read_text())
+        assert meta["single_member_refits"] == 0
+        assert set(meta["stage_seconds"]) == {"preprocess", "fit", "score"}
+        assert all(seconds >= 0 for seconds in meta["stage_seconds"].values())
 
     def test_single_method_refit_flags(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -253,6 +257,8 @@ class TestRollingCommand:
             assert by_method[label]["evaluations"] == 0
             assert by_method[label]["failures_by_class"] == {"SingularSystemError": 30}
         assert by_method["fpca:0.9"]["failures_by_class"] == {}
+        # every window's K=5000 step raised in its stack and was refit alone
+        assert meta["single_member_refits"] == 3
         rows = [r.split(",") for r in read_csv_rows(out / "forecasts.csv")[1:]]
         assert [r[2] for r in rows if r[1] == "fpca:K=5000"] == ["nan"] * 30
 

@@ -23,11 +23,12 @@ from farkit.evaluate import (
     verify_bias_bound,
     worst_case_table,
 )
-from conftest import grid_operator
+from conftest import grid_operator, unit_weight_grid
 from farkit.grid import make_trapezoid_grid, uniform_grid
 from farkit.moments import (
     FunctionalSample,
     OperatorEstimate,
+    SpanCoordinates,
     apply_kernel_matrix,
     span_coordinates,
 )
@@ -59,6 +60,32 @@ class TestParseMethod:
                 parse_method(bad)
 
 
+def ar_window(rng, n=60, r=12, rank=12):
+    """AR(1) coordinates whose innovations fill the leading ``rank`` of r directions."""
+    scale = np.zeros(r)
+    scale[:rank] = rng.uniform(0.2, 2.0, rank)
+    values = np.zeros((n, r))
+    for t in range(1, n):
+        values[t] = 0.5 * values[t - 1] + scale * rng.standard_normal(r)
+    return values
+
+
+STACK_LABELS = ["fpca:0.90", "fpca:0.60", "fpca:K=11", "tikhonov:0.1", "tikhonov:cv"]
+
+
+def assert_same_outcome(stacked, alone):
+    assert stacked.error == alone.error
+    if alone.estimate is None:
+        assert stacked.estimate is None
+        return
+    assert np.array_equal(stacked.estimate.matrix, alone.estimate.matrix)
+    assert stacked.estimate.tuning == alone.estimate.tuning
+    assert (stacked.cv is None) == (alone.cv is None)
+    if alone.cv is not None:
+        assert stacked.cv.selected_alpha == alone.cv.selected_alpha
+        assert stacked.cv.cv_curve == alone.cv.cv_curve
+
+
 class TestFitMethods:
     def test_shared_decomposition_matches_single_fits(self, rng):
         coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 9)), uniform_grid(9)))
@@ -79,6 +106,14 @@ class TestFitMethods:
         assert [o.estimate for o in outcomes] == [None, None]
         assert all(o.error.startswith("GridError:") for o in outcomes)
 
+    def test_overflowing_cv_losses_recorded_as_numerical_error(self, rng):
+        # finite moments, but the validation losses overflow to inf - inf
+        sample = FunctionalSample(rng.standard_normal((60, 8)) * 1e150, uniform_grid(8))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cv, fpca = fit_methods(span_coordinates(sample), ["tikhonov:cv", "fpca:0.9"])
+        assert cv.error == "NumericalError: cross-validation losses are not numbers"
+        assert fpca.error is None
+
     @pytest.mark.parametrize("tail", [0, 40], ids=["all-constant", "constant-then-noise"])
     def test_constant_window_fails_whatever_follows(self, tail):
         # 100 identical curves, away from the whole sample's mean when noisy
@@ -97,6 +132,65 @@ class TestFitMethods:
         coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 8)), uniform_grid(8)))
         with pytest.raises(ValueError):
             list(fit_methods(coords, ["tikhonov:cv"], cv_scheme="leave-one-out"))
+
+    def fit_stack(self, members, labels, scheme="k-fold-forward"):
+        """Fit members as one stack and check each outcome against the member fitted alone."""
+        r = members[0].shape[1]
+        stack = SpanCoordinates(np.stack(members), np.eye(r), unit_weight_grid(r), r)
+        outcomes = list(fit_methods(stack, labels, cv_scheme=scheme))
+        assert [len(o) for o in outcomes] == [len(members)] * len(labels)
+        for i, member in enumerate(stack.members()):
+            alone = fit_methods(member, labels, cv_scheme=scheme)
+            for per_method, single in zip(outcomes, alone):
+                assert_same_outcome(per_method[i], single)
+        return outcomes
+
+    @pytest.mark.parametrize(
+        "n, r, scheme",
+        [
+            (60, 12, "k-fold-forward"),
+            (97, 21, "holdout"),
+            (150, 5, "k-fold-forward"),
+            (40, 8, "holdout"),
+        ],
+    )
+    def test_stacked_healthy_members_fit_in_one_pass(self, n, r, scheme):
+        rng = np.random.default_rng(n + r)
+        members = [ar_window(rng, n, r, rank) for rank in (r, r, r, r - 1, r - 2, r - 3)]
+        outcomes = self.fit_stack(members, STACK_LABELS, scheme)
+        by_label = dict(zip(STACK_LABELS, outcomes))
+        for label in ("fpca:0.90", "fpca:0.60", "tikhonov:0.1", "tikhonov:cv"):
+            assert not any(o.refit_alone or o.error for o in by_label[label])
+        # the thresholds pick more than one K across the stack
+        assert len({o.estimate.tuning["k"] for o in by_label["fpca:0.90"]}) > 1
+
+    @pytest.mark.parametrize("overflow", [False, True], ids=["method-steps", "shared-step"])
+    def test_stacked_failing_members_leave_neighbours_unchanged(self, overflow):
+        rng = np.random.default_rng(12)
+        members = [ar_window(rng), np.ones((60, 12)), ar_window(rng, rank=10), ar_window(rng)]
+        if overflow:
+            members.insert(2, ar_window(rng) * 1e156)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = self.fit_stack(members, STACK_LABELS)
+        fpca, _, k11, ridge, cv = outcomes
+        constant = 1
+        assert fpca[constant].error.startswith("DegenerateSpectrumError:")
+        assert cv[constant].error.startswith("DegenerateSpectrumError:")
+        assert ridge[constant].error is None and not np.any(ridge[constant].estimate.matrix)
+        assert k11[-2].error.startswith("SingularSystemError:")
+        healthy = [0, len(members) - 1]
+        for per_method in outcomes:
+            assert all(per_method[i].error is None for i in healthy)
+        if overflow:
+            assert all(o.error.startswith("GridError:") for o in (per[2] for per in outcomes))
+            # the shared step raised: every member of the stack was refit alone
+            assert all(o.refit_alone for per_method in outcomes for o in per_method)
+        else:
+            # only the steps that raised were rerun member by member
+            assert [all(o.refit_alone for o in per) for per in outcomes] == [
+                True, True, True, False, True
+            ]
+            assert not any(o.refit_alone for o in ridge)
 
 
 def noisy_sample():

@@ -5,10 +5,11 @@ import pytest
 
 import dense_reference
 from farkit.errors import InsufficientDataError, SingularSystemError
-from farkit.evaluate import fit_method
+from farkit.evaluate import FIT_ERRORS, fit_method
 from farkit.grid import uniform_grid
 from farkit.moments import FunctionalSample, apply_kernel_matrix, span_coordinates
 from farkit.preprocess import (
+    BATCH_SIZE,
     SLOTS_PER_DAY,
     PipelineConfig,
     RawDayRecord,
@@ -292,6 +293,8 @@ class TestRollingForecast:
         assert len(result.records) == 30
         assert all(r.error is not None for r in result.records)
         assert all(np.isnan(r.ise) for r in result.records)
+        # both windows share one stack, whose threshold step raised
+        assert result.single_member_refits == 2
 
     def test_gap_on_refit_day_keeps_refit_schedule(self):
         sample = drifting_sample(140)
@@ -326,13 +329,28 @@ class TestRollingForecast:
         assert all(r.error is not None and np.isnan(r.ise) for r in failed)
         assert all(np.isnan(r.tuning) for r in failed)
         assert all(r.error is None for r in scored)
-        coords = span_coordinates(sample)
-        for row in scored:
-            start = row.index - row.index % 10
-            est, _ = fit_method(coords.subsample(start - 100, start), "fpca:0.90")
-            forecast = apply_kernel_matrix(est, sample.values[row.index - 1 : row.index])[0]
-            expected = np.mean((forecast - sample.values[row.index]) ** 2)
-            assert row.ise == pytest.approx(expected, rel=1e-10)
+        # the seven windows share one stack, whose threshold step raised
+        assert result.single_member_refits == 7
+        expected = per_window_rows(sample, 100, 10, "fpca:0.90")
+        assert [r.ise for r in scored] == [expected[r.index][0] for r in scored]
+        assert [r.tuning for r in scored] == [expected[r.index][1] for r in scored]
+
+    @pytest.mark.parametrize("refit", [1, 7])
+    def test_stacked_windows_equal_per_window_fits(self, refit):
+        # more windows than two stacks, and a last stack that is not full
+        window = 40
+        sample = drifting_sample(window + refit * (2 * BATCH_SIZE + 3))
+        labels = ("fpca:0.80", "fpca:0.95", "fpca:K=3", "tikhonov:0.05", "tikhonov:cv")
+        config = RollingConfig(window=window, refit_interval=refit, methods=labels,
+                               gap_policy="contiguous")
+        result = rolling_forecast(sample, config)
+        assert result.single_member_refits == 0
+        for label in labels:
+            expected = per_window_rows(sample, window, refit, label)
+            rows = [r for r in result.records if r.method == label]
+            assert [r.index for r in rows] == sorted(expected)
+            assert all(r.error is None for r in rows)
+            assert [(r.ise, r.tuning) for r in rows] == [expected[r.index] for r in rows]
 
     def test_needs_more_than_window(self):
         sample = drifting_sample(100)
@@ -345,6 +363,31 @@ class TestRollingForecast:
         config = RollingConfig(window=100, methods=("fpca:0.90",))
         with pytest.raises(ValueError):
             rolling_forecast(sample, config)
+
+
+def per_window_rows(sample, window, refit, label):
+    """{day: (ise, tuning)} of a backtest fitted window by window, as ``fit_method`` fits one.
+
+    Each block is scored as ``rolling_forecast`` scores it: one
+    ``apply_kernel_matrix`` call on the block's predecessor days. The
+    blocks of failed fits are left out.
+    """
+    coords = span_coordinates(sample)
+    values = sample.values
+    rows = {}
+    for start in range(window, sample.n, refit):
+        stop = min(start + refit, sample.n)
+        try:
+            est, _ = fit_method(
+                coords.subsample(start - window, start), label, cv_scheme="k-fold-forward"
+            )
+        except FIT_ERRORS:
+            continue
+        residual = values[start:stop] - apply_kernel_matrix(est, values[start - 1 : stop - 1])
+        tuning = float(est.tuning["k"] if "k" in est.tuning else est.tuning["alpha"])
+        for t, error in zip(range(start, stop), np.mean(residual**2, axis=1)):
+            rows[t] = (float(error), tuning)
+    return rows
 
 
 def spline_sample(n, seed=0):

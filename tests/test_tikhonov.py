@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 import dense_reference
-from conftest import moment_pair, random_spd, rotation_coordinates
+from conftest import moment_pair, random_spd, rotation_coordinates, unit_weight_grid
 from farkit import tikhonov
 from farkit.errors import DegenerateSpectrumError, InsufficientDataError, NumericalError
 from farkit.evaluate import fit_methods
-from farkit.fpca import eigendecompose
+from farkit.fpca import eigendecompose, spectra
 from farkit.grid import uniform_grid
 from farkit.moments import (
     FunctionalSample,
+    SpanCoordinates,
     WeightedMomentPair,
     span_coordinates,
     weighted_moments,
@@ -318,6 +319,30 @@ class TestStackedSweep:
         prefix = coords.values[:12]
         assert np.abs(prefix - prefix.mean(axis=0)).max() > 0
         assert not np.any(weighted_moments(coords.subsample(0, 12)).c0)
+
+    def test_stack_ties_go_to_the_largest_alpha_per_member(self, rng):
+        # holdout on 60 curves validates the last 20 from the first 40. Member 0's
+        # training curves are integers with zero sums and its validation lags are
+        # zero, i.e. exactly the training mean: every strength forecasts the
+        # same, so its losses tie across the grid. Member 1 is noise.
+        m = 6
+        tied = np.zeros((60, m))
+        noise = rng.integers(-3, 4, (19, m)).astype(float)
+        tied[:19], tied[19:38] = noise, -noise
+        tied[59] = rng.integers(1, 4, m)
+        stack = SpanCoordinates(
+            np.stack([tied, rng.standard_normal((60, m))]), np.eye(m), unit_weight_grid(m), m
+        )
+        results = tikhonov._cv_select(stack, spectra(weighted_moments(stack)), "holdout")
+        tied_losses, noise_losses = (curve_arrays(result)[1] for result in results)
+        assert np.all(tied_losses == tied_losses[0]) and tied_losses[0] > 0
+        assert np.count_nonzero(noise_losses == noise_losses.min()) == 1
+        assert results[0].selected_alpha == HOLDOUT_ALPHAS[-1]
+        assert results[1].selected_alpha == HOLDOUT_ALPHAS[np.argmin(noise_losses)]
+        for result, member in zip(results, stack.members()):
+            alone = cv_select_alpha(member, eigendecompose(weighted_moments(member)), "holdout")
+            assert result.selected_alpha == alone.selected_alpha
+            assert result.cv_curve == alone.cv_curve
 
     @pytest.mark.parametrize("scheme", ["holdout", "k-fold-forward"])
     @pytest.mark.parametrize(
