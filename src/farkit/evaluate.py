@@ -152,9 +152,8 @@ def fit_method(
 
     For ``tikhonov:cv`` the strength is selected with ``cv_scheme`` and the
     estimator is refitted on the full sample; ``cv`` is that selection's
-    ``CvResult`` (None for every other method). A stack of samples is
-    fitted in one pass and gives a list of such pairs, one per member; a
-    failure of any member raises for the whole stack.
+    ``CvResult`` (None for every other method). A stack is fitted in one
+    pass; a failure of any member raises for the whole stack.
     """
     if isinstance(method, str):
         method = parse_method(method)
@@ -162,7 +161,6 @@ def fit_method(
         moments = weighted_moments(coords)
     if decomposition is None:
         decomposition = spectra(moments)
-    cv = None
     if method.kind == "fpca":
         if method.k is not None:
             # one failure class for every K beyond the covariance's usable
@@ -177,23 +175,20 @@ def fit_method(
         )
     elif not method.cv:
         est = tikhonov_fit(coords, method.alpha, moments=moments, decomposition=decomposition)
-    elif not coords.stacked:
-        cv = cv_select_alpha(coords, decomposition, scheme=cv_scheme)
-        est = tikhonov_fit(coords, cv.selected_alpha, moments=moments, decomposition=decomposition)
     else:
-        cv = _cv_select(coords, decomposition, scheme=cv_scheme)
-        alphas = [c.selected_alpha for c in cv]
-        est = tikhonov_fit(coords, alphas, moments=moments, decomposition=decomposition)
-    if not coords.stacked:
-        return _with_cv(est, cv)
-    return [_with_cv(e, c) for e, c in zip(est, cv or [None] * len(est))]
+        # perfbench's tracer reads the result of cv_select_alpha as one
+        # CvResult, so a stack runs the same sweep under its private name
+        select = _cv_select if coords.stacked else cv_select_alpha
+        cv = select(coords, decomposition, scheme=cv_scheme)
+        alpha = coords.per_member(lambda _, c: c.selected_alpha, cv)
+        est = tikhonov_fit(coords, alpha, moments=moments, decomposition=decomposition)
+        return coords.per_member(_with_cv, est, cv)
+    return coords.per_member(lambda _, e: (e, None), est)
 
 
-def _with_cv(est: OperatorEstimate, cv: CvResult | None):
+def _with_cv(_, est: OperatorEstimate, cv: CvResult):
     """``(estimate, cv)``, the estimate's tuning naming the scheme that selected it."""
-    if cv is not None:
-        est = replace(est, tuning={**est.tuning, "selected_by": cv.scheme})
-    return est, cv
+    return replace(est, tuning={**est.tuning, "selected_by": cv.scheme}), cv
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,66 +225,42 @@ def fit_methods(
     fails every method; any other exception propagates.
 
     A stack of samples (``SpanCoordinates.windows``) is fitted through the
-    same steps, each step once for the whole stack, and yields per method
-    a tuple of outcomes, one per member, whose ``seconds`` share the
-    step's time. When a stacked step raises a ``FIT_ERRORS`` class, that
-    step is rerun for each member alone (``refit_alone``): each member
-    then records the outcome it would record alone, and a failing member
-    leaves its neighbours' fits unchanged.
+    same steps, each step once for the whole stack, and its members'
+    outcomes share the step's ``seconds``. When a stacked step raises a
+    ``FIT_ERRORS`` class, each member is refitted alone through
+    ``fit_methods`` for the methods that step covered (``refit_alone``):
+    each member then records the outcome it would record alone, and a
+    failing member leaves its neighbours' fits unchanged.
     """
     methods = [parse_method(m) if isinstance(m, str) else m for m in methods]
     try:
         moments = weighted_moments(coords)
         decomposition = spectra(moments)
     except FIT_ERRORS as exc:
-        if coords.stacked:
-            alone = [fit_methods(m, methods, cv_scheme=cv_scheme) for m in coords.members()]
-            for outcomes in zip(*alone):
-                yield tuple(replace(outcome, refit_alone=True) for outcome in outcomes)
-            return
-        for _ in methods:
-            yield FitOutcome(None, _error_text(exc), 0.0)
+        yield from _failed_step(coords, methods, exc, 0.0, cv_scheme)
         return
     for method in methods:
-        yield _fit_outcome(coords, method, moments, decomposition, cv_scheme)
+        t0 = time.perf_counter()
+        try:
+            fitted = fit_method(
+                coords, method, moments=moments, decomposition=decomposition, cv_scheme=cv_scheme
+            )
+        except FIT_ERRORS as exc:
+            yield from _failed_step(coords, [method], exc, time.perf_counter() - t0, cv_scheme)
+            continue
+        seconds = (time.perf_counter() - t0) / (len(coords.values) if coords.stacked else 1)
+        yield coords.per_member(lambda _, fit: FitOutcome(fit[0], None, seconds, fit[1]), fitted)
 
 
-def _fit_outcome(coords, method, moments, decomposition, cv_scheme):
-    """One method's FitOutcome for a sample, or its tuple of outcomes for a stack."""
-    t0 = time.perf_counter()
-    try:
-        fitted = fit_method(
-            coords, method, moments=moments, decomposition=decomposition, cv_scheme=cv_scheme
-        )
-    except FIT_ERRORS as exc:
-        if not coords.stacked:
-            return FitOutcome(None, _error_text(exc), time.perf_counter() - t0)
-        # each member alone, from its slice of the stack's moments and spectrum
-        return tuple(
-            replace(
-                _fit_outcome(
-                    member,
-                    method,
-                    WeightedMomentPair(c0, c1, mean),
-                    SpectralDecomposition(lam, vectors),
-                    cv_scheme,
-                ),
-                refit_alone=True,
-            )
-            for member, c0, c1, mean, lam, vectors in zip(
-                coords.members(),
-                moments.c0,
-                moments.c1,
-                moments.mean,
-                decomposition.eigenvalues,
-                decomposition.vectors,
-            )
-        )
-    seconds = time.perf_counter() - t0
-    if coords.stacked:
-        return tuple(FitOutcome(est, None, seconds / len(fitted), cv) for est, cv in fitted)
-    est, cv = fitted
-    return FitOutcome(est, None, seconds, cv)
+def _failed_step(coords: SpanCoordinates, methods, exc: Exception, seconds: float, cv_scheme):
+    """The outcomes of ``methods`` after their step raised ``exc``.
+
+    A sample records the error; each member of a stack is refitted alone.
+    """
+    if not coords.stacked:
+        return (FitOutcome(None, _error_text(exc), seconds) for _ in methods)
+    alone = [fit_methods(member, methods, cv_scheme=cv_scheme) for member in coords.members()]
+    return (tuple(replace(o, refit_alone=True) for o in outcomes) for outcomes in zip(*alone))
 
 
 # ---------------------------------------------------------------------------

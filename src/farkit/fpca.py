@@ -14,10 +14,10 @@ estimator in the limit of vanishing regularization; a pairwise-summed
 least-squares Gram would differ from that limit at order 1/n.
 
 Every stage takes a stack of samples in shared coordinates along a
-leading axis, as the rolling backtest fits its windows: the stack's
-covariances share one ``eigh`` call, each member keeps its own K, and
-the members that picked the same K are fitted in one batched product.
-``eigendecompose`` stays a one-sample function.
+leading axis (``SpanCoordinates``), as the rolling backtest fits its
+windows: the stack's covariances share one ``eigh`` call, each member
+keeps its own K, and the members that picked the same K are fitted in
+one batched product. ``eigendecompose`` stays a one-sample function.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ def spectra(moments: WeightedMomentPair) -> SpectralDecomposition:
     The decomposition of a stack holds (B, r) eigenvalues and (B, r, r)
     eigenvectors.
     """
+    # perfbench's tracer reads the eigenvalues that eigendecompose returns as
+    # one sample's dimension, so a stack must not pass through it
     if moments.c0.ndim == 2:
         return eigendecompose(moments)
     return SpectralDecomposition(*checked_eigh(moments.c0))
@@ -124,8 +126,8 @@ def checked_eigh(c0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def select_k(eigenvalues, tau: float):
     """Smallest K whose leading eigenvalue share reaches the threshold tau.
 
-    Eigenvalues of a stack, one spectrum per row, give one K per row; any
-    zero spectrum raises DegenerateSpectrumError.
+    One K per spectrum along the last axis; any zero spectrum raises
+    DegenerateSpectrumError.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"variance threshold must lie in (0, 1], got {tau}")
@@ -136,8 +138,7 @@ def select_k(eigenvalues, tau: float):
     if (total <= 0).any():
         raise DegenerateSpectrumError("all eigenvalues are zero")
     # the shares are nondecreasing: counting those below tau is a left searchsorted
-    k = (np.cumsum(lam, axis=-1) / total < tau - 1e-12).sum(axis=-1) + 1
-    return int(k) if lam.ndim == 1 else k
+    return (np.cumsum(lam, axis=-1) / total < tau - 1e-12).sum(axis=-1) + 1
 
 
 def usable_directions(eigenvalues):
@@ -145,15 +146,14 @@ def usable_directions(eigenvalues):
 
     A direction counts when its eigenvalue is positive and within
     GRAM_CONDITION_LIMIT of the leading one; eigenvalues are nonincreasing,
-    so the usable directions are a prefix. A stack of spectra, one per
-    row, gives one count per row.
+    so the usable directions are a prefix. One count per spectrum along
+    the last axis.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     # the leading eigenvalue is the first positive one of a spectrum that has
     # any; a zero eigenvalue gives an infinite or NaN ratio and does not count
     with np.errstate(divide="ignore", invalid="ignore"):
-        usable = (lam[..., :1] / lam <= GRAM_CONDITION_LIMIT).sum(axis=-1)
-    return int(usable) if lam.ndim == 1 else usable
+        return (lam[..., :1] / lam <= GRAM_CONDITION_LIMIT).sum(axis=-1)
 
 
 def fpca_far_fit(
@@ -175,9 +175,9 @@ def fpca_far_fit(
     curve against the leading eigenfunctions, advancing the scores one step
     with the fitted autoregression matrix, and re-expanding in the
     eigenfunction basis. A grid sample is accepted too and is projected
-    with ``span_coordinates`` first. A stack of samples gives a tuple of
-    estimates, one per member at its own K; a check that fails for any
-    member raises for the whole stack.
+    with ``span_coordinates`` first. Each member of a stack is fitted at
+    its own K; a check that fails for any member raises for the whole
+    stack.
     """
     if (tau is None) == (k is None):
         raise ValueError("give exactly one of tau and k")
@@ -190,44 +190,43 @@ def fpca_far_fit(
     lam = decomposition.eigenvalues
     if tau is not None:
         k = select_k(lam, tau)
-    # one K per member, or the one K of a sample
-    if coords.stacked:
-        ks, usable = np.broadcast_to(k, lam.shape[:-1]).tolist(), usable_directions(lam).tolist()
-    else:
-        ks, usable = [int(k)], [usable_directions(lam)]
-    k = max(ks)
+    # one K per member of a stack, or the one K of a sample
+    ks = np.zeros(lam.shape[:-1], dtype=int) + k
+    k_values = set(np.ravel(ks).tolist())
+    k = max(k_values)
     m = coords.grid.size
-    if min(ks) < 1 or k > m:
+    if min(k_values) < 1 or k > m:
         raise ValueError(f"truncation level {k} outside 1..{m}")
     if coords.n < k + 2:
         raise InsufficientDataError(
             f"need at least K+2 = {k + 2} curves to fit a rank-{k} autoregression"
         )
-    if any(k_i > u for k_i, u in zip(ks, usable)):
+    if (ks > usable_directions(lam)).any():
         raise SingularSystemError(
             f"score Gram matrix is numerically singular at K={k} "
             f"(condition above {GRAM_CONDITION_LIMIT:.0e})"
         )
-    matrices = _truncation_matrices(moments.c1, lam, decomposition.vectors, ks)
+    matrices = _truncation_matrices(moments.c1, lam, decomposition.vectors, ks, k_values)
     tuning = {} if tau is None else {"tau": float(tau)}
-    if not coords.stacked:
-        return OperatorEstimate(matrices, coords, method="fpca", tuning={"k": k, **tuning})
-    return tuple(
-        OperatorEstimate(matrix, member, method="fpca", tuning={"k": k_i, **tuning})
-        for matrix, member, k_i in zip(matrices, coords.members(), ks)
+    return coords.per_member(
+        lambda member, matrix, k_i: OperatorEstimate(
+            matrix, member, method="fpca", tuning={"k": k_i, **tuning}
+        ),
+        matrices,
+        ks.tolist(),
     )
 
 
-def _truncation_matrices(c1, lam, vectors, ks: list) -> np.ndarray:
+def _truncation_matrices(c1, lam, vectors, ks: np.ndarray, k_values: set) -> np.ndarray:
     """Rank-K truncation matrices of one sample or a stack, each member at its K in ``ks``.
 
-    The members that share a K are fitted in one batched product.
+    ``k_values`` holds the distinct K; the members that share one are
+    fitted in one batched product.
     """
-    if len(set(ks)) == 1:
-        return _truncation(c1, lam, vectors, ks[0])
-    ks = np.array(ks)
+    if len(k_values) == 1:
+        return _truncation(c1, lam, vectors, *k_values)
     matrices = np.empty_like(c1)
-    for k in np.unique(ks):
+    for k in sorted(k_values):
         members = ks == k
         matrices[members] = _truncation(c1[members], lam[members], vectors[members], k)
     return matrices

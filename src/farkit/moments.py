@@ -12,6 +12,7 @@ along a leading axis; the moments of a stack are computed in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -78,8 +79,11 @@ class SpanCoordinates:
     only when that rank is 0. Built by ``span_coordinates``.
 
     ``values`` of shape (B, n, r) is a stack of B samples in the same
-    coordinates, made by ``windows``; the fit path fits each member as it
-    would fit that member alone.
+    coordinates, made by ``windows``. Every step of the fit path computes
+    on arrays that may carry that leading axis, and each member gets the
+    bits it would get alone. Its results are built by ``per_member``: one
+    object for a sample, and for a stack the tuple of one object per
+    member, in stack order.
     """
 
     values: np.ndarray
@@ -110,7 +114,22 @@ class SpanCoordinates:
 
     def members(self) -> tuple:
         """The samples of a stack, each in the same coordinates."""
+        return self._members
+
+    @cached_property
+    def _members(self) -> tuple:
+        # made once: every result of a stack is built per member
         return tuple(SpanCoordinates(v, self.basis, self.grid, self.rank) for v in self.values)
+
+    def per_member(self, make, *columns):
+        """``make(self, *columns)`` for a sample; for a stack, ``make(member, *row)`` per member.
+
+        Each column holds one entry per member of a stack, along its
+        leading axis, and the one entry of a sample as it is.
+        """
+        if not self.stacked:
+            return make(self, *columns)
+        return tuple(make(member, *row) for member, *row in zip(self.members(), *columns))
 
     def encode(self, values) -> np.ndarray:
         """Coordinates ``(x * sqrt(w)) @ V`` of grid curves, one per row.

@@ -169,14 +169,12 @@ def innovation_eigenvalues(spec: RegimeSpec) -> np.ndarray:
     return raw * (spec.innovation_total_variance / raw.sum())
 
 
-def simulate_states(
-    op: TrueOperator, spec: RegimeSpec, n: int, seeds, burn_in: int = BURN_IN
-) -> np.ndarray:
+def simulate_states(op: TrueOperator, spec: RegimeSpec, n: int, seeds) -> np.ndarray:
     """Coefficient states (R, n, J) of one path per seed, after a burn-in.
 
-    Path r draws ``default_rng(seeds[r]).standard_normal((burn_in + n, J))``
+    Path r draws ``default_rng(seeds[r]).standard_normal((BURN_IN + n, J))``
     scaled by the innovation standard deviations, starts from the zero
-    vector and keeps the last n of its ``burn_in + n`` states. The
+    vector and keeps the last n of its ``BURN_IN + n`` states. The
     recursion runs once for all seeds, on the leading ``block_size``
     coordinates only: the others are the innovations themselves. It
     overwrites the block columns of the states in place, so the noise is
@@ -189,14 +187,14 @@ def simulate_states(
     j, b = spec.basis_dim, spec.block_size
     sigma = np.sqrt(innovation_eigenvalues(spec))
     states = np.empty((len(seeds), n, j))
-    burn = np.empty((len(seeds), burn_in, b))
+    burn = np.empty((len(seeds), BURN_IN, b))
     for r, seed in enumerate(seeds):
-        noise = np.random.default_rng(seed).standard_normal((burn_in + n, j)) * sigma
-        burn[r] = noise[:burn_in, :b]
-        states[r] = noise[burn_in:]
+        noise = np.random.default_rng(seed).standard_normal((BURN_IN + n, j)) * sigma
+        burn[r] = noise[:BURN_IN, :b]
+        states[r] = noise[BURN_IN:]
     block_t = op.coefficients[:b, :b].T
     xi = np.zeros((len(seeds), b))
-    for t in range(burn_in):
+    for t in range(BURN_IN):
         xi = xi @ block_t + burn[:, t]
     for t in range(n):
         xi = xi @ block_t + states[:, t, :b]
@@ -204,9 +202,7 @@ def simulate_states(
     return states
 
 
-def simulate_far1(
-    op: TrueOperator, spec: RegimeSpec, n: int, seed, burn_in: int = BURN_IN
-) -> FunctionalSample:
+def simulate_far1(op: TrueOperator, spec: RegimeSpec, n: int, seed) -> FunctionalSample:
     """Simulate n curves from the regime after discarding a burn-in.
 
     The one-seed case of ``simulate_states``, expanded in the Fourier
@@ -214,7 +210,7 @@ def simulate_far1(
     (op, spec, n, seed).
     """
     grid = spec.make_grid()
-    states = simulate_states(op, spec, n, [seed], burn_in)[0]
+    states = simulate_states(op, spec, n, [seed])[0]
     return FunctionalSample(states @ fourier_basis(spec.basis_dim, grid), grid)
 
 

@@ -11,10 +11,10 @@ block then scores its whole grid with one matrix product on the rotated
 validation data.
 
 The fit and the sweep also take a stack of samples in shared coordinates
-along a leading axis, as the rolling backtest fits its windows: then the
-training covariances of every member's blocks share the ``eigh`` call,
-and each member gets the strength, curve and fit it would get alone.
-``cv_select_alpha`` stays a one-sample function over the same kernel.
+along a leading axis (``SpanCoordinates``), as the rolling backtest fits
+its windows: then the training covariances of every member's blocks
+share the ``eigh`` call. ``cv_select_alpha`` stays a one-sample function
+over the same kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InsufficientDataError, NumericalError
-from .fpca import SpectralDecomposition, checked_eigh, eigendecompose, spectra
+from .fpca import SpectralDecomposition, checked_eigh, spectra
 from .moments import OperatorEstimate, SpanCoordinates, WeightedMomentPair, weighted_moments
 
 __all__ = [
@@ -59,9 +59,8 @@ def tikhonov_fit(
 
     Computes C1 (C0 + alpha I)^{-1} in span coordinates through the
     spectral decomposition of C0. Precomputed moments of ``coords`` and
-    the decomposition of their ``c0`` skip the O(r^3) work. A stack of
-    samples gives a tuple of estimates, one per member, at one strength
-    or at one strength per member.
+    the decomposition of their ``c0`` skip the O(r^3) work. A stack is
+    fitted at one strength or at one strength per member.
     """
     alpha = np.asarray(alpha, dtype=float)
     if not (alpha > 0).all():
@@ -74,29 +73,13 @@ def tikhonov_fit(
     q = decomposition.vectors
     filters = (lam + alpha[..., None])[..., None, :]
     psi = ((moments.c1 @ q) / filters) @ q.swapaxes(-1, -2)
-    if not coords.stacked:
-        return OperatorEstimate(psi, coords, method="tikhonov", tuning={"alpha": float(alpha)})
-    alphas = np.broadcast_to(alpha, len(psi)).tolist()
-    return tuple(
-        OperatorEstimate(matrix, member, method="tikhonov", tuning={"alpha": a})
-        for matrix, member, a in zip(psi, coords.members(), alphas)
+    return coords.per_member(
+        lambda member, matrix, a: OperatorEstimate(
+            matrix, member, method="tikhonov", tuning={"alpha": a}
+        ),
+        psi,
+        (np.zeros(lam.shape[:-1]) + alpha).tolist(),
     )
-
-
-def _fast_cv_losses(train: SpanCoordinates, lag_values, target_values, alphas):
-    """Mean squared L2 one-step errors for every alpha on one validation block.
-
-    The estimator is fitted on ``train``; each row of ``target_values`` is
-    predicted from the matching row of ``lag_values``, both in the
-    coordinates of ``train``. The training covariance costs one
-    eigendecomposition, and ``_block_losses`` scores the whole grid in one
-    matrix product. ``cv_select_alpha`` runs the same kernel on each of its
-    blocks, after decomposing all of a sample's training covariances in one
-    stacked call.
-    """
-    mom = weighted_moments(train)
-    dec = eigendecompose(mom)
-    return _block_losses(mom, dec.eigenvalues, dec.vectors, lag_values, target_values, alphas)
 
 
 def _block_losses(mom: WeightedMomentPair, lam, q, lag_values, target_values, alphas):
@@ -166,19 +149,20 @@ def cv_select_alpha(
 
 
 def _cv_select(coords: SpanCoordinates, decomposition: SpectralDecomposition, scheme: str):
-    """``cv_select_alpha`` of one sample, or a tuple of one CvResult per member of a stack.
+    """``cv_select_alpha`` of one sample or of a stack.
 
     A stack's members share the scheme's blocks, because they share the
     length n. Any member's failure raises for the whole stack.
     """
     n = coords.n
+    lam1 = decomposition.eigenvalues[..., :1]
     if scheme == "holdout":
         if n < 30:
             raise InsufficientDataError(f"holdout cross-validation needs n >= 30, got {n}")
         blocks = [np.arange(n - max(n // 5, 20), n)]
-        alphas = HOLDOUT_ALPHAS
+        # one grid per member, as the scaled grids below
+        alphas = np.zeros_like(lam1) + HOLDOUT_ALPHAS
     elif scheme == "k-fold-forward":
-        lam1 = decomposition.eigenvalues[..., :1]
         if (lam1 <= 0).any():
             raise DegenerateSpectrumError("covariance spectrum is identically zero")
         if n < 35:
@@ -204,12 +188,9 @@ def _cv_select(coords: SpanCoordinates, decomposition: SpectralDecomposition, sc
         ],
         axis=0,
     )
-    best = _last_minimum(losses)
-    if not coords.stacked:
-        return CvResult(float(alphas[best]), tuple(zip(alphas.tolist(), losses.tolist())), scheme)
-    alphas = np.broadcast_to(alphas, losses.shape)
-    selected = np.take_along_axis(alphas, best[:, None], 1)[:, 0]
-    return tuple(
-        CvResult(s, tuple(zip(a, l)), scheme)
-        for s, a, l in zip(selected.tolist(), alphas.tolist(), losses.tolist())
+    return coords.per_member(
+        lambda _, best, grid, curve: CvResult(grid[best], tuple(zip(grid, curve)), scheme),
+        _last_minimum(losses).tolist(),
+        alphas.tolist(),
+        losses.tolist(),
     )

@@ -55,7 +55,7 @@ from farkit.preprocess import (
     smooth_days,
 )
 from farkit.simulate import REGIMES, draw_regime_operator, simulate_far1
-from farkit.tikhonov import HOLDOUT_ALPHAS, _fast_cv_losses, cv_select_alpha, tikhonov_fit
+from farkit.tikhonov import HOLDOUT_ALPHAS, _block_losses, cv_select_alpha, tikhonov_fit
 from test_tikhonov import naive_holdout_cv
 
 
@@ -102,12 +102,15 @@ def forecast_error_sweep(train, test, alphas):
 
     ``misfe`` is uncentred, while the holdout CV sweep centres lags and
     targets at the training mean; shifting both by that mean first makes the
-    centring cancel, so the CV sweep computes the forecast error itself.
+    centring cancel, so the CV sweep's one-block kernel computes the
+    forecast error itself.
     """
     coords = span_coordinates(train)
     mean = coords.values.mean(axis=0)
     lags, targets = coords.encode(test.values[:-1]), coords.encode(test.values[1:])
-    return _fast_cv_losses(coords, lags + mean, targets + mean, alphas)
+    mom = weighted_moments(coords)
+    dec = eigendecompose(mom)
+    return _block_losses(mom, dec.eigenvalues, dec.vectors, lags + mean, targets + mean, alphas)
 
 
 def test_criterion_01_ridge_oracle_equivalence():

@@ -192,6 +192,17 @@ class TestFitMethods:
             ]
             assert not any(o.refit_alone for o in ridge)
 
+    @pytest.mark.parametrize("scheme", ["holdout", "k-fold-forward"])
+    @pytest.mark.parametrize("constant", [False, True], ids=["healthy", "all-constant"])
+    def test_stack_of_one_matches_the_sample(self, constant, scheme):
+        member = np.ones((60, 12)) if constant else ar_window(np.random.default_rng(5))
+        outcomes = self.fit_stack([member], STACK_LABELS, scheme)
+        errors = [per[0].error is not None for per in outcomes]
+        # a constant window fails both thresholds and K=11; a fixed ridge fits it
+        assert errors[:4] == [constant, constant, constant, False]
+        # only the steps that raised were rerun alone
+        assert [per[0].refit_alone for per in outcomes] == errors
+
 
 def noisy_sample():
     # uneven spacing, so the quadrature weights differ point to point
