@@ -53,6 +53,7 @@ from .evaluate import (
 from .grid import make_trapezoid_grid, uniform_grid
 from .moments import FunctionalSample, span_coordinates
 from .preprocess import (
+    CSV_HEADER,
     PipelineConfig,
     RollingConfig,
     filter_and_interpolate,
@@ -202,7 +203,7 @@ def _load_benchmark_config(args) -> BenchmarkConfig:
             data = json.load(handle)
     config = BenchmarkConfig.from_dict(data)
     # command-line flags override config-file values override defaults
-    flags = dict(replications=args.replications, master_seed=args.seed, threads=args.threads)
+    flags = dict(replications=args.replications, master_seed=args.seed)
     return replace(config, **{key: value for key, value in flags.items() if value is not None})
 
 
@@ -385,7 +386,7 @@ def cmd_rolling(args) -> int:
     ]
     _write_csv(
         out / "weekday_means.csv",
-        ["weekday"] + [f"h{i:02d}" for i in range(1, 49)],
+        ["weekday"] + CSV_HEADER[1:],
         weekday_rows,
     )
     _write_json(
@@ -504,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config; omitted keys take defaults")
     p.add_argument("--replications", type=int, help="override replication count")
     p.add_argument("--seed", type=int, help="override master seed")
-    p.add_argument("--threads", type=int, help="override worker thread count")
+    # retired: runs are sequential; 1 is still accepted from older callers
+    p.add_argument("--threads", type=int, choices=[1], help=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_benchmark)
 

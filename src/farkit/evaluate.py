@@ -13,7 +13,6 @@ import itertools
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -340,7 +339,6 @@ class BenchmarkConfig:
     replications: int = 50
     master_seed: int = 14
     test_length: int = 200
-    threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "regimes", tuple(self.regimes))
@@ -363,8 +361,6 @@ class BenchmarkConfig:
             raise ValueError("need at least one replication")
         if self.test_length < 2:
             raise ValueError("test paths need at least 2 curves")
-        if self.threads < 1:
-            raise ValueError("thread count must be at least 1")
         for label in self.methods:
             parse_method(label)
 
@@ -376,7 +372,6 @@ class BenchmarkConfig:
             "replications": self.replications,
             "master_seed": self.master_seed,
             "test_length": self.test_length,
-            "threads": self.threads,
         }
 
     @classmethod
@@ -384,11 +379,18 @@ class BenchmarkConfig:
         """Config from a parsed JSON object; a top-level ``schema_version`` is ignored.
 
         Anything but an object of known keys whose values have the JSON
-        types of the defaults raises ValueError.
+        types of the defaults raises ValueError. The retired ``threads``
+        key is accepted only as the integer 1 and dropped: the benchmark
+        runs sequentially.
         """
         if not isinstance(data, dict):
             raise ValueError("benchmark config must be a JSON object")
         data = {key: value for key, value in data.items() if key != "schema_version"}
+        threads = data.pop("threads", 1)
+        if type(threads) is not int or threads != 1:
+            raise ValueError(
+                f"benchmark config 'threads': {threads!r} is not 1; runs are sequential"
+            )
         defaults = cls().to_dict()
         unknown = set(data) - set(defaults)
         if unknown:
@@ -451,8 +453,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     grid of J points: the basis is orthonormal under the regime grid's
     quadrature, so fits and forecast errors there equal those of the
     expanded curves up to rounding. A cell's replications are simulated
-    ``BATCH_SIZE`` at a time, and the batches are the tasks of the thread
-    pool.
+    ``BATCH_SIZE`` at a time by one recursion.
     """
     t_start = time.perf_counter()
     methods = [parse_method(label) for label in config.methods]
@@ -460,58 +461,36 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         regime: draw_regime_operator(REGIMES[regime], _regime_seed(config.master_seed, regime))
         for regime in config.regimes
     }
-    tasks = [
-        (regime, n, range(start, min(start + BATCH_SIZE, config.replications)))
-        for regime in config.regimes
-        for n in config.n_values
-        for start in range(0, config.replications, BATCH_SIZE)
-    ]
-
-    def run_batch(task):
-        regime, n, reps = task
+    records, ranks = [], Counter()
+    for regime in config.regimes:
         spec = REGIMES[regime]
-        j = spec.basis_dim
-        grid = QuadratureGrid(np.arange(j), np.ones(j))
-        train, test = (
-            simulate_states(
-                operators[regime],
-                spec,
-                length,
-                [_path_seed(config.master_seed, regime, n, rep, tag) for rep in reps],
-            )
-            for length, tag in ((n, _TRAIN_TAG), (config.test_length, _TEST_TAG))
-        )
-        results, ranks = [], []
-        for rep, train_states, test_states in zip(reps, train, test):
-            coords = span_coordinates(FunctionalSample(train_states, grid))
-            ranks.append(coords.rank)
-            test_path = _encode_path(coords, test_states)
-            for method, outcome in zip(methods, fit_methods(coords, methods)):
-                est = outcome.estimate
-                results.append(
-                    CellResult(
-                        regime,
-                        n,
-                        method.label,
-                        rep,
-                        misfe=float("nan") if est is None else _path_misfe(est.matrix, *test_path),
-                        tuning=float("nan") if est is None else tuning_value(est),
-                        seconds=outcome.seconds,
-                        error=outcome.error,
+        grid = QuadratureGrid(np.arange(spec.basis_dim), np.ones(spec.basis_dim))
+        for n in config.n_values:
+            for start in range(0, config.replications, BATCH_SIZE):
+                reps = range(start, min(start + BATCH_SIZE, config.replications))
+                train, test = (
+                    simulate_states(
+                        operators[regime],
+                        spec,
+                        length,
+                        [_path_seed(config.master_seed, regime, n, rep, tag) for rep in reps],
                     )
+                    for length, tag in ((n, _TRAIN_TAG), (config.test_length, _TEST_TAG))
                 )
-        return results, ranks
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            per_task = list(pool.map(run_batch, tasks))
-    else:
-        per_task = [run_batch(task) for task in tasks]
-
-    records = tuple(record for task_records, _ in per_task for record in task_records)
-    ranks = Counter(rank for _, task_ranks in per_task for rank in task_ranks)
+                for rep, train_states, test_states in zip(reps, train, test):
+                    coords = span_coordinates(FunctionalSample(train_states, grid))
+                    ranks[coords.rank] += 1
+                    test_path = _encode_path(coords, test_states)
+                    for method, outcome in zip(methods, fit_methods(coords, methods)):
+                        est = outcome.estimate
+                        misfe = math.nan if est is None else _path_misfe(est.matrix, *test_path)
+                        tuning = math.nan if est is None else tuning_value(est)
+                        records.append(CellResult(regime, n, method.label, rep, misfe, tuning,
+                                                  outcome.seconds, outcome.error))
+                # drop this batch's paths before the next batch is simulated
+                del train, test, train_states, test_states
     return BenchmarkReport(
-        records,
+        tuple(records),
         config,
         wall_clock_seconds=time.perf_counter() - t_start,
         span_ranks=dict(sorted(ranks.items())),

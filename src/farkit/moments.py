@@ -59,10 +59,6 @@ class FunctionalSample:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def subsample(self, start: int, stop: int) -> "FunctionalSample":
-        """Contiguous slice [start, stop) as a new sample."""
-        return FunctionalSample(self.values[start:stop], self.grid)
-
 
 @dataclass(frozen=True, eq=False)
 class SpanCoordinates:

@@ -45,7 +45,7 @@ class RegimeSpec:
     The autoregression coefficient matrix lives on the top-left
     ``block_size`` block of a ``basis_dim``-dimensional Fourier coordinate
     system; ``within_block_decay`` optionally shrinks block entries by
-    ``k**-decay`` along ``decay_axis``. Innovations are independent
+    ``k**-decay`` along the column index. Innovations are independent
     Gaussians with variances proportional to ``k**-innovation_decay``,
     normalized to ``innovation_total_variance``. The drawn block is
     rescaled so its largest singular value equals ``operator_norm_target``,
@@ -60,7 +60,6 @@ class RegimeSpec:
     innovation_total_variance: float = 0.5
     operator_norm_target: float = 0.85
     grid_points: int = 101
-    decay_axis: str = "column"
 
     def __post_init__(self):
         if self.basis_dim < 1:
@@ -77,8 +76,6 @@ class RegimeSpec:
             raise ValueError("innovation_total_variance must be positive")
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
-        if self.decay_axis not in ("column", "row", "both"):
-            raise ValueError("decay_axis must be 'column', 'row', or 'both'")
 
     def make_grid(self) -> QuadratureGrid:
         return uniform_grid(self.grid_points)
@@ -136,21 +133,16 @@ def draw_regime_operator(spec: RegimeSpec, seed) -> TrueOperator:
     """Draw the regime's coefficient matrix and rescale it to the target norm.
 
     Block entries are i.i.d. standard normal from ``default_rng(seed)``;
-    regimes with ``within_block_decay > 0`` multiply entry (i, k) by the
-    decay factor of its ``decay_axis`` index. The full matrix is rescaled
-    so its largest singular value equals ``operator_norm_target``, keeping
-    the eigenvalue radius strictly below one as well. Deterministic given
-    (spec, seed).
+    regimes with ``within_block_decay > 0`` multiply entry (i, k) by
+    ``k**-within_block_decay``. The full matrix is rescaled so its largest
+    singular value equals ``operator_norm_target``, keeping the eigenvalue
+    radius strictly below one as well. Deterministic given (spec, seed).
     """
     rng = np.random.default_rng(seed)
     b = spec.block_size
     block = rng.standard_normal((b, b))
     if spec.within_block_decay > 0:
-        factors = np.arange(1, b + 1, dtype=float) ** (-spec.within_block_decay)
-        if spec.decay_axis in ("column", "both"):
-            block = block * factors[None, :]
-        if spec.decay_axis in ("row", "both"):
-            block = block * factors[:, None]
+        block = block * np.arange(1, b + 1, dtype=float) ** (-spec.within_block_decay)
     norm = np.linalg.norm(block, 2)
     if norm == 0:
         raise NumericalError("drawn coefficient block is zero")

@@ -135,13 +135,21 @@ class TestBenchmarkCommand:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["benchmark", "--config", str(cfg), "--out", str(a),
                      "--replications", "2", "--seed", "4"]) == 0
-        assert main(["benchmark", "--config", str(cfg), "--out", str(b),
-                     "--replications", "2", "--seed", "4", "--threads", "2"]) == 0
-        ra = (a / "records.csv").read_bytes()
-        rb = (b / "records.csv").read_bytes()
-        assert ra == rb
         config_echo = json.loads((a / "summary.json").read_text())["config"]
         assert config_echo["replications"] == 2 and config_echo["master_seed"] == 4
+        # the retired threads key and flag are accepted as 1 and change nothing
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({**json.loads(cfg.read_text()), "threads": 1}))
+        assert main(["benchmark", "--config", str(legacy), "--out", str(b),
+                     "--replications", "2", "--seed", "4", "--threads", "1"]) == 0
+        assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
+
+    def test_threads_flag_other_than_one_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert exit_code(["benchmark", "--threads", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -156,10 +164,12 @@ class TestBenchmarkCommand:
             json.dumps({"regimes": ["I", "I"], "n_values": [40], "replications": 1}),
             json.dumps({"n_values": [40, 40]}),
             json.dumps({"methods": ["fpca:0.9", "fpca:0.9"]}),
+            json.dumps({"threads": 2}),
+            json.dumps({"threads": True}),
         ],
         ids=["missing-file", "invalid-json", "array", "unknown-key", "string-count",
              "zero-replications", "bad-method-id", "duplicate-regime", "duplicate-n",
-             "duplicate-method"],
+             "duplicate-method", "threads-2", "threads-bool"],
     )
     def test_config_error_is_usage_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "config.json"

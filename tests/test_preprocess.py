@@ -477,7 +477,7 @@ class TestRollingMethods:
         assert all(np.isnan(r.ise) for r in failed)
         assert all(r.error is None for r in result.records if r.method == "fpca:0.9")
         with pytest.raises(SingularSystemError):
-            fit_method(span_coordinates(sample.subsample(0, 100)), label)
+            fit_method(span_coordinates(FunctionalSample(sample.values[:100], sample.grid)), label)
 
     @pytest.mark.parametrize(
         "kwargs",

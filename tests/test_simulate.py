@@ -38,9 +38,6 @@ class TestRegimePresets:
         with pytest.raises(ValueError):
             RegimeSpec(block_size=3, within_block_decay=0, innovation_decay=1,
                        operator_norm_target=1.2)
-        with pytest.raises(ValueError):
-            RegimeSpec(block_size=3, within_block_decay=0, innovation_decay=1,
-                       decay_axis="diag")
 
 
 class TestFourierBasis:
