@@ -14,7 +14,8 @@ Output files by command:
                    regret.csv   (regime,n,method,mean_misfe,count,regret_pct)
                    worst_case.csv (method,n,worst_mean_misfe)
                    tuning.csv   (regime,n,method,mean_tuning)
-                   summary.json (rate slope, timings, span ranks, resolved config)
+                   summary.json (rate slope, timings, stage seconds, span ranks,
+                   single-member refits, resolved config)
 * ``rolling``   -> forecasts.csv (date,method,ise,alpha_or_k,refit_flag)
                    summary.csv  (method,mean_ise,median_ise,regret_pct,failures)
                    weekday_means.csv (weekday,h01..h48), rolling.meta.json
@@ -289,6 +290,8 @@ def cmd_benchmark(args) -> int:
             "failed_fits": sum(1 for r in report.records if r.failed),
             "failures_by_class": _failures_by_class(report.records),
             "span_ranks": report.span_ranks,
+            "single_member_refits": report.single_member_refits,
+            "stage_seconds": report.stage_seconds,
         },
     )
     slope_text = "n/a" if slope is None else f"{slope:.3f}"

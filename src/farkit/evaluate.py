@@ -32,6 +32,8 @@ from .moments import (
     SpanCoordinates,
     WeightedMomentPair,
     apply_kernel_matrix,
+    centre_curves,
+    full_rank_certified,
     span_coordinates,
     weighted_moments,
 )
@@ -79,6 +81,11 @@ _TEST_TAG = 1
 # replications of a (regime, n) cell simulated by one recursion; larger
 # batches hold more paths in memory at once
 BATCH_SIZE = 10
+
+# most training curves of a batch fitted as one stack: a stack's fit holds
+# temporaries of its size, and stacking whole batches at n = 800 raised the
+# peak resident memory of the default benchmark by about 4.5%
+STACK_CURVES = 4000
 
 # estimator failures, recorded as failed fits instead of aborting a benchmark
 # or rolling run; GridError covers moments or a kernel that came out non-finite
@@ -200,7 +207,9 @@ class FitOutcome:
 
     estimate: OperatorEstimate | None
     error: str | None
-    seconds: float  # this method's own fit time, shared decomposition excluded
+    # this method's own fit time, shared decomposition excluded; for a stack
+    # member, its share of the stacked step
+    seconds: float
     cv: CvResult | None = None  # the strength selection of a tikhonov:cv fit
     refit_alone: bool = False
 
@@ -417,6 +426,20 @@ class BenchmarkReport:
     config: BenchmarkConfig
     wall_clock_seconds: float = 0.0
     span_ranks: dict = field(default_factory=dict)  # training paths counted by span rank
+    # training paths refitted alone after their stack's step raised
+    single_member_refits: int = 0
+    stage_seconds: dict = field(default_factory=dict)  # "simulate", "fit", "score"
+
+
+@dataclass
+class _Tally:
+    """What ``run_benchmark`` reports besides its records, summed over batches."""
+
+    span_ranks: Counter = field(default_factory=Counter)
+    single_member_refits: int = 0
+    stage_seconds: dict = field(
+        default_factory=lambda: {"simulate": 0.0, "fit": 0.0, "score": 0.0}
+    )
 
 
 def _regime_seed(master_seed: int, regime: str) -> np.random.SeedSequence:
@@ -444,16 +467,21 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     fits every method to the same training path, and records the test-path
     forecast error, the resolved tuning value, and the incremental fit
     time. Fit failures are recorded on the cell and never abort the run.
-    The report is a pure function of the config (timings aside); its
-    ``span_ranks`` counts the training paths by the rank of their span.
-    Each test path is encoded once in its training path's coordinates and
-    every method is scored there, as ``misfe`` scores one.
+    The report is a pure function of the config (timings aside). Besides
+    the records it counts the training paths by the rank of their span
+    (``span_ranks``) and those refitted alone after their stack's step
+    raised (``single_member_refits``), and gives the seconds spent in
+    ``stage_seconds`` (``simulate``, ``fit``, ``score``).
 
     Paths stay in the simulator's J Fourier coefficients, on a unit-weight
     grid of J points: the basis is orthonormal under the regime grid's
     quadrature, so fits and forecast errors there equal those of the
     expanded curves up to rounding. A cell's replications are simulated
-    ``BATCH_SIZE`` at a time by one recursion.
+    ``BATCH_SIZE`` at a time by one recursion and fitted by
+    ``_batch_records``: as stacks of at most ``STACK_CURVES`` training
+    curves when every path of the batch is certified to have full rank,
+    otherwise each path alone. Either way each record has the bits of the
+    path fitted alone.
     """
     t_start = time.perf_counter()
     methods = [parse_method(label) for label in config.methods]
@@ -461,13 +489,14 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         regime: draw_regime_operator(REGIMES[regime], _regime_seed(config.master_seed, regime))
         for regime in config.regimes
     }
-    records, ranks = [], Counter()
+    records, tally = [], _Tally()
     for regime in config.regimes:
         spec = REGIMES[regime]
         grid = QuadratureGrid(np.arange(spec.basis_dim), np.ones(spec.basis_dim))
         for n in config.n_values:
             for start in range(0, config.replications, BATCH_SIZE):
                 reps = range(start, min(start + BATCH_SIZE, config.replications))
+                t0 = time.perf_counter()
                 train, test = (
                     simulate_states(
                         operators[regime],
@@ -477,24 +506,82 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
                     )
                     for length, tag in ((n, _TRAIN_TAG), (config.test_length, _TEST_TAG))
                 )
-                for rep, train_states, test_states in zip(reps, train, test):
-                    coords = span_coordinates(FunctionalSample(train_states, grid))
-                    ranks[coords.rank] += 1
-                    test_path = _encode_path(coords, test_states)
-                    for method, outcome in zip(methods, fit_methods(coords, methods)):
-                        est = outcome.estimate
-                        misfe = math.nan if est is None else _path_misfe(est.matrix, *test_path)
-                        tuning = math.nan if est is None else tuning_value(est)
-                        records.append(CellResult(regime, n, method.label, rep, misfe, tuning,
-                                                  outcome.seconds, outcome.error))
+                tally.stage_seconds["simulate"] += time.perf_counter() - t0
+                records += _batch_records(regime, n, reps, train, test, grid, methods, tally)
                 # drop this batch's paths before the next batch is simulated
-                del train, test, train_states, test_states
+                del train, test
     return BenchmarkReport(
         tuple(records),
         config,
         wall_clock_seconds=time.perf_counter() - t_start,
-        span_ranks=dict(sorted(ranks.items())),
+        span_ranks=dict(sorted(tally.span_ranks.items())),
+        single_member_refits=tally.single_member_refits,
+        stage_seconds=tally.stage_seconds,
     )
+
+
+def _batch_records(regime, n, reps, train, test, grid, methods, tally: _Tally) -> list:
+    """The records of one batch of training paths ``train`` (R, n, J) and test paths ``test``.
+
+    When ``full_rank_certified`` certifies every training path, ``train``
+    is centred in place and fitted as stacks of at most ``STACK_CURVES``
+    curves in the identity basis, each stack in one ``fit_methods`` call;
+    otherwise each path is fitted alone in its ``span_coordinates``. A
+    stack member's fit has the bits of the path alone, and so has its
+    record. Each group of paths is scored as soon as it is fitted: each
+    test path is encoded once in its training path's coordinates and every
+    method is scored there, as ``misfe`` scores one.
+
+    Scoring stays inside this function: a stack member's coordinates are
+    views of ``train``, so an estimate that outlived the call would hold
+    the batch's paths while the next batch is simulated.
+    """
+    t0 = time.perf_counter()
+    size = max(1, STACK_CURVES // n)
+    stacks = [slice(i, i + size) for i in range(0, len(train), size)]
+    # the stacks are certified on copies, so that a batch that fails keeps its raw paths
+    if all(full_rank_certified(centre_curves(train[s], grid)).all() for s in stacks):
+        centre_curves(train, grid, out=train)
+        m = grid.size
+        groups = [SpanCoordinates(train[s], np.eye(m), grid, m) for s in stacks]
+    else:
+        groups = [span_coordinates(FunctionalSample(states, grid)) for states in train]
+    tally.stage_seconds["fit"] += time.perf_counter() - t0
+    paths = iter(zip(reps, test))
+    return [
+        record
+        for coords in groups
+        for record in _group_records(regime, n, coords, paths, methods, tally)
+    ]
+
+
+def _group_records(regime, n, coords: SpanCoordinates, paths, methods, tally: _Tally) -> list:
+    """Fit a stack or one path and score each path on the next ``(rep, test states)`` of ``paths``.
+
+    A group's estimates are dropped on return, before the next group is fitted.
+    """
+    t0 = time.perf_counter()
+    fitted = list(fit_methods(coords, methods))
+    # (coordinates, outcome per method) of each path of the group
+    per_path = zip(coords.members(), zip(*fitted)) if coords.stacked else [(coords, fitted)]
+    t1 = time.perf_counter()
+    records = []
+    # paths comes second: zip stops at the group's end without taking the next path
+    for (member, outcomes), (rep, test_states) in zip(per_path, paths):
+        tally.span_ranks[member.rank] += 1
+        tally.single_member_refits += any(o.refit_alone for o in outcomes)
+        test_path = _encode_path(member, test_states)
+        for method, outcome in zip(methods, outcomes):
+            est = outcome.estimate
+            misfe = math.nan if est is None else _path_misfe(est.matrix, *test_path)
+            tuning = math.nan if est is None else tuning_value(est)
+            records.append(
+                CellResult(regime, n, method.label, rep, misfe, tuning, outcome.seconds,
+                           outcome.error)
+            )
+    tally.stage_seconds["fit"] += t1 - t0
+    tally.stage_seconds["score"] += time.perf_counter() - t1
+    return records
 
 
 def _cells(records):

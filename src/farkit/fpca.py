@@ -15,9 +15,10 @@ least-squares Gram would differ from that limit at order 1/n.
 
 Every stage takes a stack of samples in shared coordinates along a
 leading axis (``SpanCoordinates``), as the rolling backtest fits its
-windows: the stack's covariances share one ``eigh`` call, each member
-keeps its own K, and the members that picked the same K are fitted in
-one batched product. ``eigendecompose`` stays a one-sample function.
+windows and the Monte Carlo benchmark its full-rank replications: the
+stack's covariances share one ``eigh`` call, each member keeps its own
+K, and the members that picked the same K are fitted in one batched
+product. ``eigendecompose`` stays a one-sample function.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ centred curves, built once by ``span_coordinates``: there the L2 inner
 product is the Euclidean one, so the moment matrices and estimators see
 unit weights, and the quadrature weights enter only where curves are
 encoded, forecasts decoded, or a grid kernel is formed. Samples that
-share a basis, such as the windows of a rolling backtest, can be stacked
-along a leading axis; the moments of a stack are computed in one pass.
+share a basis, such as the windows of a rolling backtest or samples that
+``full_rank_certified`` gives the identity basis, can be stacked along a
+leading axis; the moments of a stack are computed in one pass.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ __all__ = [
     "FunctionalSample",
     "SpanCoordinates",
     "span_coordinates",
+    "centre_curves",
+    "full_rank_certified",
     "WeightedMomentPair",
     "OperatorEstimate",
     "weighted_moments",
@@ -75,7 +78,7 @@ class SpanCoordinates:
     only when that rank is 0. Built by ``span_coordinates``.
 
     ``values`` of shape (B, n, r) is a stack of B samples in the same
-    coordinates, made by ``windows``. Every step of the fit path computes
+    coordinates, such as the windows made by ``windows``. Every step of the fit path computes
     on arrays that may carry that leading axis, and each member gets the
     bits it would get alone. Its results are built by ``per_member``: one
     object for a sample, and for a stack the tuple of one object per
@@ -157,27 +160,51 @@ def span_coordinates(sample: FunctionalSample) -> SpanCoordinates:
     keeps an exactly constant sample at exactly zero coordinates, as on the
     grid; the basis then keeps one direction, which carries only rounding.
 
-    A sample certified to have full rank M gets the identity basis and no
-    SVD: more curves than grid points, a finite Gram ``z^T z`` and its
-    eigenvalues within a ratio of 1e-10, so that the smallest singular
-    value is over 1e-5 times the largest, far above the rank tolerance.
+    A sample that ``full_rank_certified`` certifies to have full rank M
+    gets the identity basis and no SVD.
     """
-    z = sample.values - sample.values.mean(axis=0)
-    z *= sample.grid.sqrt_weights
-    n, m = z.shape
-    if n > m:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = z.T @ z
-        if np.all(np.isfinite(gram)):
-            lam = np.linalg.eigvalsh(gram)
-            if lam[0] > 1e-10 * lam[-1]:
-                return SpanCoordinates(z, np.eye(m), sample.grid, m)
+    z = centre_curves(sample.values, sample.grid)
+    m = z.shape[1]
+    if full_rank_certified(z):
+        return SpanCoordinates(z, np.eye(m), sample.grid, m)
     # the M x M triangular factor has the singular values and right singular
     # vectors of z, without an n x M left factor
     _, s, vt = np.linalg.svd(np.linalg.qr(z, mode="r"))
     rank = int(np.count_nonzero(s > s.max() * max(z.shape) * np.finfo(float).eps))
     basis = vt[: max(rank, 1)].T
     return SpanCoordinates(z @ basis, basis, sample.grid, rank)
+
+
+def centre_curves(values: np.ndarray, grid: QuadratureGrid, out=None) -> np.ndarray:
+    """Curves (n, M) centred at their mean and scaled by the grid's sqrt weights.
+
+    A (B, n, M) stack is centred member by member. With ``out=values``
+    the curves are overwritten in place, with the bits of the copy.
+    """
+    z = np.subtract(values, values.mean(axis=-2, keepdims=True), out=out)
+    z *= grid.sqrt_weights
+    return z
+
+
+def full_rank_certified(z: np.ndarray) -> np.ndarray:
+    """Whether centred sqrt-weighted curves ``z`` (n x M) certainly have rank M.
+
+    The certificate: more curves than grid points, a finite Gram
+    ``z^T z`` and its eigenvalues within a ratio of 1e-10, so that the
+    smallest singular value is over 1e-5 times the largest, far above
+    ``span_coordinates``'s rank tolerance. A (B, n, M) stack gets one
+    answer per member, each the one it gets alone, from one batched
+    ``eigvalsh`` call.
+    """
+    n, m = z.shape[-2:]
+    if n <= m:
+        return np.zeros(z.shape[:-2], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = z.swapaxes(-1, -2) @ z
+    finite = np.isfinite(gram).all(axis=(-2, -1))
+    # a member with a non-finite Gram is not certified; zeros keep eigvalsh defined
+    lam = np.linalg.eigvalsh(np.where(finite[..., None, None], gram, 0.0))
+    return finite & (lam[..., 0] > 1e-10 * lam[..., -1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,11 +282,16 @@ def weighted_moments(coords: SpanCoordinates) -> WeightedMomentPair:
     zbar = values.mean(axis=-2)
     centered = values - zbar[..., None, :]
     tol = 8 * np.finfo(float).eps
-    constant = np.abs(centered).max(axis=(-2, -1)) <= tol * np.abs(values).max(axis=(-2, -1))
+    constant = _max_abs(centered) <= tol * _max_abs(values)
     centered[constant] = 0.0
     c0 = centered.swapaxes(-1, -2) @ centered / n
     c1 = centered[..., 1:, :].swapaxes(-1, -2) @ centered[..., :-1, :] / (n - 1)
     return WeightedMomentPair(c0, c1, zbar)
+
+
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each (n, r) matrix, without an ``abs`` copy of ``x``."""
+    return np.maximum(x.max(axis=(-2, -1)), -x.min(axis=(-2, -1)))
 
 
 def apply_kernel_matrix(op: OperatorEstimate, values: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ validation data.
 
 The fit and the sweep also take a stack of samples in shared coordinates
 along a leading axis (``SpanCoordinates``), as the rolling backtest fits
-its windows: then the training covariances of every member's blocks
-share the ``eigh`` call. ``cv_select_alpha`` stays a one-sample function
+its windows and the Monte Carlo benchmark its full-rank replications:
+then the training covariances of every member's blocks share the
+``eigh`` call. ``cv_select_alpha`` stays a one-sample function
 over the same kernel.
 """
 
@@ -137,8 +138,11 @@ def cv_select_alpha(
         folds; every fold after the first is a block (the first fold only
         ever serves as training data). The 30 candidates span 1e-4 to 10
         times the leading eigenvalue of ``decomposition``, the sample's
-        covariance spectrum; a zero spectrum raises
-        DegenerateSpectrumError, before the length check. Requires n >= 35.
+        covariance spectrum. Requires n >= 35.
+
+    Under either scheme a zero spectrum, such as that of an all-constant
+    sample, raises DegenerateSpectrumError, before the length check: its
+    losses would all be zero and select nothing.
 
     The returned loss curve covers the whole grid; refitting on the full
     sample at the selected alpha is the caller's responsibility. This
@@ -156,35 +160,41 @@ def _cv_select(coords: SpanCoordinates, decomposition: SpectralDecomposition, sc
     """
     n = coords.n
     lam1 = decomposition.eigenvalues[..., :1]
+    if scheme not in ("holdout", "k-fold-forward"):
+        raise ValueError(f"unknown cross-validation scheme: {scheme!r}")
+    if (lam1 <= 0).any():
+        raise DegenerateSpectrumError("covariance spectrum is identically zero")
+    # each block is the row range [start, stop)
     if scheme == "holdout":
         if n < 30:
             raise InsufficientDataError(f"holdout cross-validation needs n >= 30, got {n}")
-        blocks = [np.arange(n - max(n // 5, 20), n)]
+        blocks = [(n - max(n // 5, 20), n)]
         # one grid per member, as the scaled grids below
         alphas = np.zeros_like(lam1) + HOLDOUT_ALPHAS
-    elif scheme == "k-fold-forward":
-        if (lam1 <= 0).any():
-            raise DegenerateSpectrumError("covariance spectrum is identically zero")
+    else:
         if n < 35:
             raise InsufficientDataError(f"k-fold-forward cross-validation needs n >= 35, got {n}")
-        blocks = np.array_split(np.arange(n), 5)[1:]
+        blocks = [(int(b[0]), int(b[-1]) + 1) for b in np.array_split(np.arange(n), 5)[1:]]
         alphas = lam1 * np.logspace(-4.0, 1.0, 30)
-    else:
-        raise ValueError(f"unknown cross-validation scheme: {scheme!r}")
 
     # weighted_moments applies its constant-row rule to every prefix; their
     # covariances then share one eigh call
-    moments = [weighted_moments(coords.subsample(0, int(block[0]))) for block in blocks]
+    moments = [weighted_moments(coords.subsample(0, start)) for start, _ in blocks]
     lam, q = checked_eigh(np.stack([mom.c0 for mom in moments]))
-    # np.take keeps each member's rows contiguous, so that its loss sums
-    # run in the order of a sample alone
+    # lags and targets are views; _block_losses centres them into new arrays
+    # first, so its loss sums run in the order of a sample alone
     values = coords.values
     losses = np.mean(
         [
             _block_losses(
-                mom, lam_b, q_b, np.take(values, block - 1, -2), np.take(values, block, -2), alphas
+                mom,
+                lam_b,
+                q_b,
+                values[..., start - 1 : stop - 1, :],
+                values[..., start:stop, :],
+                alphas,
             )
-            for mom, lam_b, q_b, block in zip(moments, lam, q, blocks)
+            for mom, lam_b, q_b, (start, stop) in zip(moments, lam, q, blocks)
         ],
         axis=0,
     )

@@ -52,14 +52,14 @@ def cv_alpha(values, weights, scheme):
     times the leading eigenvalue. Exact ties go to the larger strength.
     """
     n = values.shape[0]
+    lam1 = np.linalg.eigvalsh(weighted_moments(values, weights)[0])[-1]
+    if not lam1 > 0:
+        return None
     if scheme == "holdout":
         blocks = [np.arange(n - max(n // 5, 20), n)]
         alphas = np.logspace(-5.0, 0.0, 25)
     else:
         blocks = np.array_split(np.arange(n), 5)[1:]
-        lam1 = np.linalg.eigvalsh(weighted_moments(values, weights)[0])[-1]
-        if not lam1 > 0:
-            return None
         alphas = lam1 * np.logspace(-4.0, 1.0, 30)
     sw = np.sqrt(weights)
     losses = np.zeros(alphas.size)

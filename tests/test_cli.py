@@ -127,6 +127,9 @@ class TestBenchmarkCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["wall_clock_seconds"] > 0
         assert "rate_slope_log10_alpha_vs_log10_n" in summary
+        assert summary["single_member_refits"] == 0
+        assert set(summary["stage_seconds"]) == {"simulate", "fit", "score"}
+        assert all(seconds >= 0 for seconds in summary["stage_seconds"].values())
 
     def test_flag_overrides_and_thread_invariance(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -195,6 +198,8 @@ class TestBenchmarkCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failed_fits"] == 2
         assert summary["failures_by_class"] == {"SingularSystemError": 2}
+        # K=200 raised for the stack of both paths, which were refitted alone
+        assert summary["single_member_refits"] == 2
 
 
 def write_raw_days(path, count=150, level=6.0):

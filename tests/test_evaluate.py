@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import dense_reference
+from farkit import evaluate
 from farkit.errors import InsufficientDataError
 from farkit.evaluate import (
     BATCH_SIZE,
     FIT_ERRORS,
+    STACK_CURVES,
     BenchmarkConfig,
     BenchmarkReport,
     CellResult,
@@ -24,7 +28,7 @@ from farkit.evaluate import (
     worst_case_table,
 )
 from conftest import grid_operator, unit_weight_grid
-from farkit.grid import make_trapezoid_grid, uniform_grid
+from farkit.grid import QuadratureGrid, make_trapezoid_grid, uniform_grid
 from farkit.moments import (
     FunctionalSample,
     OperatorEstimate,
@@ -38,6 +42,7 @@ from farkit.simulate import (
     fourier_basis,
     operator_kernel,
     simulate_far1,
+    simulate_states,
 )
 from farkit.tikhonov import HOLDOUT_ALPHAS
 from test_preprocess import spline_sample
@@ -442,7 +447,115 @@ class TestRateSlope:
             rate_slope([(100, -1.0), (100, -2.0)])
 
 
+def batches(config: BenchmarkConfig):
+    """``(regime, n, reps)`` of every batch of ``run_benchmark``, in its order."""
+    for regime in config.regimes:
+        for n in config.n_values:
+            for start in range(0, config.replications, BATCH_SIZE):
+                yield regime, n, range(start, min(start + BATCH_SIZE, config.replications))
+
+
+def simulate_batch(config: BenchmarkConfig, regime, n, reps):
+    """The training and test states of one batch, simulated as ``run_benchmark`` does."""
+    seed, spec = config.master_seed, REGIMES[regime]
+    op = draw_regime_operator(spec, evaluate._regime_seed(seed, regime))
+    return tuple(
+        simulate_states(
+            op, spec, length, [evaluate._path_seed(seed, regime, n, r, tag) for r in reps]
+        )
+        for length, tag in ((n, 0), (config.test_length, 1))
+    )
+
+
+def coefficient_grid(regime):
+    dim = REGIMES[regime].basis_dim
+    return QuadratureGrid(np.arange(dim), np.ones(dim))
+
+
+def replication_records(regime, n, reps, train, test, methods):
+    """``record_fields`` of a batch with each path fitted alone and scored by ``_path_misfe``."""
+    grid = coefficient_grid(regime)
+    records = []
+    for rep, train_states, test_states in zip(reps, train, test):
+        coords = span_coordinates(FunctionalSample(train_states, grid))
+        test_path = evaluate._encode_path(coords, test_states)
+        for label, outcome in zip(methods, fit_methods(coords, methods)):
+            est = outcome.estimate
+            misfe = np.nan if est is None else evaluate._path_misfe(est.matrix, *test_path)
+            tuning = np.nan if est is None else evaluate.tuning_value(est)
+            records.append((regime, n, label, rep, repr(misfe), repr(tuning), outcome.error))
+    return records
+
+
+def per_replication_records(config: BenchmarkConfig) -> list:
+    records = []
+    for regime, n, reps in batches(config):
+        # a batch's paths are dropped before the next batch is simulated
+        train, test = simulate_batch(config, regime, n, reps)
+        records += replication_records(regime, n, reps, train, test, config.methods)
+        del train, test
+    return records
+
+
+def record_fields(records) -> list:
+    """Each record's fields but its timing; repr tells the bits of a float, NaN included."""
+    return [
+        (r.regime, r.n, r.method, r.replication, repr(r.misfe), repr(r.tuning), r.error)
+        for r in records
+    ]
+
+
 class TestRunBenchmark:
+    def test_stacked_batches_equal_per_replication_fits(self):
+        # two batches per cell; at n = 800 each batch is two stacks of 5
+        config = BenchmarkConfig(
+            regimes=("I", "III"), n_values=(100, 800), replications=BATCH_SIZE + 2,
+            master_seed=3,
+        )
+        assert STACK_CURVES // 800 == 5
+        report = run_benchmark(config)
+        assert record_fields(report.records) == per_replication_records(config)
+        assert report.span_ranks == {40: 2 * 2 * (BATCH_SIZE + 2)}
+        assert report.single_member_refits == 0
+        assert set(report.stage_seconds) == {"simulate", "fit", "score"}
+
+    def test_batch_with_an_uncertified_path_fits_each_path_alone(self):
+        methods = BenchmarkConfig().methods
+        config = BenchmarkConfig(regimes=("II",), n_values=(100,), replications=BATCH_SIZE)
+        regime, n, reps = next(batches(config))
+        train, test = simulate_batch(config, regime, n, reps)
+        # path 3 loses a dimension, so no path of the batch is stacked
+        train[3][:, 7] = train[3][:, 2]
+        raw = train.copy()
+        tally = evaluate._Tally()
+        records = evaluate._batch_records(
+            regime, n, reps, train, test, coefficient_grid(regime),
+            [parse_method(m) for m in methods], tally,
+        )
+        assert record_fields(records) == replication_records(regime, n, reps, raw, test, methods)
+        assert tally.span_ranks == {40: BATCH_SIZE - 1, 39: 1}
+        # the uncertified batch was fitted from its raw paths, left as they were
+        assert np.array_equal(train, raw)
+
+    def test_stacks_hold_at_most_one_stack_of_curves_more_than_single_fits(self):
+        # a stack's fit holds temporaries of the stack's size; every larger
+        # term of the peak is held by the replication loop too
+        config = BenchmarkConfig(
+            regimes=("III",), n_values=(800,), replications=2 * BATCH_SIZE, master_seed=5
+        )
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone, stacked = peak(per_replication_records), peak(run_benchmark)
+        stack_bytes = STACK_CURVES * REGIMES["III"].basis_dim * 8
+        assert stacked <= alone + stack_bytes, (alone, stacked)
+
     def test_single_record_smoke(self):
         config = BenchmarkConfig(
             regimes=("I",), n_values=(100,), methods=("fpca:0.90",), replications=1

@@ -4,12 +4,14 @@ import pytest
 from conftest import grid_operator, rotation_coordinates, unit_weight_grid
 from farkit.errors import GridError, InsufficientDataError
 from farkit.evaluate import fit_method
-from farkit.grid import uniform_grid
+from farkit.grid import make_trapezoid_grid, uniform_grid
 from farkit.moments import (
     FunctionalSample,
     SpanCoordinates,
     WeightedMomentPair,
     apply_kernel_matrix,
+    centre_curves,
+    full_rank_certified,
     span_coordinates,
     weighted_moments,
 )
@@ -161,6 +163,37 @@ class TestSpanCoordinates:
         coords = span_coordinates(sample)
         assert coords.rank == 8
         assert not np.array_equal(coords.basis, np.eye(8))
+
+
+    def test_stacked_certificate_agrees_with_each_sample(self, rng):
+        # full rank, a duplicated column, an overflowing Gram, too few curves
+        g = uniform_grid(8)
+        duplicated = rng.standard_normal((60, 8))
+        duplicated[:, 5] = duplicated[:, 1]
+        members = [
+            rng.standard_normal((60, 8)),
+            duplicated,
+            rng.standard_normal((60, 8)) * 1e156,
+            np.cos(np.arange(60))[:, None] * rng.standard_normal(8),
+        ]
+        stack = np.stack(members)
+        with np.errstate(over="ignore", invalid="ignore"):
+            certified = full_rank_certified(centre_curves(stack, g))
+        alone = [
+            np.array_equal(span_coordinates(FunctionalSample(v, g)).basis, np.eye(8))
+            for v in members
+        ]
+        assert certified.tolist() == alone == [True, False, False, False]
+        assert not full_rank_certified(centre_curves(stack[:, :8], g)).any()
+
+    def test_in_place_centring_keeps_the_bits(self, rng):
+        g = make_trapezoid_grid(np.sort(rng.uniform(size=9)))
+        stack = rng.standard_normal((3, 50, 9)) + 4.0
+        copy = centre_curves(stack, g)
+        for member, centred in zip(stack, copy):
+            assert np.array_equal(span_coordinates(FunctionalSample(member, g)).values, centred)
+        assert centre_curves(stack, g, out=stack) is stack
+        assert np.array_equal(stack, copy)
 
 
 def apply_one(op, x):

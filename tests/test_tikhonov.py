@@ -177,12 +177,12 @@ class TestAlphaGrids:
         assert np.all(np.diff(two) > 0)
 
     def test_alpha_grid_validation(self):
-        # a zero spectrum has no forward grid; that is checked before the
-        # length, and the fixed holdout grid does not need a spectrum
+        # a zero spectrum fails either scheme, before the length check: the
+        # forward grid has no scale, and every holdout loss would be zero
         zeros = FunctionalSample(np.zeros((30, 5)), uniform_grid(5))
-        with pytest.raises(DegenerateSpectrumError):
-            run_cv(zeros, "k-fold-forward")
-        assert run_cv(zeros).selected_alpha == HOLDOUT_ALPHAS[-1]
+        for scheme in ("holdout", "k-fold-forward"):
+            with pytest.raises(DegenerateSpectrumError):
+                run_cv(zeros, scheme)
 
 
 def noiseless_far_sample(rng, n=60, m=15, radius=0.85):
@@ -244,11 +244,10 @@ class TestCvSelectAlpha:
         assert cv.selected_alpha == alpha
 
     def test_flat_curve_ties_to_largest_alpha(self):
+        # an all-constant sample has all-zero losses and nothing to select
         g = uniform_grid(5)
-        cv = run_cv(FunctionalSample(np.zeros((40, 5)), g))
-        losses = [l for _, l in cv.cv_curve]
-        assert losses == [0.0] * 25
-        assert cv.selected_alpha == HOLDOUT_ALPHAS[-1]
+        with pytest.raises(DegenerateSpectrumError):
+            run_cv(FunctionalSample(np.zeros((40, 5)), g))
 
     def test_deterministic(self, rng):
         g = uniform_grid(7)
