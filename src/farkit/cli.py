@@ -15,11 +15,13 @@ Output files by command:
                    worst_case.csv (method,n,worst_mean_misfe)
                    tuning.csv   (regime,n,method,mean_tuning)
                    summary.json (rate slope, timings, stage seconds, span ranks,
-                   single-member refits, resolved config)
+                   single-member refits, CV grid-edge selections per regime,
+                   resolved config)
 * ``rolling``   -> forecasts.csv (date,method,ise,alpha_or_k,refit_flag)
                    summary.csv  (method,mean_ise,median_ise,regret_pct,failures)
                    weekday_means.csv (weekday,h01..h48), rolling.meta.json
-                   (settings, failures, stage seconds, single-member refits)
+                   (settings, failures, stage seconds, single-member refits,
+                   CV grid-edge selections)
 * ``verify``    -> verify.json; exit status 0 only if every check passes
 """
 
@@ -291,6 +293,7 @@ def cmd_benchmark(args) -> int:
             "failures_by_class": _failures_by_class(report.records),
             "span_ranks": report.span_ranks,
             "single_member_refits": report.single_member_refits,
+            "cv_edge_selections": report.cv_edge_selections,
             "stage_seconds": report.stage_seconds,
         },
     )
@@ -353,6 +356,8 @@ def cmd_rolling(args) -> int:
                 "skipped_gaps": result.skipped_gaps,
             }
         )
+        if parse_method(label).cv:
+            summary[-1]["cv_edge_selections"] = result.cv_edge_selections
 
     best = min((s["mean_ise"] for s in summary if np.isfinite(s["mean_ise"])), default=float("nan"))
     for s in summary:

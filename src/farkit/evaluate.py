@@ -213,6 +213,12 @@ class FitOutcome:
     cv: CvResult | None = None  # the strength selection of a tikhonov:cv fit
     refit_alone: bool = False
 
+    @property
+    def cv_at_grid_edge(self) -> bool:
+        """Whether the strength selection picked the first or the last candidate of its grid."""
+        cv = self.cv
+        return cv is not None and cv.selected_alpha in (cv.cv_curve[0][0], cv.cv_curve[-1][0])
+
 
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
@@ -429,6 +435,8 @@ class BenchmarkReport:
     # training paths refitted alone after their stack's step raised
     single_member_refits: int = 0
     stage_seconds: dict = field(default_factory=dict)  # "simulate", "fit", "score"
+    # tikhonov:cv fits per regime whose strength is the first or last CV grid candidate
+    cv_edge_selections: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -437,6 +445,7 @@ class _Tally:
 
     span_ranks: Counter = field(default_factory=Counter)
     single_member_refits: int = 0
+    cv_edge_selections: Counter = field(default_factory=Counter)
     stage_seconds: dict = field(
         default_factory=lambda: {"simulate": 0.0, "fit": 0.0, "score": 0.0}
     )
@@ -470,7 +479,9 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     The report is a pure function of the config (timings aside). Besides
     the records it counts the training paths by the rank of their span
     (``span_ranks``) and those refitted alone after their stack's step
-    raised (``single_member_refits``), and gives the seconds spent in
+    raised (``single_member_refits``), counts per regime the ``tikhonov:cv``
+    fits that select the first or last candidate of their strength grid
+    (``cv_edge_selections``), and gives the seconds spent in
     ``stage_seconds`` (``simulate``, ``fit``, ``score``).
 
     Paths stay in the simulator's J Fourier coefficients, on a unit-weight
@@ -517,6 +528,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         span_ranks=dict(sorted(tally.span_ranks.items())),
         single_member_refits=tally.single_member_refits,
         stage_seconds=tally.stage_seconds,
+        cv_edge_selections={r: tally.cv_edge_selections[r] for r in config.regimes},
     )
 
 
@@ -570,6 +582,7 @@ def _group_records(regime, n, coords: SpanCoordinates, paths, methods, tally: _T
     for (member, outcomes), (rep, test_states) in zip(per_path, paths):
         tally.span_ranks[member.rank] += 1
         tally.single_member_refits += any(o.refit_alone for o in outcomes)
+        tally.cv_edge_selections[regime] += sum(o.cv_at_grid_edge for o in outcomes)
         test_path = _encode_path(member, test_states)
         for method, outcome in zip(methods, outcomes):
             est = outcome.estimate

@@ -22,7 +22,7 @@ from scipy.interpolate import BSpline
 from .errors import InsufficientDataError, NumericalError
 from .evaluate import fit_methods, parse_method, tuning_value
 from .grid import uniform_grid
-from .moments import FunctionalSample, apply_kernel_matrix, span_coordinates
+from .moments import FunctionalSample, SpanCoordinates, span_coordinates
 
 __all__ = [
     "SLOTS_PER_DAY",
@@ -42,9 +42,10 @@ __all__ = [
 
 SLOTS_PER_DAY = 48
 
-# refit windows of a rolling backtest fitted as one stack; larger stacks are
-# hardly faster and hold larger temporaries (about 1 MB for 64 windows of
-# 100 ten-coordinate curves)
+# refit windows of a rolling backtest fitted and scored as one stack; larger
+# stacks are hardly faster and hold larger temporaries: about 1 MB to fit 64
+# windows of 100 ten-coordinate curves, and about 2 MB to decode one
+# method's forecasts of 64 blocks of 20 days on a 100-point grid
 BATCH_SIZE = 64
 
 CSV_HEADER = ["date"] + [f"h{i:02d}" for i in range(1, SLOTS_PER_DAY + 1)]
@@ -157,8 +158,10 @@ class RollingResult:
     skipped_gaps: int  # evaluation days skipped by the gap policy, per method
     span_rank: int  # numerical rank of the sample's centred sqrt-weighted curves
     single_member_refits: int = 0  # windows refitted alone after their stack's step raised
+    # tikhonov:cv windows whose strength is the first or last candidate of the CV grid
+    cv_edge_selections: int = 0
     fit_seconds: float = 0.0  # span coordinates and window fits
-    score_seconds: float = 0.0  # forecasting and scoring the blocks
+    score_seconds: float = 0.0  # forecasting and scoring the blocks, and building their rows
 
 
 def load_halfhourly_csv(path) -> list:
@@ -319,15 +322,18 @@ def rolling_forecast(
     is fitted in the coordinates of the whole sample's
     ``span_coordinates``, and the windows of ``BATCH_SIZE`` consecutive
     blocks are fitted as one stack through ``fit_methods``, which gives
-    each window the fit it would get alone. Each estimate then forecasts
-    every day of its block from the previous day's curve in one batched
-    application, and a day's error is the flat 1/M mean of its squared
-    pointwise errors. Under the ``exclude-cross-gap`` policy, days more
-    than one calendar day after their predecessor are skipped and
-    counted; the refit schedule does not move. A failed fit marks its
-    method's whole block as failed without stopping the run; the windows
-    of a stack whose step raised are refitted alone and counted in
-    ``single_member_refits``.
+    each window the fit it would get alone. Every day of a block is
+    forecast from the previous day's curve, and a day's error is the
+    flat 1/M mean of its squared pointwise errors. A stack's blocks are
+    scored together by ``_score_stack``, with the bits each block gets
+    from ``apply_kernel_matrix`` alone. Under the ``exclude-cross-gap``
+    policy, days more than one calendar day after their predecessor are
+    skipped and counted; the refit schedule does not move. A failed fit
+    marks its method's whole block as failed without stopping the run;
+    the windows of a stack whose step raised are refitted alone and
+    counted in ``single_member_refits``. ``cv_edge_selections`` counts
+    the ``tikhonov:cv`` windows whose strength is the first or last
+    candidate of the grid.
     """
     n = sample.n
     if n <= config.window:
@@ -345,13 +351,13 @@ def rolling_forecast(
         kept[1:] = np.diff(np.array(dates, dtype="datetime64[D]")) <= np.timedelta64(1, "D")
 
     methods = [parse_method(label) for label in config.methods]
+    refit = config.refit_interval
     t0 = time.perf_counter()
     coords = span_coordinates(sample)
     fit_seconds, score_seconds = time.perf_counter() - t0, 0.0
-    values = sample.values
     rows = {method.label: [] for method in methods}
-    refit_alone = 0
-    starts = np.arange(config.window, n, config.refit_interval)
+    refit_alone = cv_edges = 0
+    starts = np.arange(config.window, n, refit)
     for first in range(0, len(starts), BATCH_SIZE):
         chunk = starts[first : first + BATCH_SIZE]
         t0 = time.perf_counter()
@@ -360,11 +366,24 @@ def rolling_forecast(
         t1 = time.perf_counter()
         # a window counts once, however many of its methods were refit alone
         refit_alone += sum(any(o.refit_alone for o in window) for window in zip(*fitted))
-        for method, outcomes in zip(methods, fitted):
-            for start, outcome in zip(chunk.tolist(), outcomes):
-                stop = min(start + config.refit_interval, n)
+        cv_edges += sum(o.cv_at_grid_edge for outcomes in fitted for o in outcomes)
+        ises = _score_stack(coords, sample.values, chunk, refit, fitted)
+        for method, outcomes, errors in zip(methods, fitted, ises):
+            for start, outcome, block in zip(chunk.tolist(), outcomes, errors.tolist()):
+                est = outcome.estimate
+                tuning = float("nan") if est is None else tuning_value(est)
                 rows[method.label].extend(
-                    _score_block(method.label, outcome, values, start, stop, kept, dates)
+                    ForecastOutcome(
+                        method.label,
+                        t,
+                        dates[t] if dates is not None else None,
+                        block[t - start],
+                        tuning,
+                        t == start,
+                        outcome.error,
+                    )
+                    for t in range(start, min(start + refit, n))
+                    if kept[t]
                 )
         fit_seconds += t1 - t0
         score_seconds += time.perf_counter() - t1
@@ -374,30 +393,53 @@ def rolling_forecast(
         int(np.count_nonzero(~kept[config.window :])),
         coords.rank,
         single_member_refits=refit_alone,
+        cv_edge_selections=cv_edges,
         fit_seconds=fit_seconds,
         score_seconds=score_seconds,
     )
 
 
-def _score_block(label, outcome, values, start, stop, kept, dates) -> list:
-    """The rows of the refit block [start, stop): each kept day forecast from its predecessor."""
-    est = outcome.estimate
-    if est is None:
-        errors, tuning = np.full(stop - start, np.nan), float("nan")
-    else:
-        forecasts = apply_kernel_matrix(est, values[start - 1 : stop - 1])
-        residual = values[start:stop] - forecasts
-        errors, tuning = np.mean(residual**2, axis=1), tuning_value(est)
-    return [
-        ForecastOutcome(
-            label,
-            t,
-            dates[t] if dates is not None else None,
-            float(errors[t - start]),
-            tuning,
-            t == start,
-            outcome.error,
-        )
-        for t in range(start, stop)
-        if kept[t]
-    ]
+def _score_stack(coords: SpanCoordinates, values, starts, refit: int, fitted) -> list:
+    """Per method, the (B, L) errors of the days of the B blocks at ``starts``.
+
+    ``fitted`` holds each method's outcomes, one per block. A block holds
+    ``refit`` days, fewer only at the end of the sample, and L is the
+    longest; an error is NaN past its block's end and wherever the block's
+    fit failed. The blocks of one length are consecutive, so their
+    predecessor days are one run of rows, encoded once as a (B', L, M)
+    view. Each method then forecasts its fitted blocks of that length in
+    one stacked product.
+    """
+    n, m = values.shape
+    lengths = np.minimum(refit, n - starts)
+    ises = [np.full((len(starts), lengths.max()), np.nan) for _ in fitted]
+    for length in np.unique(lengths).tolist():
+        group = np.flatnonzero(lengths == length)
+        first, stop = int(starts[group[0]]), int(starts[group[-1]]) + length
+        lags = coords.encode(values[first - 1 : stop - 1].reshape(-1, length, m))
+        targets = values[first:stop].reshape(-1, length, m)
+        for errors, outcomes in zip(ises, fitted):
+            ok = np.array([outcomes[i].estimate is not None for i in group])
+            if not ok.any():
+                continue
+            # a full selection stays a view of the days
+            sel = slice(None) if ok.all() else ok
+            matrices = np.stack([outcomes[i].estimate.matrix for i in group[ok]])
+            errors[group[ok], :length] = _stacked_errors(coords, lags[sel], targets[sel], matrices)
+    return ises
+
+
+def _stacked_errors(coords: SpanCoordinates, lags, targets, matrices) -> np.ndarray:
+    """Mean squared errors (B, L) of forecasting ``targets`` (B, L, M) from encoded ``lags``.
+
+    Block b is forecast by ``matrices[b]``. Numpy's stacked matmul calls
+    BLAS once per block, with the shapes and strides of
+    ``apply_kernel_matrix`` on that block alone, and every other step is
+    elementwise or reduces each day on its own, so every error has the
+    bits of its block scored alone. (A flattened (B*L, M) product does
+    not: BLAS may order its sums differently for other shapes.) The
+    residual is formed in the forecasts' buffer, which is freed on return.
+    """
+    forecasts = coords.decode(lags @ matrices.swapaxes(-1, -2))
+    residual = np.subtract(targets, forecasts, out=forecasts)
+    return np.square(residual, out=residual).mean(axis=-1)

@@ -128,6 +128,7 @@ class TestBenchmarkCommand:
         assert summary["wall_clock_seconds"] > 0
         assert "rate_slope_log10_alpha_vs_log10_n" in summary
         assert summary["single_member_refits"] == 0
+        assert set(summary["cv_edge_selections"]) == {"I", "II", "III"}
         assert set(summary["stage_seconds"]) == {"simulate", "fit", "score"}
         assert all(seconds >= 0 for seconds in summary["stage_seconds"].values())
 
@@ -244,6 +245,9 @@ class TestRollingCommand:
         assert len(weekday[1].split(",")) == 49
         meta = json.loads((out / "rolling.meta.json").read_text())
         assert meta["single_member_refits"] == 0
+        edges = {s["method"]: s["cv_edge_selections"] for s in meta["summary"]
+                 if "cv_edge_selections" in s}
+        assert list(edges) == ["tikhonov:cv"] and 0 <= edges["tikhonov:cv"] <= 3
         assert set(meta["stage_seconds"]) == {"preprocess", "fit", "score"}
         assert all(seconds >= 0 for seconds in meta["stage_seconds"].values())
 

@@ -537,6 +537,25 @@ class TestRunBenchmark:
         # the uncertified batch was fitted from its raw paths, left as they were
         assert np.array_equal(train, raw)
 
+    def test_cv_edge_selections_counted_per_regime(self):
+        config = BenchmarkConfig(regimes=("I",), n_values=(100,), replications=BATCH_SIZE)
+        regime, n, reps = next(batches(config))
+        _, test = simulate_batch(config, regime, n, reps)
+        grid = coefficient_grid(regime)
+        # white-noise training paths: the strongest ridge, the grid's last candidate, fits best
+        train = np.random.default_rng(1).standard_normal((len(reps), n, grid.size))
+        cvs = [
+            fit_method(span_coordinates(FunctionalSample(path, grid)), "tikhonov:cv")[1]
+            for path in train
+        ]
+        last = sum(cv.selected_alpha == cv.cv_curve[-1][0] for cv in cvs)
+        assert last > 0
+        tally = evaluate._Tally()
+        evaluate._batch_records(
+            regime, n, reps, train, test, grid, [parse_method(m) for m in config.methods], tally
+        )
+        assert tally.cv_edge_selections == {regime: last}
+
     def test_stacks_hold_at_most_one_stack_of_curves_more_than_single_fits(self):
         # a stack's fit holds temporaries of the stack's size; every larger
         # term of the peak is held by the replication loop too

@@ -340,17 +340,85 @@ class TestRollingForecast:
         # more windows than two stacks, and a last stack that is not full
         window = 40
         sample = drifting_sample(window + refit * (2 * BATCH_SIZE + 3))
-        labels = ("fpca:0.80", "fpca:0.95", "fpca:K=3", "tikhonov:0.05", "tikhonov:cv")
-        config = RollingConfig(window=window, refit_interval=refit, methods=labels,
+        config = RollingConfig(window=window, refit_interval=refit, methods=SCORED_METHODS,
+                               gap_policy="contiguous")
+        result = assert_rows_equal_per_window_rows(sample, config)
+        assert result.single_member_refits == 0
+        assert all(r.error is None for r in result.records)
+
+    @pytest.mark.parametrize(
+        "days, refit",
+        [
+            (40 + 7 * 5 + 3, 7),  # the last block holds 3 of 7 days
+            (40 + 2 * BATCH_SIZE + 1, 2),  # the last stack is that one short block
+            (40 + 3 * (BATCH_SIZE + 1), 3),  # the last stack is one full block
+            (40 + 25, 25),  # one block of the whole evaluation span
+            (40 + 20, 25),  # one block, shorter than the refit interval
+        ],
+        ids=["short-last-block", "short-last-stack", "one-block-stack", "one-block",
+             "refit-beyond-span"],
+    )
+    def test_block_lengths_score_as_per_window_rows(self, days, refit):
+        # rank 10 on a 100-point grid: the encode and decode are not exact
+        sample = spline_sample(days)
+        config = RollingConfig(window=40, refit_interval=refit, methods=SCORED_METHODS,
+                               gap_policy="contiguous")
+        result = assert_rows_equal_per_window_rows(sample, config)
+        assert len(result.records) == len(SCORED_METHODS) * (days - 40)
+        assert all(r.error is None for r in result.records)
+
+    def test_skipped_days_inside_blocks_score_as_per_window_rows(self):
+        sample = spline_sample(40 + 6 * 9 + 4)
+        # calendar jumps before days 45, 52, 53 and 93: inside blocks and at
+        # the start of the last, short block
+        dates, day = [], dt.date(2019, 1, 8)
+        for t in range(sample.n):
+            day += dt.timedelta(days=3 if t in (45, 52, 53, 93) else 1)
+            dates.append(day)
+        config = RollingConfig(window=40, refit_interval=6, methods=SCORED_METHODS)
+        result = assert_rows_equal_per_window_rows(sample, config, dates)
+        assert result.skipped_gaps == 4
+        assert {r.index for r in result.records}.isdisjoint({45, 52, 53, 93})
+        assert [r.date for r in result.records[:3]] == dates[40:43]
+
+    def test_method_failing_on_some_windows_of_a_stack(self):
+        # the first 70 days lie in a 3-dimensional span, the rest in a 20-dimensional
+        # one of the 30-point grid: fpca:K=5 fails on the windows inside the first
+        # stretch only
+        rng = np.random.default_rng(11)
+        g = uniform_grid(30)
+        shapes = np.array([np.sin((j + 1) * np.pi * g.points) for j in range(20)])
+        values = np.vstack([
+            rng.standard_normal((70, 3)) @ shapes[:3],
+            rng.standard_normal((60, 20)) @ shapes,
+        ])
+        sample = FunctionalSample(values, g)
+        config = RollingConfig(window=40, refit_interval=3, methods=SCORED_METHODS + ("fpca:K=5",),
+                               gap_policy="contiguous")
+        result = assert_rows_equal_per_window_rows(sample, config)
+        failed = {r.index for r in result.records if r.error is not None}
+        # the blocks at days 40, 43, ..., 70 are fitted on windows inside that stretch
+        assert failed == set(range(40, 73))
+        assert all(r.method == "fpca:K=5" for r in result.records if r.error is not None)
+        assert any(r.error is None for r in result.records if r.method == "fpca:K=5")
+        assert result.single_member_refits == len(range(40, sample.n, 3))
+
+    def test_cv_edge_selections_count_windows(self):
+        # white noise: the strongest ridge, the grid's last candidate, forecasts best
+        values = np.random.default_rng(0).standard_normal((140, 20))
+        sample = FunctionalSample(values, uniform_grid(20))
+        config = RollingConfig(window=100, refit_interval=10, methods=("fpca:0.9", "tikhonov:cv"),
                                gap_policy="contiguous")
         result = rolling_forecast(sample, config)
-        assert result.single_member_refits == 0
-        for label in labels:
-            expected = per_window_rows(sample, window, refit, label)
-            rows = [r for r in result.records if r.method == label]
-            assert [r.index for r in rows] == sorted(expected)
-            assert all(r.error is None for r in rows)
-            assert [(r.ise, r.tuning) for r in rows] == [expected[r.index] for r in rows]
+        coords = span_coordinates(sample)
+        cvs = [
+            fit_method(coords.subsample(start - 100, start), "tikhonov:cv",
+                       cv_scheme="k-fold-forward")[1]
+            for start in range(100, 140, 10)
+        ]
+        last = sum(cv.selected_alpha == cv.cv_curve[-1][0] for cv in cvs)
+        assert last > 0
+        assert result.cv_edge_selections == last
 
     def test_needs_more_than_window(self):
         sample = drifting_sample(100)
@@ -365,12 +433,16 @@ class TestRollingForecast:
             rolling_forecast(sample, config)
 
 
+SCORED_METHODS = ("fpca:0.80", "fpca:0.95", "fpca:K=3", "tikhonov:0.05", "tikhonov:cv")
+
+
 def per_window_rows(sample, window, refit, label):
     """{day: (ise, tuning)} of a backtest fitted window by window, as ``fit_method`` fits one.
 
-    Each block is scored as ``rolling_forecast`` scores it: one
-    ``apply_kernel_matrix`` call on the block's predecessor days. The
-    blocks of failed fits are left out.
+    The reference for ``rolling_forecast``'s stacked fits and scores:
+    each block is scored alone, by one ``apply_kernel_matrix`` call on its
+    predecessor days. Every day of a block is scored, whatever the gap
+    policy. The blocks of failed fits are left out.
     """
     coords = span_coordinates(sample)
     values = sample.values
@@ -388,6 +460,31 @@ def per_window_rows(sample, window, refit, label):
         for t, error in zip(range(start, stop), np.mean(residual**2, axis=1)):
             rows[t] = (float(error), tuning)
     return rows
+
+
+def assert_rows_equal_per_window_rows(sample, config, dates=None):
+    """Assert that ``rolling_forecast``'s rows equal ``per_window_rows`` with ``==``.
+
+    Every method's rows must cover the kept evaluation days, in order,
+    with the refit flag on each block's first day; the blocks of failed
+    fits must hold NaN. Returns the result.
+    """
+    window, refit = config.window, config.refit_interval
+    result = rolling_forecast(sample, config, dates=dates)
+    days = range(window, sample.n)
+    if dates is not None and config.gap_policy == "exclude-cross-gap":
+        days = [t for t in days if (dates[t] - dates[t - 1]).days <= 1]
+    for label in config.methods:
+        expected = per_window_rows(sample, window, refit, label)
+        rows = [r for r in result.records if r.method == label]
+        assert [r.index for r in rows] == list(days)
+        assert [r.refit for r in rows] == [(t - window) % refit == 0 for t in days]
+        scored = [r for r in rows if r.error is None]
+        assert [(r.ise, r.tuning) for r in scored] == [expected[r.index] for r in scored]
+        failed = [r for r in rows if r.error is not None]
+        assert all(r.index not in expected for r in failed)
+        assert all(np.isnan(r.ise) and np.isnan(r.tuning) for r in failed)
+    return result
 
 
 def spline_sample(n, seed=0):
