@@ -42,8 +42,8 @@ from .moments import (
     weighted_moments,
 )
 from .preprocess import (
+    DayTable,
     PipelineConfig,
-    RawDayRecord,
     RollingConfig,
     filter_and_interpolate,
     load_halfhourly_csv,

@@ -187,14 +187,11 @@ def fit_method(
         select = _cv_select if coords.stacked else cv_select_alpha
         cv = select(coords, decomposition, scheme=cv_scheme)
         alpha = coords.per_member(lambda _, c: c.selected_alpha, cv)
-        est = tikhonov_fit(coords, alpha, moments=moments, decomposition=decomposition)
-        return coords.per_member(_with_cv, est, cv)
+        est = tikhonov_fit(
+            coords, alpha, moments=moments, decomposition=decomposition, selected_by=cv_scheme
+        )
+        return coords.per_member(lambda _, e, c: (e, c), est, cv)
     return coords.per_member(lambda _, e: (e, None), est)
-
-
-def _with_cv(_, est: OperatorEstimate, cv: CvResult):
-    """``(estimate, cv)``, the estimate's tuning naming the scheme that selected it."""
-    return replace(est, tuning={**est.tuning, "selected_by": cv.scheme}), cv
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,16 +5,20 @@ seasonal filtering with a fixed exclusion window, a missing-data rule with
 linear gap filling, a square-root variance-stabilizing transform, centering
 by day-of-week mean profiles, and penalized-free least-squares smoothing
 onto a small cubic B-spline basis evaluated on a uniform output grid. The
-rolling driver then scores one-step forecasts from a sliding training
-window with periodic refitting.
+days travel through those steps as one ``DayTable``: their sorted dates
+and one (days, 48) array of readings. The rolling driver then scores
+one-step forecasts from a sliding training window with periodic refitting.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
+import operator
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -27,7 +31,9 @@ from .moments import FunctionalSample, SpanCoordinates, span_coordinates
 __all__ = [
     "SLOTS_PER_DAY",
     "BATCH_SIZE",
-    "RawDayRecord",
+    "PARSE_ROWS",
+    "Day",
+    "DayTable",
     "PipelineConfig",
     "RollingConfig",
     "PreprocessedCurves",
@@ -48,31 +54,77 @@ SLOTS_PER_DAY = 48
 # method's forecasts of 64 blocks of 20 days on a 100-point grid
 BATCH_SIZE = 64
 
+# raw-file rows parsed and converted at a time: a chunk's cell strings, about
+# 0.4 MB for 128 rows, are freed before the next chunk is read
+PARSE_ROWS = 128
+
 CSV_HEADER = ["date"] + [f"h{i:02d}" for i in range(1, SLOTS_PER_DAY + 1)]
 
 
-@dataclass(frozen=True, eq=False)
-class RawDayRecord:
-    """One calendar day of half-hourly readings; NaN marks a missing slot."""
+class Day(NamedTuple):
+    """One day of a ``DayTable``, as iterating the table yields it."""
 
     date: dt.date
     values: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
-        if values.shape != (SLOTS_PER_DAY,):
-            raise ValueError(f"a day carries exactly {SLOTS_PER_DAY} half-hour slots")
-        present = values[~np.isnan(values)]
-        if np.any(~np.isfinite(present)):
-            raise ValueError("readings must be finite or missing")
-        if np.any(present < 0):
-            raise ValueError("concentration readings cannot be negative")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
 
-    @property
-    def missing_count(self) -> int:
-        return int(np.isnan(self.values).sum())
+@dataclass(frozen=True, eq=False)
+class DayTable:
+    """Days of half-hourly readings: sorted unique dates and one (days, 48) array.
+
+    NaN marks a missing slot; every other reading is finite and
+    nonnegative. The array is read-only and checked once, vectorised,
+    when the table is built. Iterating yields ``Day`` rows.
+    """
+
+    dates: tuple
+    values: np.ndarray
+
+    def __post_init__(self):
+        dates = tuple(self.dates)
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 2 or values.shape[1] != SLOTS_PER_DAY:
+            raise ValueError(f"a day carries exactly {SLOTS_PER_DAY} half-hour slots")
+        if len(values) != len(dates):
+            raise ValueError("a table holds one row of readings per date")
+        if any(later <= earlier for earlier, later in zip(dates, dates[1:])):
+            raise ValueError("table dates must be sorted and unique")
+        _check_readings(values, lambda row: dates[row].isoformat())
+        _freeze(self, dates, values)
+
+    @classmethod
+    def _checked(cls, dates: tuple, values: np.ndarray) -> DayTable:
+        """A table of sorted unique dates and readings that passed ``_check_readings``."""
+        table = object.__new__(cls)
+        _freeze(table, dates, values)
+        return table
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __iter__(self):
+        return map(Day, self.dates, self.values)
+
+
+def _freeze(table: DayTable, dates: tuple, values: np.ndarray) -> None:
+    values.flags.writeable = False
+    object.__setattr__(table, "dates", dates)
+    object.__setattr__(table, "values", values)
+
+
+def _check_readings(values: np.ndarray, where) -> None:
+    """Raise ValueError for the first day with an infinite or a negative reading.
+
+    The message starts with ``where(row)``; a day's infinite reading is
+    named before its negative one.
+    """
+    infinite = np.isinf(values).any(axis=1)
+    bad = np.flatnonzero(infinite | (values < 0).any(axis=1))
+    if bad.size:
+        row = int(bad[0])
+        if infinite[row]:
+            raise ValueError(f"{where(row)}: readings must be finite or missing")
+        raise ValueError(f"{where(row)}: concentration readings cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -164,15 +216,23 @@ class RollingResult:
     score_seconds: float = 0.0  # forecasting and scoring the blocks, and building their rows
 
 
-def load_halfhourly_csv(path) -> list:
-    """Read `date,h01..h48` rows into day records, sorted by date.
+_READING_CELLS = operator.itemgetter(slice(1, None))
+_EMPTY_AS_NAN = {"": "nan"}.get
 
-    Empty cells denote missing readings; dates must be ISO-8601 and unique.
-    Parse problems, the csv module's own errors included, raise ValueError
-    with the offending line number.
+
+def load_halfhourly_csv(path) -> DayTable:
+    """Read `date,h01..h48` rows into a ``DayTable``.
+
+    A cell is stripped; an empty one is a missing reading, any other is
+    read with ``float()`` (so ``nan`` is missing too). Dates must be
+    ISO-8601 and unique. Rows are converted ``PARSE_ROWS`` at a time
+    straight into arrays and checked as they are, so neither the whole
+    file's cell strings nor a per-day object is ever held. Every problem,
+    the csv module's own errors included, raises ValueError naming the
+    first offending line of the file.
     """
-    records = []
-    seen = set()
+    dates, seen, chunks = [], set(), []
+    rows, lines, problem = [], [], None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -182,66 +242,107 @@ def load_halfhourly_csv(path) -> list:
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != SLOTS_PER_DAY + 1:
-                    raise ValueError(
-                        f"line {line_no}: expected {SLOTS_PER_DAY + 1} cells, got {len(row)}"
-                    )
                 try:
-                    date = dt.date.fromisoformat(row[0])
+                    date = _row_date(row)
                 except ValueError as exc:
-                    raise ValueError(f"line {line_no}: bad date {row[0]!r}") from exc
+                    problem = f"line {line_no}: {exc}"
+                    break
                 if date in seen:
-                    raise ValueError(f"line {line_no}: duplicate date {date.isoformat()}")
+                    problem = f"line {line_no}: duplicate date {date.isoformat()}"
+                    break
                 seen.add(date)
-                values = np.full(SLOTS_PER_DAY, np.nan)
-                for i, cell in enumerate(row[1:]):
-                    cell = cell.strip()
-                    if not cell:
-                        continue
-                    try:
-                        values[i] = float(cell)
-                    except ValueError as exc:
-                        raise ValueError(f"line {line_no}: bad reading {cell!r}") from exc
-                try:
-                    records.append(RawDayRecord(date, values))
-                except ValueError as exc:
-                    raise ValueError(f"line {line_no}: {exc}") from exc
+                dates.append(date)
+                rows.append(row)
+                lines.append(line_no)
+                if len(rows) == PARSE_ROWS:
+                    chunks.append(_readings(rows, lines))
+                    rows.clear()
+                    lines.clear()
         except csv.Error as exc:
             # e.g. a cell longer than the csv module's field size limit
-            raise ValueError(f"line {reader.line_num}: {exc}") from exc
-    records.sort(key=lambda r: r.date)
-    return records
+            problem = f"line {reader.line_num}: {exc}"
+    # the rows before a problem are checked first: a fault among them comes earlier
+    if rows:
+        chunks.append(_readings(rows, lines))
+        rows.clear()
+    if problem is not None:
+        raise ValueError(problem)
+    values = np.concatenate(chunks) if chunks else np.empty((0, SLOTS_PER_DAY))
+    del chunks
+    if any(later < earlier for earlier, later in zip(dates, dates[1:])):
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates, values = [dates[i] for i in order], values[order]
+    return DayTable._checked(tuple(dates), values)
 
 
-def _in_window(date: dt.date, start: tuple, end: tuple) -> bool:
-    md = (date.month, date.day)
-    if start <= end:
-        return start <= md <= end
-    return md >= start or md <= end
+def _row_date(row: list) -> dt.date:
+    if len(row) != SLOTS_PER_DAY + 1:
+        raise ValueError(f"expected {SLOTS_PER_DAY + 1} cells, got {len(row)}")
+    try:
+        return dt.date.fromisoformat(row[0])
+    except ValueError:
+        raise ValueError(f"bad date {row[0]!r}") from None
 
 
-def filter_and_interpolate(records, config: PipelineConfig) -> list:
+def _readings(rows: list, lines: list) -> np.ndarray:
+    """The checked (rows, 48) readings of parsed rows whose file lines are ``lines``."""
+    cells = list(itertools.chain.from_iterable(map(_READING_CELLS, rows)))
+    try:
+        # the common case: every cell is a number or empty
+        values = np.fromiter(map(float, map(_EMPTY_AS_NAN, cells, cells)), float, len(cells))
+        values = values.reshape(len(rows), SLOTS_PER_DAY)
+    except ValueError:
+        values = _readings_cell_by_cell(rows, lines)
+    _check_readings(values, lambda row: f"line {lines[row]}")
+    return values
+
+
+def _readings_cell_by_cell(rows: list, lines: list) -> np.ndarray:
+    values = np.full((len(rows), SLOTS_PER_DAY), np.nan)
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if not cell:
+                continue
+            try:
+                values[i, j] = float(cell)
+            except ValueError:
+                # a fault on an earlier line comes first
+                _check_readings(values[:i], lambda row: f"line {lines[row]}")
+                raise ValueError(f"line {lines[i]}: bad reading {cell!r}") from None
+    return values
+
+
+def _in_window(month_days: np.ndarray, start: tuple, end: tuple) -> np.ndarray:
+    # 100 * month + day orders dates as (month, day) pairs do
+    first, last = 100 * start[0] + start[1], 100 * end[0] + end[1]
+    if first <= last:
+        return (month_days >= first) & (month_days <= last)
+    return (month_days >= first) | (month_days <= last)
+
+
+def filter_and_interpolate(table: DayTable, config: PipelineConfig) -> DayTable:
     """Keep in-season days outside the exclusion window and fill their gaps.
 
     Days with more missing readings than ``config.max_missing`` are
     dropped. Remaining gaps are filled by linear interpolation over the
     slot index; gaps touching a day boundary take the nearest reading.
+    The filled readings lie between present ones, so the result needs no
+    new check.
     """
-    kept = []
+    month_days = np.fromiter((100 * d.month + d.day for d in table.dates), int, len(table))
+    missing = np.isnan(table.values)
+    keep = (
+        _in_window(month_days, config.season_start, config.season_end)
+        & ~_in_window(month_days, config.exclusion_start, config.exclusion_end)
+        & (missing.sum(axis=1) <= config.max_missing)
+    )
+    values, missing = table.values[keep], missing[keep]
     idx = np.arange(SLOTS_PER_DAY, dtype=float)
-    for record in records:
-        if not _in_window(record.date, config.season_start, config.season_end):
-            continue
-        if _in_window(record.date, config.exclusion_start, config.exclusion_end):
-            continue
-        if record.missing_count > config.max_missing:
-            continue
-        values = record.values
-        present = ~np.isnan(values)
-        if not present.all():
-            values = np.interp(idx, idx[present], values[present])
-        kept.append(RawDayRecord(record.date, values))
-    return kept
+    for row in np.flatnonzero(missing.any(axis=1)).tolist():
+        present = ~missing[row]
+        values[row] = np.interp(idx, idx[present], values[row, present])
+    return DayTable._checked(tuple(itertools.compress(table.dates, keep.tolist())), values)
 
 
 def _spline_knots(n_basis: int) -> np.ndarray:
@@ -274,26 +375,24 @@ def smooth_days(day_values: np.ndarray, config: PipelineConfig) -> np.ndarray:
     return (_design_matrix(grid.points, config.n_basis) @ coeffs).T
 
 
-def preprocess_curves(records, config: PipelineConfig) -> PreprocessedCurves:
+def preprocess_curves(table: DayTable, config: PipelineConfig) -> PreprocessedCurves:
     """Square-root transform, weekday centering, and B-spline smoothing.
 
     The weekday mean profiles are computed once over the whole kept sample
-    (on the transformed scale) and subtracted per record. Each centered
+    (on the transformed scale) and subtracted from each day. Each centered
     day is projected onto the cubic B-spline basis by least squares, using
     the 48 slot midpoints mapped to [0, 1] as abscissae, and evaluated on
     the uniform output grid.
     """
-    records = list(records)
-    if len(records) < 14:
+    if len(table) < 14:
         raise InsufficientDataError(
-            f"need at least 14 complete days to estimate weekday profiles, got {len(records)}"
+            f"need at least 14 complete days to estimate weekday profiles, got {len(table)}"
         )
-    raw = np.vstack([r.values for r in records])
-    if np.isnan(raw).any():
-        raise ValueError("records must be complete; run filter_and_interpolate first")
-    transformed = np.sqrt(raw)
+    if np.isnan(table.values).any():
+        raise ValueError("days must be complete; run filter_and_interpolate first")
+    transformed = np.sqrt(table.values)
 
-    weekdays = np.array([r.date.weekday() for r in records])
+    weekdays = np.array([d.weekday() for d in table.dates])
     weekday_means = np.full((7, SLOTS_PER_DAY), np.nan)
     for wd in range(7):
         mask = weekdays == wd
@@ -303,7 +402,7 @@ def preprocess_curves(records, config: PipelineConfig) -> PreprocessedCurves:
 
     curves = smooth_days(centered, config)
     sample = FunctionalSample(curves, uniform_grid(config.output_grid_size))
-    return PreprocessedCurves(sample, weekday_means, tuple(r.date for r in records))
+    return PreprocessedCurves(sample, weekday_means, table.dates)
 
 
 def rolling_forecast(

@@ -170,7 +170,8 @@ def simulate_states(op: TrueOperator, spec: RegimeSpec, n: int, seeds) -> np.nda
     recursion runs once for all seeds, on the leading ``block_size``
     coordinates only: the others are the innovations themselves. It
     overwrites the block columns of the states in place, so the noise is
-    held once, in the returned array plus a burn-in buffer of the block.
+    held once, in the returned array plus a burn-in buffer of the block;
+    each path draws into one reused buffer and is scaled there.
     Deterministic given (op, spec, n, seeds).
     """
     if n < 2:
@@ -180,8 +181,10 @@ def simulate_states(op: TrueOperator, spec: RegimeSpec, n: int, seeds) -> np.nda
     sigma = np.sqrt(innovation_eigenvalues(spec))
     states = np.empty((len(seeds), n, j))
     burn = np.empty((len(seeds), BURN_IN, b))
+    noise = np.empty((BURN_IN + n, j))  # each path's draws, reused
     for r, seed in enumerate(seeds):
-        noise = np.random.default_rng(seed).standard_normal((BURN_IN + n, j)) * sigma
+        np.random.default_rng(seed).standard_normal(out=noise)
+        noise *= sigma
         burn[r] = noise[:BURN_IN, :b]
         states[r] = noise[BURN_IN:]
     block_t = op.coefficients[:b, :b].T

@@ -55,13 +55,16 @@ def tikhonov_fit(
     *,
     moments: WeightedMomentPair | None = None,
     decomposition: SpectralDecomposition | None = None,
+    selected_by: str | None = None,
 ):
     """Ridge estimate of the autoregression operator at a fixed strength.
 
     Computes C1 (C0 + alpha I)^{-1} in span coordinates through the
     spectral decomposition of C0. Precomputed moments of ``coords`` and
     the decomposition of their ``c0`` skip the O(r^3) work. A stack is
-    fitted at one strength or at one strength per member.
+    fitted at one strength or at one strength per member. ``selected_by``
+    names the cross-validation scheme that selected ``alpha``, and is
+    recorded in each estimate's tuning after the strength.
     """
     alpha = np.asarray(alpha, dtype=float)
     if not (alpha > 0).all():
@@ -74,9 +77,10 @@ def tikhonov_fit(
     q = decomposition.vectors
     filters = (lam + alpha[..., None])[..., None, :]
     psi = ((moments.c1 @ q) / filters) @ q.swapaxes(-1, -2)
+    scheme = {} if selected_by is None else {"selected_by": selected_by}
     return coords.per_member(
         lambda member, matrix, a: OperatorEstimate(
-            matrix, member, method="tikhonov", tuning={"alpha": a}
+            matrix, member, method="tikhonov", tuning={"alpha": a, **scheme}
         ),
         psi,
         (np.zeros(lam.shape[:-1]) + alpha).tolist(),

@@ -47,8 +47,8 @@ from farkit.moments import (
     weighted_moments,
 )
 from farkit.preprocess import (
+    DayTable,
     PipelineConfig,
-    RawDayRecord,
     RollingConfig,
     filter_and_interpolate,
     rolling_forecast,
@@ -329,20 +329,17 @@ def test_criterion_10_pipeline_properties():
         six[:6] = np.nan
         five = base.copy()
         five[:5] = np.nan
-        records = [
-            RawDayRecord(dt.date(2020, 1, 10), six),
-            RawDayRecord(dt.date(2020, 1, 11), five),
-        ]
-        kept = filter_and_interpolate(records, cfg)
-        assert [r.date.day for r in kept] == [11]
-        assert kept[0].missing_count == 0
+        table = DayTable((dt.date(2020, 1, 10), dt.date(2020, 1, 11)), [six, five])
+        kept = filter_and_interpolate(table, cfg)
+        assert [d.day for d in kept.dates] == [11]
+        assert not np.isnan(kept.values).any()
 
         # fixed year-end exclusion window
         for month, day, expect_kept in (
             (12, 27, True), (12, 28, False), (1, 1, False), (1, 7, False), (1, 8, True),
         ):
-            rec = RawDayRecord(dt.date(2020, month, day), base)
-            assert bool(filter_and_interpolate([rec], cfg)) is expect_kept, (month, day)
+            table = DayTable((dt.date(2020, month, day),), [base])
+            assert len(filter_and_interpolate(table, cfg)) == expect_kept, (month, day)
 
         # window arithmetic of the rolling run
         rng = np.random.default_rng(515)
@@ -368,8 +365,8 @@ def test_criterion_11_application_soft_check():
         from farkit.preprocess import load_halfhourly_csv, preprocess_curves
 
         cfg = PipelineConfig()
-        records = load_halfhourly_csv(os.environ["FARKIT_PM10_CSV"])
-        prepared = preprocess_curves(filter_and_interpolate(records, cfg), cfg)
+        table = load_halfhourly_csv(os.environ["FARKIT_PM10_CSV"])
+        prepared = preprocess_curves(filter_and_interpolate(table, cfg), cfg)
         methods = ["fpca:0.80", "fpca:0.85", "fpca:0.90", "fpca:0.95", "fpca:0.99", "tikhonov:cv"]
         rolling = RollingConfig(window=100, refit_interval=20, methods=methods)
         result = rolling_forecast(prepared.sample, rolling, dates=prepared.dates)

@@ -93,6 +93,8 @@ class TestFitCommand:
         assert len(meta["cv_curve"]) == 25
         assert meta["cv_scheme"] == "holdout"
         assert meta["tuning"]["alpha"] > 0
+        assert list(meta["tuning"]) == ["alpha", "selected_by"]
+        assert meta["tuning"]["selected_by"] == "holdout"
 
     def test_estimator_error_surfaces(self, tmp_path):
         sample = tmp_path / "sample.csv"
@@ -248,7 +250,7 @@ class TestRollingCommand:
         edges = {s["method"]: s["cv_edge_selections"] for s in meta["summary"]
                  if "cv_edge_selections" in s}
         assert list(edges) == ["tikhonov:cv"] and 0 <= edges["tikhonov:cv"] <= 3
-        assert set(meta["stage_seconds"]) == {"preprocess", "fit", "score"}
+        assert set(meta["stage_seconds"]) == {"load", "filter", "smooth", "fit", "score"}
         assert all(seconds >= 0 for seconds in meta["stage_seconds"].values())
 
     def test_single_method_refit_flags(self, tmp_path):

@@ -99,7 +99,10 @@ class TestFitMethods:
             assert outcome.error is None
             est, cv = fit_method(coords, label)
             assert np.array_equal(outcome.estimate.kernel, est.kernel)
+            assert outcome.estimate.tuning == est.tuning
             # only the cross-validated fit carries its strength selection
+            # and names the scheme that made it in its tuning
+            assert ("selected_by" in est.tuning) == (label == "tikhonov:cv")
             assert (outcome.cv is None) == (cv is None) == (label != "tikhonov:cv")
             if cv is not None:
                 assert outcome.cv.cv_curve == cv.cv_curve

@@ -1,18 +1,24 @@
+import csv
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_reference
+import raw_reference
 from farkit.errors import InsufficientDataError, SingularSystemError
 from farkit.evaluate import FIT_ERRORS, fit_method
 from farkit.grid import uniform_grid
 from farkit.moments import FunctionalSample, apply_kernel_matrix, span_coordinates
 from farkit.preprocess import (
     BATCH_SIZE,
+    PARSE_ROWS,
     SLOTS_PER_DAY,
+    DayTable,
     PipelineConfig,
-    RawDayRecord,
     RollingConfig,
     filter_and_interpolate,
     load_halfhourly_csv,
@@ -37,26 +43,42 @@ def winter_dates(count, start=dt.date(2019, 1, 8)):
     return [start + dt.timedelta(days=i) for i in range(count)]
 
 
-def day_record(date, base=4.0):
-    return RawDayRecord(date, np.full(SLOTS_PER_DAY, base))
+def day_table(days):
+    """A DayTable of ``(date, 48 readings)`` pairs in date order."""
+    return DayTable(tuple(d for d, _ in days), [v for _, v in days])
+
+
+def level_table(dates, levels):
+    return day_table([(d, np.full(SLOTS_PER_DAY, level)) for d, level in zip(dates, levels)])
 
 
 class TestLoadCsv:
     def test_complete_row(self, tmp_path):
         p = tmp_path / "raw.csv"
         write_csv(p, [full_row("2020-01-10", range(1, 49))])
-        records = load_halfhourly_csv(p)
-        assert len(records) == 1
-        assert records[0].missing_count == 0
-        assert records[0].date == dt.date(2020, 1, 10)
-        assert records[0].values[0] == 1.0 and records[0].values[-1] == 48.0
+        table = load_halfhourly_csv(p)
+        assert len(table) == 1 and table.values.shape == (1, SLOTS_PER_DAY)
+        assert not np.isnan(table.values).any()
+        assert table.dates == (dt.date(2020, 1, 10),)
+        assert table.values[0, 0] == 1.0 and table.values[0, -1] == 48.0
+        assert not table.values.flags.writeable
 
     def test_empty_cells_are_missing(self, tmp_path):
         values = [""] * 6 + ["2.0"] * 42
         p = tmp_path / "raw.csv"
         write_csv(p, ["2020-01-10," + ",".join(values)])
-        records = load_halfhourly_csv(p)
-        assert records[0].missing_count == 6
+        table = load_halfhourly_csv(p)
+        assert np.isnan(table.values).sum() == 6
+
+    def test_blank_nan_and_quoted_cells(self, tmp_path):
+        # whitespace-only and nan cells are missing; quoted numbers parse
+        cells = [" ", "\t", "nan", " NaN ", '"3.5"', '" 4.25 "', '"5"'] + ["1.0"] * 41
+        p = tmp_path / "raw.csv"
+        write_csv(p, ['"2020-01-10",' + ",".join(cells)])
+        table = load_halfhourly_csv(p)
+        assert table.dates == (dt.date(2020, 1, 10),)
+        assert np.isnan(table.values[0, :4]).all()
+        assert table.values[0, 4:].tolist() == [3.5, 4.25, 5.0] + [1.0] * 41
 
     def test_sorted_output(self, tmp_path):
         p = tmp_path / "raw.csv"
@@ -68,8 +90,10 @@ class TestLoadCsv:
                 full_row("2020-01-11", [3.0] * 48),
             ],
         )
-        dates = [r.date.day for r in load_halfhourly_csv(p)]
-        assert dates == [10, 11, 12]
+        table = load_halfhourly_csv(p)
+        assert [d.day for d in table.dates] == [10, 11, 12]
+        assert table.values[:, 0].tolist() == [2.0, 3.0, 1.0]
+        assert [(day.date.day, day.values[0]) for day in table] == [(10, 2.0), (11, 3.0), (12, 1.0)]
 
     def test_duplicate_date_rejected(self, tmp_path):
         p = tmp_path / "raw.csv"
@@ -101,66 +125,243 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 2"):
             load_halfhourly_csv(p)
 
+    def test_blank_rows_are_skipped_but_counted(self, tmp_path):
+        p = tmp_path / "raw.csv"
+        rows = [full_row(d, [1.0] * 48) for d in winter_dates(4)]
+        write_csv(p, rows[:2] + [""] + rows[2:] + [full_row("2020-01-10", [-1.0] * 48)])
+        with pytest.raises(ValueError, match="^line 7: concentration"):
+            load_halfhourly_csv(p)
+        write_csv(p, rows[:2] + [""] + rows[2:])
+        assert len(load_halfhourly_csv(p)) == 4
+
+
+FIRST_DATE = dt.date(2019, 10, 1)
+FIELD_LIMIT = csv.field_size_limit()
+# each kind of bad row (made from the row's own date) and the start of its message
+FAULTS = {
+    "cell-count": (lambda d: full_row(d, [1.0] * 47), "expected 49 cells, got 48"),
+    "bad-date": (lambda d: full_row("2019-13-40", [1.0] * 48), "bad date '2019-13-40'"),
+    "duplicate-date": (lambda d: full_row(FIRST_DATE, [1.0] * 48), f"duplicate date {FIRST_DATE}"),
+    "bad-reading": (lambda d: full_row(d, [1.0, "x"] + [1.0] * 46), "bad reading 'x'"),
+    "non-finite": (lambda d: full_row(d, [1.0, "inf"] + [1.0] * 46), "readings must be finite"),
+    "negative": (lambda d: full_row(d, [1.0, -2.0] + [1.0] * 46), "concentration readings cannot"),
+    "long-cell": (
+        lambda d: full_row(d, ["1" * (FIELD_LIMIT + 1)] + [1.0] * 47),
+        f"field larger than field limit ({FIELD_LIMIT})",
+    ),
+}
+
+
+def faulty_file(tmp_path, lines: int, faults: dict):
+    """A raw file of ``lines`` lines in all, whose line numbers in ``faults`` hold a bad row."""
+    dates = [FIRST_DATE + dt.timedelta(days=i) for i in range(lines - 1)]
+    rows = [full_row(d, [1.0] * 48) for d in dates]
+    for line, kind in faults.items():
+        rows[line - 2] = FAULTS[kind][0](dates[line - 2])
+    p = tmp_path / "raw.csv"
+    write_csv(p, rows)
+    return p
+
+
+class TestLoaderFaults:
+    """Whatever the kinds, the first offending line of the file is the one named."""
+
+    @pytest.mark.parametrize("gap", [2, PARSE_ROWS + 5], ids=["same-chunk", "later-chunk"])
+    @pytest.mark.parametrize(
+        "first, second", [(a, b) for a in FAULTS for b in FAULTS if a != b]
+    )
+    def test_two_faults_name_the_earlier_line(self, tmp_path, first, second, gap):
+        p = faulty_file(tmp_path, 5 + gap + 3, {5: first, 5 + gap: second})
+        with pytest.raises(ValueError) as info:
+            load_halfhourly_csv(p)
+        assert str(info.value).startswith(f"line 5: {FAULTS[first][1]}")
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_fault_past_the_first_chunk_names_its_line(self, tmp_path, kind):
+        line = 2 * PARSE_ROWS + 7
+        p = faulty_file(tmp_path, line + 3, {line: kind})
+        with pytest.raises(ValueError) as info:
+            load_halfhourly_csv(p)
+        assert str(info.value).startswith(f"line {line}: {FAULTS[kind][1]}")
+
+
+MISSING_CELLS = ("", " ", "\t", "nan", "NaN", " -nan ")
+ODD_NUMBERS = ("0", "-0.0", "+7", ".5", "5.", "1_000", "1e3")
+NUMBER_FORMATS = (
+    repr,
+    "{:.6f}".format,
+    "{:g}".format,
+    "{:.3e}".format,
+    lambda v: str(int(v)),
+    lambda v: f" {v!r}\t",
+    lambda v: f'"{v!r}"',
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    days=st.integers(0, 2 * PARSE_ROWS + 20),
+    missing=st.sampled_from([0.0, 0.05, 0.5]),
+    blank_rows=st.booleans(),
+)
+def test_loader_matches_per_cell_reference(tmp_path_factory, seed, days, missing, blank_rows):
+    """Random valid files load to the bits of a per-cell ``float()`` reader."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.choice(20 * 366, size=days, replace=False)  # unique, in shuffled order
+    values = rng.lognormal(1.0, 2.0, (days, SLOTS_PER_DAY))
+    kinds = rng.choice(len(NUMBER_FORMATS) + 2, size=(days, SLOTS_PER_DAY))
+    gaps = rng.random((days, SLOTS_PER_DAY)) < missing
+    lines = []
+    for offset, row, row_kinds, row_gaps in zip(offsets, values, kinds, gaps):
+        cells = []
+        for v, kind, gap in zip(row.tolist(), row_kinds.tolist(), row_gaps.tolist()):
+            if gap:
+                cells.append(MISSING_CELLS[rng.integers(len(MISSING_CELLS))])
+            elif kind >= len(NUMBER_FORMATS):
+                cells.append(ODD_NUMBERS[rng.integers(len(ODD_NUMBERS))])
+            else:
+                cells.append(NUMBER_FORMATS[kind](v))
+        date = dt.date(2000, 1, 1) + dt.timedelta(days=int(offset))
+        lines.append(f"{date}," + ",".join(cells))
+        if blank_rows and rng.random() < 0.1:
+            lines.append("")
+    p = tmp_path_factory.mktemp("raw") / "raw.csv"
+    write_csv(p, lines)
+    table = load_halfhourly_csv(p)
+    dates, readings = raw_reference.load(p)
+    assert table.dates == dates
+    assert table.values.shape == readings.shape
+    assert table.values.tobytes() == readings.tobytes()
+
+
+def test_loader_memory_is_bounded(tmp_path):
+    """Converting in chunks keeps the peak near the table: at most 3x its bytes."""
+    rng = np.random.default_rng(11)
+    days = 4000
+    values = rng.lognormal(3.0, 0.5, (days, SLOTS_PER_DAY))
+    values[rng.random(values.shape) < 0.05] = np.nan
+    lines = [
+        f"{dt.date(2001, 10, 1) + dt.timedelta(days=i)},"
+        + ",".join("" if np.isnan(v) else f"{v:.6f}" for v in row)
+        for i, row in enumerate(values.tolist())
+    ]
+    p = tmp_path / "raw.csv"
+    write_csv(p, lines)
+    tracemalloc.start()
+    try:
+        table = load_halfhourly_csv(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.values.shape == (days, SLOTS_PER_DAY)
+    assert peak <= 3 * table.values.nbytes, f"peak {peak} B for a {table.values.nbytes} B table"
+
+
+PAIR = (dt.date(2020, 1, 10), dt.date(2020, 1, 11))
+
+
+class TestDayTable:
+    def test_copies_and_freezes(self):
+        values = np.full((1, SLOTS_PER_DAY), 2.0)
+        table = DayTable([dt.date(2020, 1, 10)], values)
+        values[0, 0] = 5.0
+        assert table.values[0, 0] == 2.0 and not table.values.flags.writeable
+        assert isinstance(table.dates, tuple)
+
+    @pytest.mark.parametrize(
+        "dates, cell, message",
+        [
+            ((dt.date(2020, 1, 11), dt.date(2020, 1, 10)), 1.0, "sorted and unique"),
+            ((dt.date(2020, 1, 10), dt.date(2020, 1, 10)), 1.0, "sorted and unique"),
+            (PAIR, np.inf, "2020-01-11: readings must be finite"),
+            (PAIR, -1.0, "2020-01-11: concentration"),
+        ],
+        ids=["unsorted", "duplicate", "infinite", "negative"],
+    )
+    def test_rejects(self, dates, cell, message):
+        values = np.full((2, SLOTS_PER_DAY), 1.0)
+        values[1, 3] = cell
+        with pytest.raises(ValueError, match=message):
+            DayTable(dates, values)
+
+    def test_rejects_shapes(self):
+        with pytest.raises(ValueError, match="exactly 48"):
+            DayTable((dt.date(2020, 1, 10),), np.ones((1, 47)))
+        with pytest.raises(ValueError, match="one row of readings per date"):
+            DayTable((dt.date(2020, 1, 10),), np.ones((2, 48)))
+
 
 class TestFilterAndInterpolate:
     def config(self):
         return PipelineConfig()
 
-    def record(self, date, values):
-        return RawDayRecord(date, np.array(values, dtype=float))
+    def one_day(self, date, values):
+        return day_table([(date, np.array(values, dtype=float))])
 
     def test_six_missing_dropped_five_kept(self):
         vals6 = [np.nan] * 6 + [1.0] * 42
         vals5 = [np.nan] * 5 + [1.0] * 43
         date = dt.date(2020, 1, 10)
         kept = filter_and_interpolate(
-            [self.record(date, vals6), self.record(date + dt.timedelta(1), vals5)],
-            self.config(),
+            day_table([(date, vals6), (date + dt.timedelta(1), vals5)]), self.config()
         )
-        assert len(kept) == 1
-        assert kept[0].missing_count == 0
+        assert kept.dates == (date + dt.timedelta(1),)
+        assert not np.isnan(kept.values).any()
 
     def test_linear_midpoint_fill(self):
         vals = [1.0, np.nan, 3.0] + [1.0] * 45
-        kept = filter_and_interpolate(
-            [self.record(dt.date(2020, 1, 10), vals)], self.config()
-        )
-        assert kept[0].values[1] == pytest.approx(2.0)
+        kept = filter_and_interpolate(self.one_day(dt.date(2020, 1, 10), vals), self.config())
+        assert kept.values[0, 1] == pytest.approx(2.0)
 
     def test_boundary_fill_is_nearest(self):
         vals = [np.nan, np.nan, 5.0] + [1.0] * 44 + [np.nan]
-        kept = filter_and_interpolate(
-            [self.record(dt.date(2020, 1, 10), vals)], self.config()
-        )
-        assert kept[0].values[0] == 5.0 and kept[0].values[1] == 5.0
-        assert kept[0].values[-1] == 1.0
+        kept = filter_and_interpolate(self.one_day(dt.date(2020, 1, 10), vals), self.config())
+        assert kept.values[0, 0] == 5.0 and kept.values[0, 1] == 5.0
+        assert kept.values[0, -1] == 1.0
 
     def test_summer_dates_dropped(self):
-        kept = filter_and_interpolate(
-            [self.record(dt.date(2020, 7, 15), [1.0] * 48)], self.config()
-        )
-        assert kept == []
+        kept = filter_and_interpolate(self.one_day(dt.date(2020, 7, 15), [1.0] * 48), self.config())
+        assert len(kept) == 0 and kept.values.shape == (0, SLOTS_PER_DAY)
 
     def test_exclusion_window_dropped(self):
         cfg = self.config()
         for date in (dt.date(2019, 12, 28), dt.date(2020, 1, 1), dt.date(2020, 1, 7)):
-            assert filter_and_interpolate([self.record(date, [1.0] * 48)], cfg) == []
+            assert len(filter_and_interpolate(self.one_day(date, [1.0] * 48), cfg)) == 0
         for date in (dt.date(2019, 12, 27), dt.date(2020, 1, 8), dt.date(2020, 3, 31)):
-            assert len(filter_and_interpolate([self.record(date, [1.0] * 48)], cfg)) == 1
+            assert len(filter_and_interpolate(self.one_day(date, [1.0] * 48), cfg)) == 1
 
     def test_idempotent_on_complete_records(self):
         vals = [1.0, np.nan, 3.0] + [2.0] * 45
-        once = filter_and_interpolate(
-            [self.record(dt.date(2020, 1, 10), vals)], self.config()
-        )
+        once = filter_and_interpolate(self.one_day(dt.date(2020, 1, 10), vals), self.config())
         twice = filter_and_interpolate(once, self.config())
-        assert np.array_equal(once[0].values, twice[0].values)
+        assert np.array_equal(once.values, twice.values)
+
+    def test_matches_per_day_rule(self, rng):
+        # every calendar day of a year, with random gaps, against the rule applied day by day
+        cfg = PipelineConfig(max_missing=3)
+        dates = [dt.date(2019, 6, 1) + dt.timedelta(days=i) for i in range(366)]
+        values = rng.uniform(0.0, 9.0, (len(dates), SLOTS_PER_DAY))
+        values[rng.random(values.shape) < 0.05] = np.nan
+        kept = filter_and_interpolate(DayTable(dates, values), cfg)
+        idx = np.arange(SLOTS_PER_DAY, dtype=float)
+        want_dates, want_values = [], []
+        for date, row in zip(dates, values):
+            md = (date.month, date.day)
+            in_season = md >= cfg.season_start or md <= cfg.season_end
+            excluded = md >= cfg.exclusion_start or md <= cfg.exclusion_end
+            present = ~np.isnan(row)
+            if in_season and not excluded and np.count_nonzero(~present) <= cfg.max_missing:
+                want_dates.append(date)
+                want_values.append(np.interp(idx, idx[present], row[present]))
+        assert kept.dates == tuple(want_dates)
+        assert np.array_equal(kept.values, np.array(want_values))
 
 
 class TestPreprocessCurves:
     def test_constant_days_center_to_zero(self):
-        records = [day_record(d, 4.0) for d in winter_dates(14)]
-        prepared = preprocess_curves(records, PipelineConfig())
+        table = level_table(winter_dates(14), [4.0] * 14)
+        prepared = preprocess_curves(table, PipelineConfig())
         assert np.abs(prepared.sample.values).max() <= 1e-10
         assert prepared.sample.grid.size == 100
         # weekday means hold the transformed level sqrt(4) = 2
@@ -184,41 +385,34 @@ class TestPreprocessCurves:
         assert np.abs(combo - parts).max() <= 1e-10
 
     def test_two_point_weekday_centering(self):
-        # two records per weekday; the pair of Mondays centers to +/- half
+        # two days per weekday; the pair of Mondays centers to +/- half
         # the gap between their transformed values
-        dates = winter_dates(14)
-        records = []
-        for i, d in enumerate(dates):
-            level = 9.0 if i < 7 else 1.0
-            records.append(day_record(d, level))
-        prepared = preprocess_curves(records, PipelineConfig())
+        table = level_table(winter_dates(14), [9.0] * 7 + [1.0] * 7)
+        prepared = preprocess_curves(table, PipelineConfig())
         # sqrt levels are 3 and 1, weekday mean 2: centered day values are +/-1
         # and constants are reproduced exactly by the smoother
         assert np.allclose(prepared.sample.values[0], 1.0, atol=1e-10)
         assert np.allclose(prepared.sample.values[7], -1.0, atol=1e-10)
 
     def test_deterministic(self):
-        records = [
-            RawDayRecord(d, 4.0 + np.sin(np.arange(48.0) + i))
-            for i, d in enumerate(winter_dates(20))
-        ]
-        a = preprocess_curves(records, PipelineConfig())
-        b = preprocess_curves(records, PipelineConfig())
+        table = day_table(
+            [(d, 4.0 + np.sin(np.arange(48.0) + i)) for i, d in enumerate(winter_dates(20))]
+        )
+        a = preprocess_curves(table, PipelineConfig())
+        b = preprocess_curves(table, PipelineConfig())
         assert np.array_equal(a.sample.values, b.sample.values)
         assert np.array_equal(a.weekday_means, b.weekday_means)
+        assert a.dates == table.dates
 
     def test_needs_fourteen_records(self):
-        records = [day_record(d) for d in winter_dates(13)]
         with pytest.raises(InsufficientDataError):
-            preprocess_curves(records, PipelineConfig())
+            preprocess_curves(level_table(winter_dates(13), [4.0] * 13), PipelineConfig())
 
     def test_incomplete_records_rejected(self):
-        vals = np.full(SLOTS_PER_DAY, 2.0)
-        vals[3] = np.nan
-        records = [day_record(d) for d in winter_dates(14)]
-        records[0] = RawDayRecord(records[0].date, vals)
+        values = np.full((14, SLOTS_PER_DAY), 4.0)
+        values[0, 3] = np.nan
         with pytest.raises(ValueError):
-            preprocess_curves(records, PipelineConfig())
+            preprocess_curves(DayTable(winter_dates(14), values), PipelineConfig())
 
 
 def drifting_sample(n, m=30, seed=0):
