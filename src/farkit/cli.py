@@ -34,6 +34,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -223,9 +224,9 @@ def write_records_csv(report, path: Path) -> None:
     )
 
 
-def _failures_by_class(records) -> dict:
-    """Failed records counted by the class prefix of their error text."""
-    failures = Counter(r.error.partition(":")[0] for r in records if r.error is not None)
+def _failures_by_class(errors) -> dict:
+    """Error texts counted by their class prefix; a None (no error) is not counted."""
+    failures = Counter(error.partition(":")[0] for error in errors if error is not None)
     return dict(sorted(failures.items()))
 
 
@@ -290,7 +291,7 @@ def cmd_benchmark(args) -> int:
             "wall_clock_seconds": report.wall_clock_seconds,
             "fit_seconds_by_method": seconds_by_method,
             "failed_fits": sum(1 for r in report.records if r.failed),
-            "failures_by_class": _failures_by_class(report.records),
+            "failures_by_class": _failures_by_class(r.error for r in report.records),
             "span_ranks": report.span_ranks,
             "single_member_refits": report.single_member_refits,
             "cv_edge_selections": report.cv_edge_selections,
@@ -345,16 +346,15 @@ def cmd_rolling(args) -> int:
     out = _out_dir(args)
 
     summary = []
-    for label in methods:
-        rows = [r for r in result.records if r.method == label]
-        ises = np.array([r.ise for r in rows if r.error is None])
-        failures = _failures_by_class(rows)
+    for label, ises, errors in zip(methods, result.ise, result.errors):
+        scored = ises[[error is None for error in errors]]
+        failures = _failures_by_class(errors)
         summary.append(
             {
                 "method": label,
-                "mean_ise": float(ises.mean()) if ises.size else float("nan"),
-                "median_ise": float(np.median(ises)) if ises.size else float("nan"),
-                "evaluations": int(ises.size),
+                "mean_ise": float(scored.mean()) if scored.size else float("nan"),
+                "median_ise": float(np.median(scored)) if scored.size else float("nan"),
+                "evaluations": int(scored.size),
                 "failures": sum(failures.values()),
                 "failures_by_class": failures,
                 "skipped_gaps": result.skipped_gaps,
@@ -367,19 +367,16 @@ def cmd_rolling(args) -> int:
     for s in summary:
         s["regret_pct"] = _regret_pct(s["mean_ise"], best)
 
-    # rows are streamed: the records are method-major already
+    # rows are streamed, method-major; repr of a float is its _fmt
+    dates = [prepared.dates[t].isoformat() for t in result.days.tolist()]
+    flags = ["1" if refit else "0" for refit in result.refit.tolist()]
     _write_csv(
         out / "forecasts.csv",
         ["date", "method", "ise", "alpha_or_k", "refit_flag"],
         (
-            [
-                r.date.isoformat() if r.date else _fmt(r.index),
-                r.method,
-                _fmt(r.ise),
-                _fmt(r.tuning),
-                "1" if r.refit else "0",
-            ]
-            for r in result.records
+            row
+            for label, ises, tunings in zip(methods, result.ise.tolist(), result.tuning.tolist())
+            for row in zip(dates, repeat(label), map(repr, ises), map(repr, tunings), flags)
         ),
     )
     _write_csv(
@@ -429,6 +426,11 @@ def cmd_rolling(args) -> int:
 # verify
 
 
+# the parameters of TheoryProbe.diagonal that a probe may set, by type
+_PROBE_PARAMETERS = {"beta": float, "n_components": int, "eigen_decay": float, "rho": float,
+                     "eigen_scale": float}
+
+
 def _load_probes(path) -> list:
     with open(path) as handle:
         data = json.load(handle)
@@ -440,15 +442,19 @@ def _load_probes(path) -> list:
     for entry in data["probes"]:
         if not isinstance(entry, dict):
             raise ValueError(f"probe {entry!r} is not a JSON object")
+        for key, value in entry.items():
+            kind = _PROBE_PARAMETERS.get(key)
+            if kind is None:
+                raise ValueError(f"probe {entry!r}: unknown key {key!r}")
+            # exact types, as in a benchmark config: JSON true/false parse to bool
+            if type(value) not in (int, kind):
+                wanted = "an integer" if kind is int else "a number"
+                raise ValueError(f"probe {entry!r}: {key!r} is not {wanted}")
+        if "beta" not in entry:
+            raise ValueError(f"probe {entry!r}: 'beta' is required")
         try:
-            params = dict(
-                beta=float(entry["beta"]),
-                n_components=int(entry.get("n_components", 60)),
-                eigen_decay=float(entry.get("eigen_decay", 2.0)),
-                rho=float(entry.get("rho", 1.0)),
-                eigen_scale=float(entry.get("eigen_scale", 1.0)),
-            )
-        except (TypeError, OverflowError):
+            params = {key: _PROBE_PARAMETERS[key](value) for key, value in entry.items()}
+        except OverflowError:
             raise ValueError(f"probe {entry!r}: every parameter must be a finite number") from None
         probes.append(TheoryProbe.diagonal(**params))
     return probes
@@ -458,7 +464,7 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     try:
         probes = _load_probes(args.probes) if args.probes else None
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     checks = run_verification_suite(probes)

@@ -221,19 +221,14 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def fit_methods(
-    coords: SpanCoordinates,
-    methods,
-    *,
-    cv_scheme: str = "holdout",
-):
+def fit_methods(coords: SpanCoordinates, methods, *, cv_scheme: str = "holdout") -> list:
     """Fit every method to one sample in span coordinates from one shared decomposition.
 
-    Yields one FitOutcome per method, in order, each fitted only when it
-    is asked for, so a caller that scores and drops each estimate holds
-    one at a time. Estimator failures (``FIT_ERRORS``) become outcomes
-    with the error text, including a failed shared decomposition, which
-    fails every method; any other exception propagates.
+    Returns one FitOutcome per method, in order (for a stack, the tuple
+    of one per member). Estimator failures (``FIT_ERRORS``) become
+    outcomes with the error text, including a failed shared
+    decomposition, which fails every method; any other exception
+    propagates.
 
     A stack of samples (``SpanCoordinates.windows``) is fitted through the
     same steps, each step once for the whole stack, and its members'
@@ -248,8 +243,8 @@ def fit_methods(
         moments = weighted_moments(coords)
         decomposition = spectra(moments)
     except FIT_ERRORS as exc:
-        yield from _failed_step(coords, methods, exc, 0.0, cv_scheme)
-        return
+        return _failed_step(coords, methods, exc, 0.0, cv_scheme)
+    outcomes = []
     for method in methods:
         t0 = time.perf_counter()
         try:
@@ -257,10 +252,13 @@ def fit_methods(
                 coords, method, moments=moments, decomposition=decomposition, cv_scheme=cv_scheme
             )
         except FIT_ERRORS as exc:
-            yield from _failed_step(coords, [method], exc, time.perf_counter() - t0, cv_scheme)
+            outcomes += _failed_step(coords, [method], exc, time.perf_counter() - t0, cv_scheme)
             continue
         seconds = (time.perf_counter() - t0) / (len(coords.values) if coords.stacked else 1)
-        yield coords.per_member(lambda _, fit: FitOutcome(fit[0], None, seconds, fit[1]), fitted)
+        outcomes.append(
+            coords.per_member(lambda _, fit: FitOutcome(fit[0], None, seconds, fit[1]), fitted)
+        )
+    return outcomes
 
 
 def _failed_step(coords: SpanCoordinates, methods, exc: Exception, seconds: float, cv_scheme):
@@ -269,9 +267,9 @@ def _failed_step(coords: SpanCoordinates, methods, exc: Exception, seconds: floa
     A sample records the error; each member of a stack is refitted alone.
     """
     if not coords.stacked:
-        return (FitOutcome(None, _error_text(exc), seconds) for _ in methods)
+        return [FitOutcome(None, _error_text(exc), seconds) for _ in methods]
     alone = [fit_methods(member, methods, cv_scheme=cv_scheme) for member in coords.members()]
-    return (tuple(replace(o, refit_alone=True) for o in outcomes) for outcomes in zip(*alone))
+    return [tuple(replace(o, refit_alone=True) for o in outcomes) for outcomes in zip(*alone)]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +568,7 @@ def _group_records(regime, n, coords: SpanCoordinates, paths, methods, tally: _T
     A group's estimates are dropped on return, before the next group is fitted.
     """
     t0 = time.perf_counter()
-    fitted = list(fit_methods(coords, methods))
+    fitted = fit_methods(coords, methods)
     # (coordinates, outcome per method) of each path of the group
     per_path = zip(coords.members(), zip(*fitted)) if coords.stacked else [(coords, fitted)]
     t1 = time.perf_counter()

@@ -7,7 +7,8 @@ by day-of-week mean profiles, and penalized-free least-squares smoothing
 onto a small cubic B-spline basis evaluated on a uniform output grid. The
 days travel through those steps as one ``DayTable``: their sorted dates
 and one (days, 48) array of readings. The rolling driver then scores
-one-step forecasts from a sliding training window with periodic refitting.
+one-step forecasts from a sliding training window with periodic refitting,
+as one column per method over the evaluated days.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "PipelineConfig",
     "RollingConfig",
     "PreprocessedCurves",
-    "ForecastOutcome",
     "RollingResult",
     "load_halfhourly_csv",
     "filter_and_interpolate",
@@ -186,34 +186,29 @@ class PreprocessedCurves:
     dates: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class ForecastOutcome:
-    """One evaluated day of the rolling protocol for one method.
+@dataclass(frozen=True, eq=False)
+class RollingResult:
+    """Every method's forecasts over the kept evaluation days, plus run diagnostics.
 
-    Slotted: a backtest holds one per method and evaluation day at once.
+    The columns are shared by every method: ``days`` holds the (D,)
+    indices of the kept evaluation days and ``refit`` marks those that
+    open a refit block. ``ise`` and ``tuning`` are (P, D), one row per
+    method in config order, NaN on the days of a failed fit, whose error
+    text ``errors`` holds: one tuple per method, None on a scored day.
     """
 
-    method: str
-    index: int
-    date: dt.date | None
-    ise: float
-    tuning: float
-    refit: bool
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class RollingResult:
-    """Forecast rows, method-major in config order, plus run diagnostics."""
-
-    records: tuple
+    days: np.ndarray
+    refit: np.ndarray
+    ise: np.ndarray
+    tuning: np.ndarray
+    errors: tuple
     skipped_gaps: int  # evaluation days skipped by the gap policy, per method
     span_rank: int  # numerical rank of the sample's centred sqrt-weighted curves
     single_member_refits: int = 0  # windows refitted alone after their stack's step raised
     # tikhonov:cv windows whose strength is the first or last candidate of the CV grid
     cv_edge_selections: int = 0
     fit_seconds: float = 0.0  # span coordinates and window fits
-    score_seconds: float = 0.0  # forecasting and scoring the blocks, and building their rows
+    score_seconds: float = 0.0  # forecasting and scoring the blocks
 
 
 _READING_CELLS = operator.itemgetter(slice(1, None))
@@ -426,8 +421,9 @@ def rolling_forecast(
     flat 1/M mean of its squared pointwise errors. A stack's blocks are
     scored together by ``_score_stack``, with the bits each block gets
     from ``apply_kernel_matrix`` alone. Under the ``exclude-cross-gap``
-    policy, days more than one calendar day after their predecessor are
-    skipped and counted; the refit schedule does not move. A failed fit
+    policy, days more than one calendar day after their predecessor in
+    ``dates`` are skipped and counted; the refit schedule does not move.
+    The dates serve that policy only. A failed fit
     marks its method's whole block as failed without stopping the run;
     the windows of a stack whose step raised are refitted alone and
     counted in ``single_member_refits``. ``cv_edge_selections`` counts
@@ -454,42 +450,38 @@ def rolling_forecast(
     t0 = time.perf_counter()
     coords = span_coordinates(sample)
     fit_seconds, score_seconds = time.perf_counter() - t0, 0.0
-    rows = {method.label: [] for method in methods}
-    refit_alone = cv_edges = 0
     starts = np.arange(config.window, n, refit)
+    # errors per method and day; tuning and error text per method and block
+    ise = np.full((len(methods), n), np.nan)
+    tuning = np.full((len(methods), len(starts)), np.nan)
+    errors = [[None] * len(starts) for _ in methods]
+    refit_alone = cv_edges = 0
     for first in range(0, len(starts), BATCH_SIZE):
         chunk = starts[first : first + BATCH_SIZE]
         t0 = time.perf_counter()
         stack = coords.windows(chunk - config.window, config.window)
-        fitted = list(fit_methods(stack, methods, cv_scheme="k-fold-forward"))
+        fitted = fit_methods(stack, methods, cv_scheme="k-fold-forward")
         t1 = time.perf_counter()
         # a window counts once, however many of its methods were refit alone
         refit_alone += sum(any(o.refit_alone for o in window) for window in zip(*fitted))
         cv_edges += sum(o.cv_at_grid_edge for outcomes in fitted for o in outcomes)
-        ises = _score_stack(coords, sample.values, chunk, refit, fitted)
-        for method, outcomes, errors in zip(methods, fitted, ises):
-            for start, outcome, block in zip(chunk.tolist(), outcomes, errors.tolist()):
-                est = outcome.estimate
-                tuning = float("nan") if est is None else tuning_value(est)
-                rows[method.label].extend(
-                    ForecastOutcome(
-                        method.label,
-                        t,
-                        dates[t] if dates is not None else None,
-                        block[t - start],
-                        tuning,
-                        t == start,
-                        outcome.error,
-                    )
-                    for t in range(start, min(start + refit, n))
-                    if kept[t]
-                )
+        for i, outcomes in enumerate(fitted):
+            for block, outcome in enumerate(outcomes, start=first):
+                if outcome.estimate is not None:
+                    tuning[i, block] = tuning_value(outcome.estimate)
+                errors[i][block] = outcome.error
+        _score_stack(coords, sample.values, chunk, refit, fitted, ise)
         fit_seconds += t1 - t0
         score_seconds += time.perf_counter() - t1
-    records = tuple(row for method in methods for row in rows[method.label])
+    days = np.flatnonzero(kept[config.window :]) + config.window
+    blocks = (days - config.window) // refit
     return RollingResult(
-        records,
-        int(np.count_nonzero(~kept[config.window :])),
+        days,
+        days == starts[blocks],
+        ise[:, days],
+        tuning[:, blocks],
+        tuple(tuple(map(texts.__getitem__, blocks.tolist())) for texts in errors),
+        n - config.window - days.size,
         coords.rank,
         single_member_refits=refit_alone,
         cv_edge_selections=cv_edges,
@@ -498,34 +490,35 @@ def rolling_forecast(
     )
 
 
-def _score_stack(coords: SpanCoordinates, values, starts, refit: int, fitted) -> list:
-    """Per method, the (B, L) errors of the days of the B blocks at ``starts``.
+def _score_stack(coords: SpanCoordinates, values, starts, refit: int, fitted, ise) -> None:
+    """Write each method's errors of the days of the B blocks at ``starts`` into ``ise``.
 
+    ``ise`` is (P, n), one row per method over the sample's days, and
     ``fitted`` holds each method's outcomes, one per block. A block holds
-    ``refit`` days, fewer only at the end of the sample, and L is the
-    longest; an error is NaN past its block's end and wherever the block's
-    fit failed. The blocks of one length are consecutive, so their
-    predecessor days are one run of rows, encoded once as a (B', L, M)
-    view. Each method then forecasts its fitted blocks of that length in
-    one stacked product.
+    ``refit`` days, fewer only at the end of the sample; the days of a
+    failed fit are left as they are. The blocks of one length are
+    consecutive, so their predecessor days are one run of rows, encoded
+    once as a (B', L, M) view, and their errors one run of each method's
+    row, written through a (B', L) view. Each method then forecasts its
+    fitted blocks of that length in one stacked product.
     """
     n, m = values.shape
     lengths = np.minimum(refit, n - starts)
-    ises = [np.full((len(starts), lengths.max()), np.nan) for _ in fitted]
     for length in np.unique(lengths).tolist():
         group = np.flatnonzero(lengths == length)
         first, stop = int(starts[group[0]]), int(starts[group[-1]]) + length
         lags = coords.encode(values[first - 1 : stop - 1].reshape(-1, length, m))
         targets = values[first:stop].reshape(-1, length, m)
-        for errors, outcomes in zip(ises, fitted):
+        for errors, outcomes in zip(ise, fitted):
             ok = np.array([outcomes[i].estimate is not None for i in group])
             if not ok.any():
                 continue
             # a full selection stays a view of the days
             sel = slice(None) if ok.all() else ok
             matrices = np.stack([outcomes[i].estimate.matrix for i in group[ok]])
-            errors[group[ok], :length] = _stacked_errors(coords, lags[sel], targets[sel], matrices)
-    return ises
+            errors[first:stop].reshape(-1, length)[sel] = _stacked_errors(
+                coords, lags[sel], targets[sel], matrices
+            )
 
 
 def _stacked_errors(coords: SpanCoordinates, lags, targets, matrices) -> np.ndarray:

@@ -56,6 +56,7 @@ from farkit.preprocess import (
 )
 from farkit.simulate import REGIMES, draw_regime_operator, simulate_far1
 from farkit.tikhonov import HOLDOUT_ALPHAS, _block_losses, cv_select_alpha, tikhonov_fit
+from rolling_rows import forecast_rows
 from test_tikhonov import naive_holdout_cv
 
 
@@ -351,9 +352,9 @@ def test_criterion_10_pipeline_properties():
         rolling = RollingConfig(
             window=100, refit_interval=20, methods=("tikhonov:0.05",), gap_policy="contiguous"
         )
-        result = rolling_forecast(sample, rolling)
-        assert len(result.records) == 150 - 100
-        assert [r.index for r in result.records if r.refit] == [100, 120, 140]
+        rows = forecast_rows(rolling_forecast(sample, rolling), rolling.methods)
+        assert len(rows) == 150 - 100
+        assert [r.index for r in rows if r.refit] == [100, 120, 140]
 
 
 @pytest.mark.skipif(
@@ -370,9 +371,10 @@ def test_criterion_11_application_soft_check():
         methods = ["fpca:0.80", "fpca:0.85", "fpca:0.90", "fpca:0.95", "fpca:0.99", "tikhonov:cv"]
         rolling = RollingConfig(window=100, refit_interval=20, methods=methods)
         result = rolling_forecast(prepared.sample, rolling, dates=prepared.dates)
+        rows = forecast_rows(result, methods)
         means = {}
         for label in methods:
-            ises = np.array([r.ise for r in result.records if r.method == label and r.error is None])
+            ises = np.array([r.ise for r in rows if r.method == label and r.error is None])
             means[label] = float(ises.mean())
         best = min(means, key=means.get)
         worst = max(means, key=means.get)

@@ -283,6 +283,35 @@ class TestRollingCommand:
         rows = [r.split(",") for r in read_csv_rows(out / "forecasts.csv")[1:]]
         assert [r[2] for r in rows if r[1] == "fpca:K=5000"] == ["nan"] * 30
 
+    def test_method_failing_on_some_blocks(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        write_raw_days(raw, 130)
+        # zero readings on the first 40 days: centred by the weekday profiles, those
+        # curves take one of seven shapes, so a window of them has at most 6 directions
+        lines = raw.read_text().split("\n")
+        lines[1:41] = [line.split(",")[0] + ",0" * 48 for line in lines[1:41]]
+        raw.write_text("\n".join(lines))
+        out = tmp_path / "roll"
+        assert main(["rolling", "--raw", str(raw), "--out", str(out), "--window", "20",
+                     "--refit", "7", "--methods", "fpca:K=7,fpca:0.9"]) == 0
+        forecasts = [r.split(",") for r in read_csv_rows(out / "forecasts.csv")[1:]]
+        summary = {r[0]: r for r in (r.split(",") for r in read_csv_rows(out / "summary.csv")[1:])}
+        meta = json.loads((out / "rolling.meta.json").read_text())
+        by_method = {s["method"]: s for s in meta["summary"]}
+        for label in ("fpca:K=7", "fpca:0.9"):
+            rows = [r for r in forecasts if r[1] == label]
+            # a failed day has neither an error nor a tuning value
+            assert [r[2] == "nan" for r in rows] == [r[3] == "nan" for r in rows]
+            scored = [float(r[2]) for r in rows if r[2] != "nan"]
+            failures = len(rows) - len(scored)
+            assert summary[label][4:] == [str(len(scored)), str(failures)]
+            assert summary[label][1] == repr(float(np.mean(scored)))
+            expected = {"SingularSystemError": failures} if failures else {}
+            assert by_method[label]["failures_by_class"] == expected
+        # K=7 fails on the three blocks whose windows hold zero days only
+        assert summary["fpca:K=7"][5] == "21" and summary["fpca:0.9"][5] == "0"
+        assert int(summary["fpca:K=7"][4]) > 0
+
     def test_all_methods_failing_writes_nan_regret(self, tmp_path):
         raw = tmp_path / "raw.csv"
         write_raw_days(raw, 150)
@@ -360,6 +389,13 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out and "bias-bound beta=2" in captured.out
 
+    def test_integer_probe_parameters_accepted(self, tmp_path):
+        probes = tmp_path / "probes.json"
+        probes.write_text(json.dumps({"probes": [{"beta": 1, "n_components": 5, "rho": 1}]}))
+        out = tmp_path / "verify"
+        assert main(["verify", "--out", str(out), "--probes", str(probes),
+                     "--skip-diagnostics"]) == 0
+
     def test_empty_probe_list_is_config_error(self, tmp_path):
         probes = tmp_path / "probes.json"
         probes.write_text(json.dumps({"probes": []}))
@@ -379,10 +415,17 @@ FIT = ["fit", "--method", "fpca:0.9", "--input", "sample.csv"]
         (VERIFY, {"probes.json": {"probes": [[1, 2]]}}, 2),
         (VERIFY, {"probes.json": {"probes": [{"beta": None}]}}, 2),
         (VERIFY, {"probes.json": {"probes": [{"beta": float("nan")}]}}, 2),
+        (VERIFY, {"probes.json": {"probes": [{"beta": True}]}}, 2),
+        (VERIFY, {"probes.json": {"probes": [{"beta": "0.5"}]}}, 2),
+        (VERIFY, {"probes.json": {"probes": [{"beta": 1.0, "n_components": 2.7}]}}, 2),
+        (VERIFY, {"probes.json": {"probes": [{"beta": 1.0, "n_components": True}]}}, 2),
+        (VERIFY, {"probes.json": {"probes": [{"beta": 1.0, "gamma": 2.0}]}}, 2),
+        (VERIFY, {"probes.json": {"probes": [{"rho": 1.0}]}}, 2),
         (FIT, {"sample.meta.json": {"schema_version": 1, "grid_points": {"a": 1}}}, 1),
     ],
     ids=["negative-seed", "probes-not-object", "probe-not-object", "probe-null",
-         "probe-nan", "grid-points-object"],
+         "probe-nan", "probe-bool", "probe-string", "probe-fractional-components",
+         "probe-bool-components", "probe-unknown-key", "probe-no-beta", "grid-points-object"],
 )
 def test_bad_outside_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code):
     monkeypatch.chdir(tmp_path)
@@ -390,7 +433,8 @@ def test_bad_outside_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv, fi
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
     assert main(argv + ["--out", "out"]) == code
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     if argv[0] == "fit":
         assert json.loads((tmp_path / "out" / "fit.meta.json").read_text())["kind"] == "error"
 

@@ -110,7 +110,7 @@ class TestFitMethods:
     def test_non_finite_moments_recorded_as_grid_error(self, rng):
         sample = FunctionalSample(rng.standard_normal((60, 8)) * 1e156, uniform_grid(8))
         with np.errstate(over="ignore"):
-            outcomes = list(fit_methods(span_coordinates(sample), ["tikhonov:0.1", "fpca:0.9"]))
+            outcomes = fit_methods(span_coordinates(sample), ["tikhonov:0.1", "fpca:0.9"])
         assert [o.estimate for o in outcomes] == [None, None]
         assert all(o.error.startswith("GridError:") for o in outcomes)
 
@@ -139,13 +139,13 @@ class TestFitMethods:
     def test_programming_errors_propagate(self, rng):
         coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 8)), uniform_grid(8)))
         with pytest.raises(ValueError):
-            list(fit_methods(coords, ["tikhonov:cv"], cv_scheme="leave-one-out"))
+            fit_methods(coords, ["tikhonov:cv"], cv_scheme="leave-one-out")
 
     def fit_stack(self, members, labels, scheme="k-fold-forward"):
         """Fit members as one stack and check each outcome against the member fitted alone."""
         r = members[0].shape[1]
         stack = SpanCoordinates(np.stack(members), np.eye(r), unit_weight_grid(r), r)
-        outcomes = list(fit_methods(stack, labels, cv_scheme=scheme))
+        outcomes = fit_methods(stack, labels, cv_scheme=scheme)
         assert [len(o) for o in outcomes] == [len(members)] * len(labels)
         for i, member in enumerate(stack.members()):
             alone = fit_methods(member, labels, cv_scheme=scheme)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import dense_reference
 import raw_reference
+from rolling_rows import forecast_rows
 from farkit.errors import InsufficientDataError, SingularSystemError
 from farkit.evaluate import FIT_ERRORS, fit_method
 from farkit.grid import uniform_grid
@@ -431,8 +432,9 @@ class TestRollingForecast:
         config = RollingConfig(window=100, refit_interval=20, methods=("tikhonov:0.05",),
                                gap_policy="contiguous")
         result = rolling_forecast(sample, config)
-        assert len(result.records) == 50
-        refit_indices = [r.index for r in result.records if r.refit]
+        rows = forecast_rows(result, config.methods)
+        assert len(rows) == 50
+        refit_indices = [r.index for r in rows if r.refit]
         assert refit_indices == [100, 120, 140]
         assert result.skipped_gaps == 0
 
@@ -441,7 +443,7 @@ class TestRollingForecast:
         config = RollingConfig(window=100, refit_interval=7, methods=("fpca:0.90",),
                                gap_policy="contiguous")
         result = rolling_forecast(sample, config)
-        assert len(result.records) == 23
+        assert len(forecast_rows(result, config.methods)) == 23
 
     def test_gap_pairs_skipped_and_counted(self):
         sample = drifting_sample(110)
@@ -452,8 +454,9 @@ class TestRollingForecast:
         result = rolling_forecast(sample, config, dates=dates)
         # the pair crossing index 104 -> 105 spans months: skipped once
         assert result.skipped_gaps == 1
-        assert len(result.records) == 9
-        assert all(r.index != 105 for r in result.records)
+        rows = forecast_rows(result, config.methods)
+        assert len(rows) == 9
+        assert all(r.index != 105 for r in rows)
 
     def test_deterministic(self):
         sample = drifting_sample(140)
@@ -461,8 +464,8 @@ class TestRollingForecast:
                                gap_policy="contiguous")
         a = rolling_forecast(sample, config)
         b = rolling_forecast(sample, config)
-        assert [(r.index, r.ise, r.tuning) for r in a.records] == [
-            (r.index, r.ise, r.tuning) for r in b.records
+        assert [(r.index, r.ise, r.tuning) for r in forecast_rows(a, config.methods)] == [
+            (r.index, r.ise, r.tuning) for r in forecast_rows(b, config.methods)
         ]
 
     def test_constant_sample_zero_operator_baseline(self):
@@ -474,8 +477,9 @@ class TestRollingForecast:
         result = rolling_forecast(sample, config)
         # degenerate series: the ridge fit is the zero operator, so the
         # forecast is zero and the error is the squared curve level
-        assert all(r.error is None for r in result.records)
-        assert all(r.ise == pytest.approx(level**2, rel=1e-10) for r in result.records)
+        rows = forecast_rows(result, config.methods)
+        assert all(r.error is None for r in rows)
+        assert all(r.ise == pytest.approx(level**2, rel=1e-10) for r in rows)
 
     def test_failed_refit_marks_block(self):
         g = uniform_grid(10)
@@ -484,9 +488,10 @@ class TestRollingForecast:
         config = RollingConfig(window=100, refit_interval=20, methods=("fpca:0.90",),
                                gap_policy="contiguous")
         result = rolling_forecast(sample, config)
-        assert len(result.records) == 30
-        assert all(r.error is not None for r in result.records)
-        assert all(np.isnan(r.ise) for r in result.records)
+        rows = forecast_rows(result, config.methods)
+        assert len(rows) == 30
+        assert all(r.error is not None for r in rows)
+        assert all(np.isnan(r.ise) for r in rows)
         # both windows share one stack, whose threshold step raised
         assert result.single_member_refits == 2
 
@@ -501,8 +506,9 @@ class TestRollingForecast:
         )
         assert gapped.skipped_gaps == 1 and contiguous.skipped_gaps == 0
         # the block is still fitted on days 20..119, so its other days are unchanged
-        assert comparable(gapped.records) == comparable(
-            [r for r in contiguous.records if r.index != 120]
+        methods = common["methods"]
+        assert comparable(forecast_rows(gapped, methods)) == comparable(
+            [r for r in forecast_rows(contiguous, methods) if r.index != 120]
         )
 
     def test_failed_blocks_then_scored_blocks(self):
@@ -516,10 +522,11 @@ class TestRollingForecast:
                                gap_policy="contiguous")
         result = rolling_forecast(sample, config)
         # windows before day 140 are constant: a zero spectrum has no threshold
-        assert [r.index for r in result.records] == list(range(100, 170))
-        assert [r.refit for r in result.records] == [t % 10 == 0 for t in range(100, 170)]
-        failed = [r for r in result.records if r.index < 140]
-        scored = [r for r in result.records if r.index >= 140]
+        rows = forecast_rows(result, config.methods)
+        assert [r.index for r in rows] == list(range(100, 170))
+        assert [r.refit for r in rows] == [t % 10 == 0 for t in range(100, 170)]
+        failed = [r for r in rows if r.index < 140]
+        scored = [r for r in rows if r.index >= 140]
         assert all(r.error is not None and np.isnan(r.ise) for r in failed)
         assert all(np.isnan(r.tuning) for r in failed)
         assert all(r.error is None for r in scored)
@@ -538,7 +545,7 @@ class TestRollingForecast:
                                gap_policy="contiguous")
         result = assert_rows_equal_per_window_rows(sample, config)
         assert result.single_member_refits == 0
-        assert all(r.error is None for r in result.records)
+        assert all(r.error is None for r in forecast_rows(result, config.methods))
 
     @pytest.mark.parametrize(
         "days, refit",
@@ -558,8 +565,9 @@ class TestRollingForecast:
         config = RollingConfig(window=40, refit_interval=refit, methods=SCORED_METHODS,
                                gap_policy="contiguous")
         result = assert_rows_equal_per_window_rows(sample, config)
-        assert len(result.records) == len(SCORED_METHODS) * (days - 40)
-        assert all(r.error is None for r in result.records)
+        rows = forecast_rows(result, config.methods)
+        assert len(rows) == len(SCORED_METHODS) * (days - 40)
+        assert all(r.error is None for r in rows)
 
     def test_skipped_days_inside_blocks_score_as_per_window_rows(self):
         sample = spline_sample(40 + 6 * 9 + 4)
@@ -572,8 +580,9 @@ class TestRollingForecast:
         config = RollingConfig(window=40, refit_interval=6, methods=SCORED_METHODS)
         result = assert_rows_equal_per_window_rows(sample, config, dates)
         assert result.skipped_gaps == 4
-        assert {r.index for r in result.records}.isdisjoint({45, 52, 53, 93})
-        assert [r.date for r in result.records[:3]] == dates[40:43]
+        rows = forecast_rows(result, config.methods)
+        assert {r.index for r in rows}.isdisjoint({45, 52, 53, 93})
+        assert [dates[r.index] for r in rows[:3]] == dates[40:43]
 
     def test_method_failing_on_some_windows_of_a_stack(self):
         # the first 70 days lie in a 3-dimensional span, the rest in a 20-dimensional
@@ -590,11 +599,12 @@ class TestRollingForecast:
         config = RollingConfig(window=40, refit_interval=3, methods=SCORED_METHODS + ("fpca:K=5",),
                                gap_policy="contiguous")
         result = assert_rows_equal_per_window_rows(sample, config)
-        failed = {r.index for r in result.records if r.error is not None}
+        rows = forecast_rows(result, config.methods)
+        failed = {r.index for r in rows if r.error is not None}
         # the blocks at days 40, 43, ..., 70 are fitted on windows inside that stretch
         assert failed == set(range(40, 73))
-        assert all(r.method == "fpca:K=5" for r in result.records if r.error is not None)
-        assert any(r.error is None for r in result.records if r.method == "fpca:K=5")
+        assert all(r.method == "fpca:K=5" for r in rows if r.error is not None)
+        assert any(r.error is None for r in rows if r.method == "fpca:K=5")
         assert result.single_member_refits == len(range(40, sample.n, 3))
 
     def test_cv_edge_selections_count_windows(self):
@@ -670,7 +680,7 @@ def assert_rows_equal_per_window_rows(sample, config, dates=None):
         days = [t for t in days if (dates[t] - dates[t - 1]).days <= 1]
     for label in config.methods:
         expected = per_window_rows(sample, window, refit, label)
-        rows = [r for r in result.records if r.method == label]
+        rows = [r for r in forecast_rows(result, config.methods) if r.method == label]
         assert [r.index for r in rows] == list(days)
         assert [r.refit for r in rows] == [(t - window) % refit == 0 for t in days]
         scored = [r for r in rows if r.error is None]
@@ -692,12 +702,9 @@ def spline_sample(n, seed=0):
     return FunctionalSample(curves, uniform_grid(curves.shape[1]))
 
 
-def comparable(records):
+def comparable(rows):
     """Row fields with NaN made comparable."""
-    return [
-        (r.method, r.index, r.date, repr(r.ise), repr(r.tuning), r.refit, r.error)
-        for r in records
-    ]
+    return [(r.method, r.index, repr(r.ise), repr(r.tuning), r.refit, r.error) for r in rows]
 
 
 COORDINATE_METHODS = ("fpca:0.80", "fpca:0.95", "fpca:K=3", "tikhonov:0.05", "tikhonov:cv")
@@ -714,7 +721,7 @@ class TestSpanCoordinates:
                                gap_policy="contiguous")
         result = rolling_forecast(sample, config)
         assert result.span_rank == rank
-        rows = {(r.method, r.index): r for r in result.records}
+        rows = {(r.method, r.index): r for r in forecast_rows(result, config.methods)}
         assert len(rows) == len(COORDINATE_METHODS) * 30
         w = sample.grid.weights
         for label in COORDINATE_METHODS:
@@ -746,12 +753,13 @@ class TestRollingMethods:
         labels = ("fpca:0.90", "fpca:K=40", "tikhonov:cv", "tikhonov:0.05")
         common = dict(window=100, refit_interval=9, gap_policy="contiguous")
         joint = rolling_forecast(sample, RollingConfig(methods=labels, **common))
+        joint_rows = forecast_rows(joint, labels)
         # method-major rows, in config order
-        assert [r.method for r in joint.records] == [m for m in labels for _ in range(40)]
+        assert [r.method for r in joint_rows] == [m for m in labels for _ in range(40)]
         for label in labels:
             single = rolling_forecast(sample, RollingConfig(methods=(label,), **common))
-            assert comparable(single.records) == comparable(
-                [r for r in joint.records if r.method == label]
+            assert comparable(forecast_rows(single, (label,))) == comparable(
+                [r for r in joint_rows if r.method == label]
             )
 
     @pytest.mark.parametrize("label", ["fpca:K=11", "fpca:K=50", "fpca:K=99", "fpca:K=5000"])
@@ -762,11 +770,12 @@ class TestRollingMethods:
         config = RollingConfig(window=100, refit_interval=10, methods=(label, "fpca:0.9"),
                                gap_policy="contiguous")
         result = rolling_forecast(sample, config)
-        failed = [r for r in result.records if r.method == label]
+        rows = forecast_rows(result, config.methods)
+        failed = [r for r in rows if r.method == label]
         assert len(failed) == 30
         assert all(r.error.startswith("SingularSystemError:") for r in failed)
         assert all(np.isnan(r.ise) for r in failed)
-        assert all(r.error is None for r in result.records if r.method == "fpca:0.9")
+        assert all(r.error is None for r in rows if r.method == "fpca:0.9")
         with pytest.raises(SingularSystemError):
             fit_method(span_coordinates(FunctionalSample(sample.values[:100], sample.grid)), label)
 
