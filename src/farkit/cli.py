@@ -41,9 +41,11 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .evaluate import (
+    FIT_ERRORS,
     BenchmarkConfig,
     TheoryProbe,
-    fit_methods,
+    _error_text,
+    fit_method,
     mean_misfe_table,
     operator_error_slope,
     parse_method,
@@ -175,13 +177,15 @@ def cmd_fit(args) -> int:
     except (ValueError, OSError) as exc:
         error = str(exc)
     else:
-        (outcome,) = fit_methods(coords, [method], cv_scheme=args.cv_scheme)
-        error = outcome.error
+        try:
+            est, cv = fit_method(coords, method, cv_scheme=args.cv_scheme)
+            error = None
+        except FIT_ERRORS as exc:
+            error = _error_text(exc)
     if error is not None:
         _write_json(out / "fit.meta.json", {"kind": "error", "error": error})
         print(f"error: {error}", file=sys.stderr)
         return 1
-    est, cv = outcome.estimate, outcome.cv
     _write_matrix(out / "kernel.csv", est.kernel)
     meta = {
         "kind": "operator_fit",

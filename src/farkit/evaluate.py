@@ -62,7 +62,6 @@ __all__ = [
     "regret_table",
     "worst_case_table",
     "tuning_summary",
-    "tuning_value",
     "rate_slope",
     "rate_slope_from_report",
     "run_benchmark",
@@ -159,10 +158,12 @@ def fit_method(
     For ``tikhonov:cv`` the strength is selected with ``cv_scheme`` and the
     estimator is refitted on the full sample; ``cv`` is that selection's
     ``CvResult`` (None for every other method). A stack is fitted in one
-    pass; a failure of any member raises for the whole stack.
+    pass into one estimate and one selection, each with one row per
+    member; a failure of any member raises for the whole stack.
     """
     if isinstance(method, str):
         method = parse_method(method)
+    cv = None
     if moments is None:
         moments = weighted_moments(coords)
     if decomposition is None:
@@ -186,35 +187,38 @@ def fit_method(
         # CvResult, so a stack runs the same sweep under its private name
         select = _cv_select if coords.stacked else cv_select_alpha
         cv = select(coords, decomposition, scheme=cv_scheme)
-        alpha = coords.per_member(lambda _, c: c.selected_alpha, cv)
         est = tikhonov_fit(
-            coords, alpha, moments=moments, decomposition=decomposition, selected_by=cv_scheme
+            coords, cv.selected_alpha, moments=moments, decomposition=decomposition,
+            selected_by=cv_scheme,
         )
-        return coords.per_member(lambda _, e, c: (e, c), est, cv)
-    return coords.per_member(lambda _, e: (e, None), est)
+    return est, cv
 
 
 @dataclass(frozen=True, eq=False)
 class FitOutcome:
-    """One method fitted to one sample: the estimate, or the error that stopped it.
+    """One method fitted to the B members of a stack, as columns; a sample is a stack of one.
 
-    ``refit_alone`` marks a member of a stack whose stacked step raised,
-    so that it was refitted on its own.
+    A member whose fit failed has NaN in ``matrices`` and ``tuning`` and
+    its error text in ``errors``; ``refit_alone`` marks the members whose
+    stacked step raised, so that they were refitted on their own.
     """
 
-    estimate: OperatorEstimate | None
-    error: str | None
-    # this method's own fit time, shared decomposition excluded; for a stack
-    # member, its share of the stacked step
+    matrices: np.ndarray  # (B, r, r) operator matrices in span coordinates
+    tuning: np.ndarray  # (B,) resolved K, or ridge strength
+    errors: tuple  # B texts, None where the fit succeeded
+    refit_alone: np.ndarray  # (B,) bool
+    # this method's own fit time per member, shared decomposition excluded
     seconds: float
-    cv: CvResult | None = None  # the strength selection of a tikhonov:cv fit
-    refit_alone: bool = False
+    # the selection of a tikhonov:cv fit, NaN in the rows of members without one
+    cv: CvResult | None = None
 
     @property
-    def cv_at_grid_edge(self) -> bool:
-        """Whether the strength selection picked the first or the last candidate of its grid."""
+    def cv_at_grid_edge(self) -> np.ndarray:
+        """(B,): whether each member's selection picked the first or last candidate of its grid."""
         cv = self.cv
-        return cv is not None and cv.selected_alpha in (cv.cv_curve[0][0], cv.cv_curve[-1][0])
+        if cv is None:
+            return np.zeros(len(self.errors), dtype=bool)
+        return (cv.selected_alpha == cv.alphas[:, 0]) | (cv.selected_alpha == cv.alphas[:, -1])
 
 
 def _error_text(exc: Exception) -> str:
@@ -222,20 +226,19 @@ def _error_text(exc: Exception) -> str:
 
 
 def fit_methods(coords: SpanCoordinates, methods, *, cv_scheme: str = "holdout") -> list:
-    """Fit every method to one sample in span coordinates from one shared decomposition.
+    """Fit every method to one sample or stack in span coordinates from one shared decomposition.
 
-    Returns one FitOutcome per method, in order (for a stack, the tuple
-    of one per member). Estimator failures (``FIT_ERRORS``) become
-    outcomes with the error text, including a failed shared
-    decomposition, which fails every method; any other exception
+    Returns one FitOutcome per method, in order, with one row per member
+    of a stack, or the one row of a sample. Estimator failures
+    (``FIT_ERRORS``) become rows with the error text, including a failed
+    shared decomposition, which fails every method; any other exception
     propagates.
 
     A stack of samples (``SpanCoordinates.windows``) is fitted through the
-    same steps, each step once for the whole stack, and its members'
-    outcomes share the step's ``seconds``. When a stacked step raises a
-    ``FIT_ERRORS`` class, each member is refitted alone through
+    same steps, each step once for the whole stack. When a stacked step
+    raises a ``FIT_ERRORS`` class, each member is refitted alone through
     ``fit_methods`` for the methods that step covered (``refit_alone``):
-    each member then records the outcome it would record alone, and a
+    each member's row then holds the outcome it would record alone, and a
     failing member leaves its neighbours' fits unchanged.
     """
     methods = [parse_method(m) if isinstance(m, str) else m for m in methods]
@@ -244,32 +247,61 @@ def fit_methods(coords: SpanCoordinates, methods, *, cv_scheme: str = "holdout")
         decomposition = spectra(moments)
     except FIT_ERRORS as exc:
         return _failed_step(coords, methods, exc, 0.0, cv_scheme)
+    # a sample's results get the leading axis of a stack of one
+    as_rows = np.asarray if coords.stacked else (lambda x: np.asarray(x)[None])
     outcomes = []
     for method in methods:
         t0 = time.perf_counter()
         try:
-            fitted = fit_method(
+            est, cv = fit_method(
                 coords, method, moments=moments, decomposition=decomposition, cv_scheme=cv_scheme
             )
         except FIT_ERRORS as exc:
             outcomes += _failed_step(coords, [method], exc, time.perf_counter() - t0, cv_scheme)
             continue
-        seconds = (time.perf_counter() - t0) / (len(coords.values) if coords.stacked else 1)
-        outcomes.append(
-            coords.per_member(lambda _, fit: FitOutcome(fit[0], None, seconds, fit[1]), fitted)
-        )
+        seconds = time.perf_counter() - t0
+        tuning = as_rows(est.tuning["k" if method.kind == "fpca" else "alpha"]).astype(float)
+        if cv is not None:
+            cv = CvResult(*map(as_rows, (cv.alphas, cv.losses, cv.selected_alpha)), cv.scheme)
+        size = len(tuning)
+        outcomes.append(FitOutcome(
+            as_rows(est.matrix), tuning, (None,) * size, np.zeros(size, bool), seconds / size, cv
+        ))
     return outcomes
 
 
 def _failed_step(coords: SpanCoordinates, methods, exc: Exception, seconds: float, cv_scheme):
     """The outcomes of ``methods`` after their step raised ``exc``.
 
-    A sample records the error; each member of a stack is refitted alone.
+    A sample records the error. Each member of a stack is refitted alone,
+    and its outcome is written into its row.
     """
     if not coords.stacked:
-        return [FitOutcome(None, _error_text(exc), seconds) for _ in methods]
-    alone = [fit_methods(member, methods, cv_scheme=cv_scheme) for member in coords.members()]
-    return [tuple(replace(o, refit_alone=True) for o in outcomes) for outcomes in zip(*alone)]
+        shape, error = (1, coords.dim, coords.dim), (_error_text(exc),)
+        return [FitOutcome(np.full(shape, np.nan), np.full(1, np.nan), error, np.zeros(1, bool),
+                           seconds) for _ in methods]
+    alone = [fit_methods(replace(coords, values=v), methods, cv_scheme=cv_scheme)
+             for v in coords.values]
+    return [_member_rows(rows) for rows in zip(*alone)]
+
+
+def _member_rows(rows) -> FitOutcome:
+    """One method's one-row outcomes of a stack's members, refitted alone, as one column set."""
+    cv = next((row.cv for row in rows if row.cv is not None), None)
+    if cv is not None:
+        # a member without a selection gets a row of NaN
+        nan = np.full_like(cv.alphas, np.nan)
+        cvs = [row.cv or CvResult(nan, nan, nan[:, 0], cv.scheme) for row in rows]
+        cv = CvResult(*(np.concatenate(column) for column in zip(
+            *((c.alphas, c.losses, c.selected_alpha) for c in cvs))), cv.scheme)
+    return FitOutcome(
+        np.concatenate([row.matrices for row in rows]),
+        np.concatenate([row.tuning for row in rows]),
+        sum((row.errors for row in rows), ()),
+        np.ones(len(rows), dtype=bool),
+        sum(row.seconds for row in rows) / len(rows),
+        cv,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +318,8 @@ def misfe(op: OperatorEstimate, test: FunctionalSample) -> float:
     targets outside the span, which no forecast reaches.
     """
     coords = op.coordinates
-    if test.grid.size != coords.grid.size:
-        raise GridError("test path must be on the operator grid")
+    if test.grid.size != coords.grid.size or coords.stacked:
+        raise GridError("test path must be on the grid of an estimate of one sample")
     return _path_misfe(op.matrix, *_encode_path(coords, test.values))
 
 
@@ -456,13 +488,6 @@ def _path_seed(master_seed, regime, n, replication, tag) -> np.random.SeedSequen
     )
 
 
-def tuning_value(est: OperatorEstimate) -> float:
-    """Resolved K of a truncation estimate, or the strength of a ridge estimate."""
-    if est.method == "fpca":
-        return float(est.tuning["k"])
-    return float(est.tuning["alpha"])
-
-
 def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     """Run the full (regime x n x method x replication) benchmark.
 
@@ -538,10 +563,6 @@ def _batch_records(regime, n, reps, train, test, grid, methods, tally: _Tally) -
     record. Each group of paths is scored as soon as it is fitted: each
     test path is encoded once in its training path's coordinates and every
     method is scored there, as ``misfe`` scores one.
-
-    Scoring stays inside this function: a stack member's coordinates are
-    views of ``train``, so an estimate that outlived the call would hold
-    the batch's paths while the next batch is simulated.
     """
     t0 = time.perf_counter()
     size = max(1, STACK_CURVES // n)
@@ -550,45 +571,30 @@ def _batch_records(regime, n, reps, train, test, grid, methods, tally: _Tally) -
     if all(full_rank_certified(centre_curves(train[s], grid)).all() for s in stacks):
         centre_curves(train, grid, out=train)
         m = grid.size
-        groups = [SpanCoordinates(train[s], np.eye(m), grid, m) for s in stacks]
+        groups = [(SpanCoordinates(train[s], np.eye(m), grid, m), s) for s in stacks]
     else:
-        groups = [span_coordinates(FunctionalSample(states, grid)) for states in train]
+        groups = [(span_coordinates(FunctionalSample(train[i], grid)), slice(i, i + 1))
+                  for i in range(len(train))]
     tally.stage_seconds["fit"] += time.perf_counter() - t0
-    paths = iter(zip(reps, test))
-    return [
-        record
-        for coords in groups
-        for record in _group_records(regime, n, coords, paths, methods, tally)
-    ]
-
-
-def _group_records(regime, n, coords: SpanCoordinates, paths, methods, tally: _Tally) -> list:
-    """Fit a stack or one path and score each path on the next ``(rep, test states)`` of ``paths``.
-
-    A group's estimates are dropped on return, before the next group is fitted.
-    """
-    t0 = time.perf_counter()
-    fitted = fit_methods(coords, methods)
-    # (coordinates, outcome per method) of each path of the group
-    per_path = zip(coords.members(), zip(*fitted)) if coords.stacked else [(coords, fitted)]
-    t1 = time.perf_counter()
     records = []
-    # paths comes second: zip stops at the group's end without taking the next path
-    for (member, outcomes), (rep, test_states) in zip(per_path, paths):
-        tally.span_ranks[member.rank] += 1
-        tally.single_member_refits += any(o.refit_alone for o in outcomes)
-        tally.cv_edge_selections[regime] += sum(o.cv_at_grid_edge for o in outcomes)
-        test_path = _encode_path(member, test_states)
-        for method, outcome in zip(methods, outcomes):
-            est = outcome.estimate
-            misfe = math.nan if est is None else _path_misfe(est.matrix, *test_path)
-            tuning = math.nan if est is None else tuning_value(est)
-            records.append(
-                CellResult(regime, n, method.label, rep, misfe, tuning, outcome.seconds,
-                           outcome.error)
-            )
-    tally.stage_seconds["fit"] += t1 - t0
-    tally.stage_seconds["score"] += time.perf_counter() - t1
+    for coords, paths in groups:
+        t0 = time.perf_counter()
+        fitted = fit_methods(coords, methods)
+        t1 = time.perf_counter()
+        tally.span_ranks[coords.rank] += len(fitted[0].errors)
+        tally.single_member_refits += int(np.any([o.refit_alone for o in fitted], axis=0).sum())
+        tally.cv_edge_selections[regime] += sum(int(o.cv_at_grid_edge.sum()) for o in fitted)
+        for b, (rep, test_states) in enumerate(zip(reps[paths], test[paths])):
+            test_path = _encode_path(coords, test_states)
+            for method, outcome in zip(methods, fitted):
+                error = outcome.errors[b]
+                misfe = math.nan if error is not None else _path_misfe(outcome.matrices[b], *test_path)
+                records.append(CellResult(regime, n, method.label, rep, misfe,
+                                          outcome.tuning[b].item(), outcome.seconds, error))
+        tally.stage_seconds["fit"] += t1 - t0
+        tally.stage_seconds["score"] += time.perf_counter() - t1
+        # drop this group's fits before the next group is fitted
+        del fitted
     return records
 
 
@@ -704,7 +710,7 @@ def rate_slope_from_report(report: BenchmarkReport) -> float:
     summary = tuning_summary(report)
     points = []
     for (regime, n, label), value in summary.items():
-        if parse_method(label).kind == "tikhonov" and np.isfinite(value):
+        if parse_method(label).cv and np.isfinite(value):
             points.append((n, value))
     return rate_slope(points)
 

@@ -177,7 +177,8 @@ def fpca_far_fit(
     with the fitted autoregression matrix, and re-expanding in the
     eigenfunction basis. A grid sample is accepted too and is projected
     with ``span_coordinates`` first. Each member of a stack is fitted at
-    its own K; a check that fails for any member raises for the whole
+    its own K, and the one estimate of the stack holds every member's
+    matrix and K; a check that fails for any member raises for the whole
     stack.
     """
     if (tau is None) == (k is None):
@@ -208,14 +209,8 @@ def fpca_far_fit(
             f"(condition above {GRAM_CONDITION_LIMIT:.0e})"
         )
     matrices = _truncation_matrices(moments.c1, lam, decomposition.vectors, ks, k_values)
-    tuning = {} if tau is None else {"tau": float(tau)}
-    return coords.per_member(
-        lambda member, matrix, k_i: OperatorEstimate(
-            matrix, member, method="fpca", tuning={"k": k_i, **tuning}
-        ),
-        matrices,
-        ks.tolist(),
-    )
+    tuning = {"k": ks.tolist()} if tau is None else {"k": ks.tolist(), "tau": float(tau)}
+    return OperatorEstimate(matrices, coords, method="fpca", tuning=tuning)
 
 
 def _truncation_matrices(c1, lam, vectors, ks: np.ndarray, k_values: set) -> np.ndarray:

@@ -13,7 +13,6 @@ leading axis; the moments of a stack are computed in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -78,11 +77,11 @@ class SpanCoordinates:
     only when that rank is 0. Built by ``span_coordinates``.
 
     ``values`` of shape (B, n, r) is a stack of B samples in the same
-    coordinates, such as the windows made by ``windows``. Every step of the fit path computes
-    on arrays that may carry that leading axis, and each member gets the
-    bits it would get alone. Its results are built by ``per_member``: one
-    object for a sample, and for a stack the tuple of one object per
-    member, in stack order.
+    coordinates, such as the windows made by ``windows``. Every step of the
+    fit path computes on arrays that may carry that leading axis, and each
+    member gets the bits it would get alone. Its results carry the axis
+    too: moments, spectra, estimates and strength selections hold one row
+    per member, in stack order.
     """
 
     values: np.ndarray
@@ -110,25 +109,6 @@ class SpanCoordinates:
         """The stack of the ``length``-row subsamples starting at each of ``starts``."""
         rows = np.asarray(starts)[:, None] + np.arange(length)
         return replace(self, values=self.values[rows])
-
-    def members(self) -> tuple:
-        """The samples of a stack, each in the same coordinates."""
-        return self._members
-
-    @cached_property
-    def _members(self) -> tuple:
-        # made once: every result of a stack is built per member
-        return tuple(SpanCoordinates(v, self.basis, self.grid, self.rank) for v in self.values)
-
-    def per_member(self, make, *columns):
-        """``make(self, *columns)`` for a sample; for a stack, ``make(member, *row)`` per member.
-
-        Each column holds one entry per member of a stack, along its
-        leading axis, and the one entry of a sample as it is.
-        """
-        if not self.stacked:
-            return make(self, *columns)
-        return tuple(make(member, *row) for member, *row in zip(self.members(), *columns))
 
     def encode(self, values) -> np.ndarray:
         """Coordinates ``(x * sqrt(w)) @ V`` of grid curves, one per row.
@@ -242,6 +222,9 @@ class OperatorEstimate:
     M x M grid kernel, formed on demand: ``kernel[i, j]`` estimates the
     kernel at (points[i], points[j]), and applying it to a curve is a
     quadrature sum over the second index.
+
+    The estimate of a stack carries its leading axis: ``matrix`` is
+    (B, r, r), and each per-member tuning value is a list in stack order.
     """
 
     matrix: np.ndarray
@@ -252,7 +235,7 @@ class OperatorEstimate:
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
         r = self.coordinates.dim
-        if matrix.shape != (r, r):
+        if matrix.shape != self.coordinates.values.shape[:-2] + (r, r):
             raise GridError(f"operator matrix must be {r}x{r} to match the coordinates")
         if not np.isfinite(matrix).all():
             raise GridError("operator matrix contains non-finite entries")
@@ -301,6 +284,6 @@ def apply_kernel_matrix(op: OperatorEstimate, values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     coords = op.coordinates
-    if values.ndim != 2 or values.shape[1] != coords.grid.size:
-        raise GridError("values must be (n, M) matching the operator grid")
+    if values.ndim != 2 or values.shape[1] != coords.grid.size or coords.stacked:
+        raise GridError("values must be (n, M) on the grid of an estimate of one sample")
     return coords.decode(coords.encode(values) @ op.matrix.T)

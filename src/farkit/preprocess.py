@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import InsufficientDataError, NumericalError
-from .evaluate import fit_methods, parse_method, tuning_value
+from .evaluate import fit_methods, parse_method
 from .grid import uniform_grid
 from .moments import FunctionalSample, SpanCoordinates, span_coordinates
 
@@ -340,15 +339,27 @@ def filter_and_interpolate(table: DayTable, config: PipelineConfig) -> DayTable:
     return DayTable._checked(tuple(itertools.compress(table.dates, keep.tolist())), values)
 
 
-def _spline_knots(n_basis: int) -> np.ndarray:
-    # clamped cubic knot vector with n_basis - 4 uniform interior knots
-    interior = np.linspace(0.0, 1.0, n_basis - 2)[1:-1]
-    return np.concatenate([np.zeros(4), interior, np.ones(4)])
-
-
 def _design_matrix(x: np.ndarray, n_basis: int) -> np.ndarray:
-    knots = _spline_knots(n_basis)
-    return BSpline.design_matrix(x, knots, 3).toarray()
+    """Values (points, n_basis) of the clamped cubic B-splines at points ``x`` in [0, 1].
+
+    de Boor's triangular recursion (de Boor 1972), vectorised over the points.
+    """
+    # the clamped cubic knot vector, with n_basis - 4 uniform interior knots
+    t = np.concatenate([np.zeros(4), np.linspace(0.0, 1.0, n_basis - 2)[1:-1], np.ones(4)])
+    # each point's knot interval [t_i, t_i+1); the end point 1 falls in the last nonempty one
+    i = np.clip(np.searchsorted(t, x, side="right") - 1, 3, n_basis - 1)[:, None]
+    x = x[:, None]
+    b = np.ones((len(x), 1))
+    for d in range(1, 4):
+        # b holds the splines B_i-d+1 .. B_i of degree d - 1 that are nonzero at x
+        right, left = t[i + np.arange(1, d + 1)], t[i + np.arange(1 - d, 1)]
+        w = b / (right - left)
+        b = np.zeros((len(x), d + 1))
+        b[:, 1:] = w * (x - left)
+        b[:, :-1] += w * (right - x)
+    design = np.zeros((len(x), n_basis))
+    np.put_along_axis(design, i - 3 + np.arange(4), b, axis=1)
+    return design
 
 
 def smooth_days(day_values: np.ndarray, config: PipelineConfig) -> np.ndarray:
@@ -463,13 +474,11 @@ def rolling_forecast(
         fitted = fit_methods(stack, methods, cv_scheme="k-fold-forward")
         t1 = time.perf_counter()
         # a window counts once, however many of its methods were refit alone
-        refit_alone += sum(any(o.refit_alone for o in window) for window in zip(*fitted))
-        cv_edges += sum(o.cv_at_grid_edge for outcomes in fitted for o in outcomes)
-        for i, outcomes in enumerate(fitted):
-            for block, outcome in enumerate(outcomes, start=first):
-                if outcome.estimate is not None:
-                    tuning[i, block] = tuning_value(outcome.estimate)
-                errors[i][block] = outcome.error
+        refit_alone += int(np.any([o.refit_alone for o in fitted], axis=0).sum())
+        cv_edges += sum(int(o.cv_at_grid_edge.sum()) for o in fitted)
+        for i, outcome in enumerate(fitted):
+            tuning[i, first : first + len(chunk)] = outcome.tuning
+            errors[i][first : first + len(chunk)] = outcome.errors
         _score_stack(coords, sample.values, chunk, refit, fitted, ise)
         fit_seconds += t1 - t0
         score_seconds += time.perf_counter() - t1
@@ -494,7 +503,7 @@ def _score_stack(coords: SpanCoordinates, values, starts, refit: int, fitted, is
     """Write each method's errors of the days of the B blocks at ``starts`` into ``ise``.
 
     ``ise`` is (P, n), one row per method over the sample's days, and
-    ``fitted`` holds each method's outcomes, one per block. A block holds
+    ``fitted`` holds each method's ``FitOutcome``, one row per block. A block holds
     ``refit`` days, fewer only at the end of the sample; the days of a
     failed fit are left as they are. The blocks of one length are
     consecutive, so their predecessor days are one run of rows, encoded
@@ -509,15 +518,14 @@ def _score_stack(coords: SpanCoordinates, values, starts, refit: int, fitted, is
         first, stop = int(starts[group[0]]), int(starts[group[-1]]) + length
         lags = coords.encode(values[first - 1 : stop - 1].reshape(-1, length, m))
         targets = values[first:stop].reshape(-1, length, m)
-        for errors, outcomes in zip(ise, fitted):
-            ok = np.array([outcomes[i].estimate is not None for i in group])
+        for errors, outcome in zip(ise, fitted):
+            ok = np.array([error is None for error in outcome.errors])[group]
             if not ok.any():
                 continue
             # a full selection stays a view of the days
             sel = slice(None) if ok.all() else ok
-            matrices = np.stack([outcomes[i].estimate.matrix for i in group[ok]])
             errors[first:stop].reshape(-1, length)[sel] = _stacked_errors(
-                coords, lags[sel], targets[sel], matrices
+                coords, lags[sel], targets[sel], outcome.matrices[group[ok]]
             )
 
 

@@ -14,8 +14,9 @@ The fit and the sweep also take a stack of samples in shared coordinates
 along a leading axis (``SpanCoordinates``), as the rolling backtest fits
 its windows and the Monte Carlo benchmark its full-rank replications:
 then the training covariances of every member's blocks share the
-``eigh`` call. ``cv_select_alpha`` stays a one-sample function
-over the same kernel.
+``eigh`` call, and the estimate and the strength selection hold one row
+per member. ``cv_select_alpha`` stays a one-sample function over the
+same kernel.
 """
 
 from __future__ import annotations
@@ -42,11 +43,20 @@ HOLDOUT_ALPHAS.flags.writeable = False
 
 @dataclass(frozen=True, eq=False)
 class CvResult:
-    """Outcome of a cross-validation sweep over a scheme's strength grid."""
+    """Outcome of a cross-validation sweep over a scheme's strength grid.
 
-    selected_alpha: float
-    cv_curve: tuple  # ((alpha, validation loss), ...) in grid order
+    The sweep of a stack carries its leading axis, one row per member.
+    """
+
+    alphas: np.ndarray  # (..., A) candidates in grid order
+    losses: np.ndarray  # (..., A) mean validation losses
+    selected_alpha: np.ndarray  # (...,)
     scheme: str
+
+    @property
+    def cv_curve(self) -> tuple:
+        """((alpha, validation loss), ...) of one sample's sweep, in grid order."""
+        return tuple(zip(self.alphas.tolist(), self.losses.tolist()))
 
 
 def tikhonov_fit(
@@ -62,9 +72,10 @@ def tikhonov_fit(
     Computes C1 (C0 + alpha I)^{-1} in span coordinates through the
     spectral decomposition of C0. Precomputed moments of ``coords`` and
     the decomposition of their ``c0`` skip the O(r^3) work. A stack is
-    fitted at one strength or at one strength per member. ``selected_by``
-    names the cross-validation scheme that selected ``alpha``, and is
-    recorded in each estimate's tuning after the strength.
+    fitted at one strength or at one strength per member, into one
+    estimate. ``selected_by`` names the cross-validation scheme that
+    selected ``alpha``, and is recorded in the estimate's tuning after the
+    strength.
     """
     alpha = np.asarray(alpha, dtype=float)
     if not (alpha > 0).all():
@@ -78,13 +89,8 @@ def tikhonov_fit(
     filters = (lam + alpha[..., None])[..., None, :]
     psi = ((moments.c1 @ q) / filters) @ q.swapaxes(-1, -2)
     scheme = {} if selected_by is None else {"selected_by": selected_by}
-    return coords.per_member(
-        lambda member, matrix, a: OperatorEstimate(
-            matrix, member, method="tikhonov", tuning={"alpha": a, **scheme}
-        ),
-        psi,
-        (np.zeros(lam.shape[:-1]) + alpha).tolist(),
-    )
+    tuning = {"alpha": (np.zeros(lam.shape[:-1]) + alpha).tolist(), **scheme}
+    return OperatorEstimate(psi, coords, method="tikhonov", tuning=tuning)
 
 
 def _block_losses(mom: WeightedMomentPair, lam, q, lag_values, target_values, alphas):
@@ -114,11 +120,12 @@ def _block_losses(mom: WeightedMomentPair, lam, q, lag_values, target_values, al
     return (losses + np.einsum("...ar,...ar->...a", d @ quad, d)) / target_values.shape[-2]
 
 
-def _last_minimum(losses):
-    """Index of the smallest loss in each row; exact ties go to the last, the larger alpha."""
+def _selected_alpha(alphas, losses):
+    """The alpha of the smallest loss in each row; exact ties go to the last, the larger alpha."""
     if np.isnan(losses).any():
         raise NumericalError("cross-validation losses are not numbers")
-    return losses.shape[-1] - 1 - losses[..., ::-1].argmin(axis=-1)
+    best = losses.shape[-1] - 1 - losses[..., ::-1].argmin(axis=-1, keepdims=True)
+    return np.take_along_axis(alphas, best, -1)[..., 0][()]
 
 
 def cv_select_alpha(
@@ -160,7 +167,8 @@ def _cv_select(coords: SpanCoordinates, decomposition: SpectralDecomposition, sc
     """``cv_select_alpha`` of one sample or of a stack.
 
     A stack's members share the scheme's blocks, because they share the
-    length n. Any member's failure raises for the whole stack.
+    length n, and its result holds one row per member. Any member's
+    failure raises for the whole stack.
     """
     n = coords.n
     lam1 = decomposition.eigenvalues[..., :1]
@@ -202,9 +210,4 @@ def _cv_select(coords: SpanCoordinates, decomposition: SpectralDecomposition, sc
         ],
         axis=0,
     )
-    return coords.per_member(
-        lambda _, best, grid, curve: CvResult(grid[best], tuple(zip(grid, curve)), scheme),
-        _last_minimum(losses).tolist(),
-        alphas.tolist(),
-        losses.tolist(),
-    )
+    return CvResult(alphas, losses, _selected_alpha(alphas, losses), scheme)

@@ -187,6 +187,16 @@ class TestBenchmarkCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_no_cross_validated_method_gives_no_rate_slope(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"regimes": ["II"], "n_values": [100, 400], "replications": 4,
+                                   "methods": ["fpca:0.9", "tikhonov:0.01"], "master_seed": 5}))
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rate_slope_log10_alpha_vs_log10_n"] is None
+        assert "rate slope n/a" in capsys.readouterr().out
+
     def test_cells_without_results_are_nan(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"regimes": ["I"], "n_values": [100],

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import dense_reference
+from fit_rows import member_fit, member_fits
 from farkit import evaluate
-from farkit.errors import InsufficientDataError
+from farkit.errors import GridError, InsufficientDataError
 from farkit.evaluate import (
     BATCH_SIZE,
     FIT_ERRORS,
@@ -28,6 +29,7 @@ from farkit.evaluate import (
     worst_case_table,
 )
 from conftest import grid_operator, unit_weight_grid
+from farkit.fpca import eigendecompose
 from farkit.grid import QuadratureGrid, make_trapezoid_grid, uniform_grid
 from farkit.moments import (
     FunctionalSample,
@@ -35,6 +37,7 @@ from farkit.moments import (
     SpanCoordinates,
     apply_kernel_matrix,
     span_coordinates,
+    weighted_moments,
 )
 from farkit.simulate import (
     REGIMES,
@@ -44,7 +47,7 @@ from farkit.simulate import (
     simulate_far1,
     simulate_states,
 )
-from farkit.tikhonov import HOLDOUT_ALPHAS
+from farkit.tikhonov import HOLDOUT_ALPHAS, cv_select_alpha
 from test_preprocess import spline_sample
 
 
@@ -79,12 +82,13 @@ STACK_LABELS = ["fpca:0.90", "fpca:0.60", "fpca:K=11", "tikhonov:0.1", "tikhonov
 
 
 def assert_same_outcome(stacked, alone):
+    """Two ``MemberFit`` rows hold the same bits."""
     assert stacked.error == alone.error
-    if alone.estimate is None:
-        assert stacked.estimate is None
+    if alone.matrix is None:
+        assert stacked.matrix is None
         return
-    assert np.array_equal(stacked.estimate.matrix, alone.estimate.matrix)
-    assert stacked.estimate.tuning == alone.estimate.tuning
+    assert np.array_equal(stacked.matrix, alone.matrix)
+    assert stacked.tuning == alone.tuning
     assert (stacked.cv is None) == (alone.cv is None)
     if alone.cv is not None:
         assert stacked.cv.selected_alpha == alone.cv.selected_alpha
@@ -96,29 +100,32 @@ class TestFitMethods:
         coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 9)), uniform_grid(9)))
         labels = ["fpca:0.9", "fpca:K=2", "tikhonov:0.1", "tikhonov:cv"]
         for label, outcome in zip(labels, fit_methods(coords, labels)):
-            assert outcome.error is None
+            row = member_fit(outcome, 0)
+            assert row.error is None
             est, cv = fit_method(coords, label)
-            assert np.array_equal(outcome.estimate.kernel, est.kernel)
-            assert outcome.estimate.tuning == est.tuning
+            assert np.array_equal(coords.kernel(row.matrix), est.kernel)
+            assert row.tuning == est.tuning["k" if label.startswith("fpca") else "alpha"]
             # only the cross-validated fit carries its strength selection
             # and names the scheme that made it in its tuning
             assert ("selected_by" in est.tuning) == (label == "tikhonov:cv")
-            assert (outcome.cv is None) == (cv is None) == (label != "tikhonov:cv")
+            assert (row.cv is None) == (cv is None) == (label != "tikhonov:cv")
             if cv is not None:
-                assert outcome.cv.cv_curve == cv.cv_curve
+                assert row.cv.cv_curve == cv.cv_curve
 
     def test_non_finite_moments_recorded_as_grid_error(self, rng):
         sample = FunctionalSample(rng.standard_normal((60, 8)) * 1e156, uniform_grid(8))
         with np.errstate(over="ignore"):
-            outcomes = fit_methods(span_coordinates(sample), ["tikhonov:0.1", "fpca:0.9"])
-        assert [o.estimate for o in outcomes] == [None, None]
+            fitted = fit_methods(span_coordinates(sample), ["tikhonov:0.1", "fpca:0.9"])
+        outcomes = member_fits(fitted, 0)
+        assert [o.matrix for o in outcomes] == [None, None]
         assert all(o.error.startswith("GridError:") for o in outcomes)
 
     def test_overflowing_cv_losses_recorded_as_numerical_error(self, rng):
         # finite moments, but the validation losses overflow to inf - inf
         sample = FunctionalSample(rng.standard_normal((60, 8)) * 1e150, uniform_grid(8))
         with np.errstate(over="ignore", invalid="ignore"):
-            cv, fpca = fit_methods(span_coordinates(sample), ["tikhonov:cv", "fpca:0.9"])
+            fitted = fit_methods(span_coordinates(sample), ["tikhonov:cv", "fpca:0.9"])
+        cv, fpca = member_fits(fitted, 0)
         assert cv.error == "NumericalError: cross-validation losses are not numbers"
         assert fpca.error is None
 
@@ -131,10 +138,10 @@ class TestFitMethods:
         sample = FunctionalSample(np.vstack([np.ones((130, 48)), noise]), g)
         window = span_coordinates(sample).subsample(0, 100)
         labels = ["fpca:0.90", "tikhonov:cv", "tikhonov:0.1"]
-        fpca, cv, ridge = fit_methods(window, labels, cv_scheme="k-fold-forward")
+        fpca, cv, ridge = member_fits(fit_methods(window, labels, cv_scheme="k-fold-forward"), 0)
         assert fpca.error.startswith("DegenerateSpectrumError:")
         assert cv.error.startswith("DegenerateSpectrumError:")
-        assert ridge.error is None and not np.any(ridge.estimate.matrix)
+        assert ridge.error is None and not np.any(ridge.matrix)
 
     def test_programming_errors_propagate(self, rng):
         coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 8)), uniform_grid(8)))
@@ -142,16 +149,26 @@ class TestFitMethods:
             fit_methods(coords, ["tikhonov:cv"], cv_scheme="leave-one-out")
 
     def fit_stack(self, members, labels, scheme="k-fold-forward"):
-        """Fit members as one stack and check each outcome against the member fitted alone."""
+        """Fit members as one stack and check each row against the member fitted alone.
+
+        Returns each method's rows, one ``MemberFit`` per member.
+        """
         r = members[0].shape[1]
         stack = SpanCoordinates(np.stack(members), np.eye(r), unit_weight_grid(r), r)
         outcomes = fit_methods(stack, labels, cv_scheme=scheme)
-        assert [len(o) for o in outcomes] == [len(members)] * len(labels)
-        for i, member in enumerate(stack.members()):
-            alone = fit_methods(member, labels, cv_scheme=scheme)
-            for per_method, single in zip(outcomes, alone):
+        assert [len(o.errors) for o in outcomes] == [len(members)] * len(labels)
+        rows = [[member_fit(o, i) for i in range(len(members))] for o in outcomes]
+        for i, values in enumerate(stack.values):
+            member = SpanCoordinates(values, stack.basis, stack.grid, stack.rank)
+            alone = member_fits(fit_methods(member, labels, cv_scheme=scheme), 0)
+            for per_method, single in zip(rows, alone):
                 assert_same_outcome(per_method[i], single)
-        return outcomes
+            # a member's CV columns hold the sweep it gets alone
+            for label, per_method in zip(labels, rows):
+                if label == "tikhonov:cv" and per_method[i].error is None:
+                    lone = cv_select_alpha(member, eigendecompose(weighted_moments(member)), scheme)
+                    assert per_method[i].cv == (lone.selected_alpha, lone.cv_curve)
+        return rows
 
     @pytest.mark.parametrize(
         "n, r, scheme",
@@ -170,7 +187,7 @@ class TestFitMethods:
         for label in ("fpca:0.90", "fpca:0.60", "tikhonov:0.1", "tikhonov:cv"):
             assert not any(o.refit_alone or o.error for o in by_label[label])
         # the thresholds pick more than one K across the stack
-        assert len({o.estimate.tuning["k"] for o in by_label["fpca:0.90"]}) > 1
+        assert len({o.tuning for o in by_label["fpca:0.90"]}) > 1
 
     @pytest.mark.parametrize("overflow", [False, True], ids=["method-steps", "shared-step"])
     def test_stacked_failing_members_leave_neighbours_unchanged(self, overflow):
@@ -184,7 +201,7 @@ class TestFitMethods:
         constant = 1
         assert fpca[constant].error.startswith("DegenerateSpectrumError:")
         assert cv[constant].error.startswith("DegenerateSpectrumError:")
-        assert ridge[constant].error is None and not np.any(ridge[constant].estimate.matrix)
+        assert ridge[constant].error is None and not np.any(ridge[constant].matrix)
         assert k11[-2].error.startswith("SingularSystemError:")
         healthy = [0, len(members) - 1]
         for per_method in outcomes:
@@ -323,6 +340,15 @@ class TestMisfe:
         assert expected - in_span > 0.1 * expected
         assert misfe(op, path) == pytest.approx(expected, rel=1e-12)
 
+    def test_stacked_estimate_rejected(self, rng):
+        # the estimate of a stack holds one matrix per member and scores no single path
+        g = unit_weight_grid(4)
+        stack = SpanCoordinates(rng.standard_normal((2, 30, 4)), np.eye(4), g, 4)
+        est, _ = fit_method(stack, "tikhonov:0.1")
+        assert est.matrix.shape == (2, 4, 4)
+        with pytest.raises(GridError):
+            misfe(est, FunctionalSample(rng.standard_normal((10, 4)), g))
+
     def test_short_path_rejected(self, rng):
         g = uniform_grid(3)
         op = grid_operator(np.zeros((3, 3)), g)
@@ -449,6 +475,27 @@ class TestRateSlope:
         with pytest.raises(ValueError):
             rate_slope([(100, -1.0), (100, -2.0)])
 
+    @pytest.mark.parametrize(
+        "methods, slope",
+        [
+            (("tikhonov:cv",), -0.6920683531015344),
+            # a fixed strength is not pooled: it halved the slope when it was
+            (("tikhonov:cv", "tikhonov:0.01"), -0.6920683531015344),
+            # no cross-validated cell, no slope (it read 1.07e-16 when pooled)
+            (("fpca:0.9", "tikhonov:0.01"), None),
+        ],
+    )
+    def test_report_slope_pools_only_cross_validated_cells(self, methods, slope):
+        config = BenchmarkConfig(
+            regimes=("II",), n_values=(100, 400), methods=methods, replications=4, master_seed=5
+        )
+        report = run_benchmark(config)
+        if slope is None:
+            with pytest.raises(ValueError):
+                evaluate.rate_slope_from_report(report)
+        else:
+            assert evaluate.rate_slope_from_report(report) == pytest.approx(slope, rel=1e-12)
+
 
 def batches(config: BenchmarkConfig):
     """``(regime, n, reps)`` of every batch of ``run_benchmark``, in its order."""
@@ -482,11 +529,9 @@ def replication_records(regime, n, reps, train, test, methods):
     for rep, train_states, test_states in zip(reps, train, test):
         coords = span_coordinates(FunctionalSample(train_states, grid))
         test_path = evaluate._encode_path(coords, test_states)
-        for label, outcome in zip(methods, fit_methods(coords, methods)):
-            est = outcome.estimate
-            misfe = np.nan if est is None else evaluate._path_misfe(est.matrix, *test_path)
-            tuning = np.nan if est is None else evaluate.tuning_value(est)
-            records.append((regime, n, label, rep, repr(misfe), repr(tuning), outcome.error))
+        for label, row in zip(methods, member_fits(fit_methods(coords, methods), 0)):
+            misfe = np.nan if row.matrix is None else evaluate._path_misfe(row.matrix, *test_path)
+            records.append((regime, n, label, rep, repr(misfe), repr(row.tuning), row.error))
     return records
 
 

@@ -7,6 +7,7 @@ from farkit.evaluate import fit_method
 from farkit.grid import make_trapezoid_grid, uniform_grid
 from farkit.moments import (
     FunctionalSample,
+    OperatorEstimate,
     SpanCoordinates,
     WeightedMomentPair,
     apply_kernel_matrix,
@@ -243,6 +244,11 @@ class TestApplyKernel:
         op = grid_operator(np.zeros((3, 3)), uniform_grid(3), method="fpca")
         with pytest.raises(GridError):
             apply_one(op, np.zeros(4))
+        # the estimate of a stack holds one matrix per member
+        stack = SpanCoordinates(np.zeros((2, 5, 3)), np.eye(3), unit_weight_grid(3), 3)
+        stacked = OperatorEstimate(np.zeros((2, 3, 3)), stack, "fpca")
+        with pytest.raises(GridError):
+            apply_kernel_matrix(stacked, np.zeros((1, 3)))
 
 
 def unweighted(psi, coords):

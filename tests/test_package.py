@@ -1,12 +1,16 @@
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import farkit
+from test_cli import write_raw_days
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(farkit.__path__))
 
@@ -32,3 +36,28 @@ def test_readme_quick_tour_runs():
     assert np.allclose(ns["forecasts"], weighted @ ns["kernel"].T)
     assert ns["next_curve"].shape == (101,)
     assert np.isfinite(ns["err"])
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable, every
+    # module imports and a backtest runs end to end
+    raw, out = tmp_path / "raw.csv", tmp_path / "roll"
+    write_raw_days(raw, 130)
+    script = "\n".join([
+        "import importlib, sys",
+        "sys.modules['scipy'] = None",
+        f"for name in {MODULES!r}:",
+        "    importlib.import_module('farkit.' + name)",
+        "from farkit.cli import main",
+        f"sys.exit(main(['rolling', '--raw', {str(raw)!r}, '--out', {str(out)!r},",
+        "               '--window', '40', '--refit', '10']))",
+    ])
+    src = str(Path(farkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    summary = (out / "summary.csv").read_text().splitlines()
+    # the six default methods, each with scored days
+    assert len(summary) == 7 and all(int(row.split(",")[4]) > 0 for row in summary[1:])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bspline_reference
 import dense_reference
 import raw_reference
 from rolling_rows import forecast_rows
@@ -25,6 +26,7 @@ from farkit.preprocess import (
     load_halfhourly_csv,
     preprocess_curves,
     rolling_forecast,
+    _design_matrix,
     smooth_days,
 )
 
@@ -414,6 +416,35 @@ class TestPreprocessCurves:
         values[0, 3] = np.nan
         with pytest.raises(ValueError):
             preprocess_curves(DayTable(winter_dates(14), values), PipelineConfig())
+
+
+SPLINE_POINTS = {
+    "slot-midpoints": (np.arange(SLOTS_PER_DAY) + 0.5) / SLOTS_PER_DAY,
+    "grid-100": uniform_grid(100).points,
+    "grid-7": uniform_grid(7).points,
+}
+
+
+class TestDesignMatrix:
+    @pytest.mark.parametrize("points", SPLINE_POINTS)
+    @pytest.mark.parametrize("n_basis", [4, 5, 10, 13, 20])
+    def test_matches_per_point_cox_de_boor(self, n_basis, points):
+        x = SPLINE_POINTS[points]
+        design = _design_matrix(x, n_basis)
+        assert design.shape == (len(x), n_basis)
+        assert np.abs(design - bspline_reference.design(x, n_basis)).max() <= 1e-15
+        # a cubic spline has at most 4 nonzero basis functions at a point
+        assert np.all(np.count_nonzero(design, axis=1) <= 4)
+
+    @pytest.mark.parametrize("n_basis", [4, 5, 10, 13, 20])
+    def test_partition_of_unity_and_clamped_ends(self, n_basis):
+        x = np.concatenate([SPLINE_POINTS["slot-midpoints"], uniform_grid(100).points])
+        design = _design_matrix(x, n_basis)
+        assert np.all(design >= 0)
+        assert np.abs(design.sum(axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
+        # the clamped knots make the first spline 1 at 0 and the last 1 at 1
+        ends = _design_matrix(np.array([0.0, 1.0]), n_basis)
+        assert np.array_equal(ends, np.eye(n_basis)[[0, -1]])
 
 
 def drifting_sample(n, m=30, seed=0):

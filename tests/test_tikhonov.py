@@ -6,6 +6,7 @@ from conftest import moment_pair, random_spd, rotation_coordinates, unit_weight_
 from farkit import tikhonov
 from farkit.errors import DegenerateSpectrumError, InsufficientDataError, NumericalError
 from farkit.evaluate import fit_methods
+from fit_rows import member_fits
 from farkit.fpca import eigendecompose, spectra
 from farkit.grid import uniform_grid
 from farkit.moments import (
@@ -332,16 +333,19 @@ class TestStackedSweep:
         stack = SpanCoordinates(
             np.stack([tied, rng.standard_normal((60, m))]), np.eye(m), unit_weight_grid(m), m
         )
-        results = tikhonov._cv_select(stack, spectra(weighted_moments(stack)), "holdout")
-        tied_losses, noise_losses = (curve_arrays(result)[1] for result in results)
+        result = tikhonov._cv_select(stack, spectra(weighted_moments(stack)), "holdout")
+        assert result.alphas.shape == result.losses.shape == (2, len(HOLDOUT_ALPHAS))
+        tied_losses, noise_losses = result.losses
         assert np.all(tied_losses == tied_losses[0]) and tied_losses[0] > 0
         assert np.count_nonzero(noise_losses == noise_losses.min()) == 1
-        assert results[0].selected_alpha == HOLDOUT_ALPHAS[-1]
-        assert results[1].selected_alpha == HOLDOUT_ALPHAS[np.argmin(noise_losses)]
-        for result, member in zip(results, stack.members()):
+        assert result.selected_alpha[0] == HOLDOUT_ALPHAS[-1]
+        assert result.selected_alpha[1] == HOLDOUT_ALPHAS[np.argmin(noise_losses)]
+        for b, values in enumerate(stack.values):
+            member = SpanCoordinates(values, stack.basis, stack.grid, stack.rank)
             alone = cv_select_alpha(member, eigendecompose(weighted_moments(member)), "holdout")
-            assert result.selected_alpha == alone.selected_alpha
-            assert result.cv_curve == alone.cv_curve
+            assert result.selected_alpha[b] == alone.selected_alpha
+            assert np.array_equal(result.alphas[b], alone.alphas)
+            assert np.array_equal(result.losses[b], alone.losses)
 
     @pytest.mark.parametrize("scheme", ["holdout", "k-fold-forward"])
     @pytest.mark.parametrize(
@@ -363,8 +367,10 @@ class TestStackedSweep:
 
         monkeypatch.setattr(tikhonov, "weighted_moments", faulty_moments)
         coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 6)), uniform_grid(6)))
-        cv, fixed = fit_methods(coords, ["tikhonov:cv", "tikhonov:0.1"], cv_scheme=scheme)
-        assert cv.estimate is None
+        cv, fixed = member_fits(
+            fit_methods(coords, ["tikhonov:cv", "tikhonov:0.1"], cv_scheme=scheme), 0
+        )
+        assert cv.matrix is None
         assert cv.error.startswith(f"{NumericalError.__name__}: ")
         assert message in cv.error
         assert fixed.error is None

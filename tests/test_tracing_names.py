@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from farkit.evaluate import fit_methods
+from fit_rows import member_fit
 from farkit.grid import uniform_grid
 from farkit.moments import FunctionalSample, span_coordinates
 
@@ -42,8 +43,8 @@ def test_stacks_reach_no_observed_name():
         (stacked,) = fit_methods(stack, ["tikhonov:cv"])
     finally:
         tracer.uninstall()
-    assert alone.error is None and len(stacked) == 10
-    assert all(o.error is None for o in stacked)
+    assert member_fit(alone, 0).error is None and len(stacked.errors) == 10
+    assert all(member_fit(stacked, b).error is None for b in range(10))
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["tikhonov.cv_select_alpha.calls"][0] == 1
     assert metrics["fpca.eigendecompose.calls"][0] == 1
