@@ -18,7 +18,6 @@ from .errors import (
 from .evaluate import (
     BenchmarkConfig,
     BenchmarkReport,
-    CellResult,
     TheoryProbe,
     fit_method,
     misfe,

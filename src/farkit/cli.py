@@ -32,6 +32,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import repeat
@@ -154,7 +155,12 @@ def cmd_simulate(args) -> int:
 
 
 def _load_sample(path: Path) -> FunctionalSample:
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # an input without rows is reported as an error below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        values = np.loadtxt(path, delimiter=",", ndmin=2)
+    if values.size == 0:
+        raise ValueError(f"{path}: no curves")
     sidecar = path.with_suffix(".meta.json")
     meta = _read_meta(sidecar)
     if meta is not None and meta.get("grid_points"):
@@ -216,10 +222,16 @@ def _load_benchmark_config(args) -> BenchmarkConfig:
 
 
 def write_records_csv(report, path: Path) -> None:
-    """One row per cell result; timing stays out so reruns are byte-identical."""
+    """One row per entry of the report's columns, in their order.
+
+    Timing stays out, so reruns are byte-identical.
+    """
+    config = report.config
     rows = [
-        [r.regime, _fmt(r.n), r.method, _fmt(r.replication), _fmt(r.misfe), _fmt(r.tuning), r.error or ""]
-        for r in report.records
+        [config.regimes[g], _fmt(config.n_values[i]), config.methods[p], _fmt(r),
+         _fmt(report.misfe[g, i, r, p]), _fmt(report.tuning[g, i, r, p]),
+         report.errors[g, i, r, p] or ""]
+        for g, i, r, p in np.ndindex(report.misfe.shape)
     ]
     _write_csv(
         path,
@@ -244,38 +256,27 @@ def cmd_benchmark(args) -> int:
     report = run_benchmark(config)
     write_records_csv(report, out / "records.csv")
 
-    means = mean_misfe_table(report)
+    # each table is a dict in config order, which is the order of its file's rows
     regrets = regret_table(report)
-    regret_rows = []
-    for regime in config.regimes:
-        for n in config.n_values:
-            for method in config.methods:
-                mean, _, count = means[(regime, n, method)]
-                regret_rows.append(
-                    [regime, _fmt(n), method, _fmt(mean), _fmt(count), _fmt(regrets[(regime, n, method)])]
-                )
     _write_csv(
         out / "regret.csv",
         ["regime", "n", "method", "mean_misfe", "count", "regret_pct"],
-        regret_rows,
+        [
+            [regime, _fmt(n), method, _fmt(mean), _fmt(count), _fmt(regrets[(regime, n, method)])]
+            for (regime, n, method), (mean, _, count) in mean_misfe_table(report).items()
+        ],
     )
-
-    worst = worst_case_table(report)
     _write_csv(
         out / "worst_case.csv",
         ["method", "n", "worst_mean_misfe"],
-        [[m, _fmt(n), _fmt(worst[(m, n)])] for m in config.methods for n in config.n_values],
+        [[m, _fmt(n), _fmt(worst)] for (m, n), worst in worst_case_table(report).items()],
     )
-
-    tunings = tuning_summary(report)
     _write_csv(
         out / "tuning.csv",
         ["regime", "n", "method", "mean_tuning"],
         [
-            [regime, _fmt(n), method, _fmt(tunings[(regime, n, method)])]
-            for regime in config.regimes
-            for n in config.n_values
-            for method in config.methods
+            [regime, _fmt(n), method, _fmt(value)]
+            for (regime, n, method), value in tuning_summary(report).items()
         ],
     )
 
@@ -283,9 +284,6 @@ def cmd_benchmark(args) -> int:
         slope = rate_slope_from_report(report)
     except ValueError:
         slope = None  # fewer than two sample sizes, or no cross-validated cells
-    seconds_by_method: dict = {}
-    for r in report.records:
-        seconds_by_method[r.method] = seconds_by_method.get(r.method, 0.0) + r.seconds
     _write_json(
         out / "summary.json",
         {
@@ -293,9 +291,9 @@ def cmd_benchmark(args) -> int:
             "config": config.to_dict(),
             "rate_slope_log10_alpha_vs_log10_n": slope,
             "wall_clock_seconds": report.wall_clock_seconds,
-            "fit_seconds_by_method": seconds_by_method,
-            "failed_fits": sum(1 for r in report.records if r.failed),
-            "failures_by_class": _failures_by_class(r.error for r in report.records),
+            "fit_seconds_by_method": dict(zip(config.methods, report.fit_seconds.tolist())),
+            "failed_fits": int(report.failed.sum()),
+            "failures_by_class": _failures_by_class(report.errors.flat),
             "span_ranks": report.span_ranks,
             "single_member_refits": report.single_member_refits,
             "cv_edge_selections": report.cv_edge_selections,
@@ -304,7 +302,7 @@ def cmd_benchmark(args) -> int:
     )
     slope_text = "n/a" if slope is None else f"{slope:.3f}"
     print(
-        f"benchmark: {len(report.records)} records, "
+        f"benchmark: {report.misfe.size} records, "
         f"rate slope {slope_text}, wall clock {report.wall_clock_seconds:.1f}s"
     )
     return 0

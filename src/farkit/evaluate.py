@@ -1,10 +1,10 @@
 """Forecast-error metrics, the Monte Carlo benchmark, and theory probes.
 
 The benchmark fits every configured method to shared simulated training
-paths and scores one-step forecasts on independent test paths, producing a
-flat record list from which regret, worst-case, and tuning tables are
-derived. A closed-form diagonal probe checks the ridge regularization-bias
-inequality without any linear solves.
+paths and scores one-step forecasts on independent test paths, producing
+columns over (regime, n, replication, method) from which regret,
+worst-case, and tuning tables are derived. A closed-form diagonal probe
+checks the ridge regularization-bias inequality without any linear solves.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "FitOutcome",
     "fit_method",
     "fit_methods",
-    "CellResult",
     "BenchmarkConfig",
     "BenchmarkReport",
     "TheoryProbe",
@@ -343,25 +342,7 @@ def _path_misfe(matrix: np.ndarray, encoded: np.ndarray, outside: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# benchmark records and derived tables
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """One (regime, n, method, replication) outcome."""
-
-    regime: str
-    n: int
-    method: str
-    replication: int
-    misfe: float
-    tuning: float  # resolved K for truncation methods, selected alpha for ridge
-    seconds: float
-    error: str | None = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
+# benchmark columns and derived tables
 
 
 @dataclass(frozen=True)
@@ -451,12 +432,21 @@ class BenchmarkConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchmarkReport:
-    """All cell results of one benchmark run plus the resolved config."""
+    """One benchmark run as columns over (regime, n, replication, method), plus its config.
 
-    records: tuple
+    The axes follow the config's order, which is the row order of
+    ``records.csv``. ``misfe`` and ``tuning`` (resolved K, or selected
+    alpha) are NaN where a fit failed, and ``errors`` holds that fit's
+    error text, None where it succeeded.
+    """
+
     config: BenchmarkConfig
+    misfe: np.ndarray  # (regimes, n_values, replications, methods)
+    tuning: np.ndarray  # shaped like misfe
+    errors: np.ndarray  # object array shaped like misfe
+    fit_seconds: np.ndarray  # (methods,) fit time summed over the run
     wall_clock_seconds: float = 0.0
     span_ranks: dict = field(default_factory=dict)  # training paths counted by span rank
     # training paths refitted alone after their stack's step raised
@@ -465,10 +455,15 @@ class BenchmarkReport:
     # tikhonov:cv fits per regime whose strength is the first or last CV grid candidate
     cv_edge_selections: dict = field(default_factory=dict)
 
+    @property
+    def failed(self) -> np.ndarray:
+        """Shaped like ``errors``: whether the fit failed."""
+        return np.not_equal(self.errors, None)
+
 
 @dataclass
 class _Tally:
-    """What ``run_benchmark`` reports besides its records, summed over batches."""
+    """What ``run_benchmark`` reports besides its columns, summed over batches."""
 
     span_ranks: Counter = field(default_factory=Counter)
     single_member_refits: int = 0
@@ -497,7 +492,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     forecast error, the resolved tuning value, and the incremental fit
     time. Fit failures are recorded on the cell and never abort the run.
     The report is a pure function of the config (timings aside). Besides
-    the records it counts the training paths by the rank of their span
+    its columns it counts the training paths by the rank of their span
     (``span_ranks``) and those refitted alone after their stack's step
     raised (``single_member_refits``), counts per regime the ``tikhonov:cv``
     fits that select the first or last candidate of their strength grid
@@ -511,8 +506,8 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     ``BATCH_SIZE`` at a time by one recursion and fitted by
     ``_batch_records``: as stacks of at most ``STACK_CURVES`` training
     curves when every path of the batch is certified to have full rank,
-    otherwise each path alone. Either way each record has the bits of the
-    path fitted alone.
+    otherwise each path alone. Either way each path's results have the
+    bits of the path fitted alone.
     """
     t_start = time.perf_counter()
     methods = [parse_method(label) for label in config.methods]
@@ -520,11 +515,14 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
         regime: draw_regime_operator(REGIMES[regime], _regime_seed(config.master_seed, regime))
         for regime in config.regimes
     }
-    records, tally = [], _Tally()
-    for regime in config.regimes:
+    shape = (len(config.regimes), len(config.n_values), config.replications, len(methods))
+    misfe, tuning = np.full(shape, np.nan), np.full(shape, np.nan)
+    errors, fit_seconds = np.full(shape, None, dtype=object), np.zeros(len(methods))
+    tally = _Tally()
+    for g, regime in enumerate(config.regimes):
         spec = REGIMES[regime]
         grid = QuadratureGrid(np.arange(spec.basis_dim), np.ones(spec.basis_dim))
-        for n in config.n_values:
+        for i, n in enumerate(config.n_values):
             for start in range(0, config.replications, BATCH_SIZE):
                 reps = range(start, min(start + BATCH_SIZE, config.replications))
                 t0 = time.perf_counter()
@@ -538,12 +536,17 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
                     for length, tag in ((n, _TRAIN_TAG), (config.test_length, _TEST_TAG))
                 )
                 tally.stage_seconds["simulate"] += time.perf_counter() - t0
-                records += _batch_records(regime, n, reps, train, test, grid, methods, tally)
+                rows = (g, i, slice(reps.start, reps.stop))
+                columns = (misfe[rows], tuning[rows], errors[rows], fit_seconds)
+                _batch_records(regime, train, test, grid, methods, tally, columns)
                 # drop this batch's paths before the next batch is simulated
                 del train, test
     return BenchmarkReport(
-        tuple(records),
         config,
+        misfe,
+        tuning,
+        errors,
+        fit_seconds,
         wall_clock_seconds=time.perf_counter() - t_start,
         span_ranks=dict(sorted(tally.span_ranks.items())),
         single_member_refits=tally.single_member_refits,
@@ -552,20 +555,24 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     )
 
 
-def _batch_records(regime, n, reps, train, test, grid, methods, tally: _Tally) -> list:
-    """The records of one batch of training paths ``train`` (R, n, J) and test paths ``test``.
+def _batch_records(regime, train, test, grid, methods, tally: _Tally, columns) -> None:
+    """Fit and score one batch of training paths ``train`` (R, n, J) and test paths ``test``.
+
+    ``columns`` are the batch's (R, methods) rows of the report's
+    ``misfe``, ``tuning`` and ``errors``, written in place, and its
+    ``fit_seconds``, added to.
 
     When ``full_rank_certified`` certifies every training path, ``train``
     is centred in place and fitted as stacks of at most ``STACK_CURVES``
     curves in the identity basis, each stack in one ``fit_methods`` call;
     otherwise each path is fitted alone in its ``span_coordinates``. A
-    stack member's fit has the bits of the path alone, and so has its
-    record. Each group of paths is scored as soon as it is fitted: each
+    stack member's fit has the bits of the path alone, and so have its
+    results. Each group of paths is scored as soon as it is fitted: each
     test path is encoded once in its training path's coordinates and every
     method is scored there, as ``misfe`` scores one.
     """
     t0 = time.perf_counter()
-    size = max(1, STACK_CURVES // n)
+    size = max(1, STACK_CURVES // train.shape[1])
     stacks = [slice(i, i + size) for i in range(0, len(train), size)]
     # the stacks are certified on copies, so that a batch that fails keeps its raw paths
     if all(full_rank_certified(centre_curves(train[s], grid)).all() for s in stacks):
@@ -576,7 +583,7 @@ def _batch_records(regime, n, reps, train, test, grid, methods, tally: _Tally) -
         groups = [(span_coordinates(FunctionalSample(train[i], grid)), slice(i, i + 1))
                   for i in range(len(train))]
     tally.stage_seconds["fit"] += time.perf_counter() - t0
-    records = []
+    misfe, tuning, errors, fit_seconds = columns
     for coords, paths in groups:
         t0 = time.perf_counter()
         fitted = fit_methods(coords, methods)
@@ -584,56 +591,47 @@ def _batch_records(regime, n, reps, train, test, grid, methods, tally: _Tally) -
         tally.span_ranks[coords.rank] += len(fitted[0].errors)
         tally.single_member_refits += int(np.any([o.refit_alone for o in fitted], axis=0).sum())
         tally.cv_edge_selections[regime] += sum(int(o.cv_at_grid_edge.sum()) for o in fitted)
-        for b, (rep, test_states) in enumerate(zip(reps[paths], test[paths])):
-            test_path = _encode_path(coords, test_states)
-            for method, outcome in zip(methods, fitted):
-                error = outcome.errors[b]
-                misfe = math.nan if error is not None else _path_misfe(outcome.matrices[b], *test_path)
-                records.append(CellResult(regime, n, method.label, rep, misfe,
-                                          outcome.tuning[b].item(), outcome.seconds, error))
+        encoded = [_encode_path(coords, states) for states in test[paths]]
+        for p, outcome in enumerate(fitted):
+            misfe[paths, p] = [
+                math.nan if error is not None else _path_misfe(matrix, *path)
+                for matrix, error, path in zip(outcome.matrices, outcome.errors, encoded)
+            ]
+            tuning[paths, p], errors[paths, p] = outcome.tuning, outcome.errors
+            fit_seconds[p] += outcome.seconds * len(encoded)
         tally.stage_seconds["fit"] += t1 - t0
         tally.stage_seconds["score"] += time.perf_counter() - t1
         # drop this group's fits before the next group is fitted
-        del fitted
-    return records
+        del fitted, encoded
 
 
-def _cells(records):
-    """Group records by (regime, n, method), preserving order."""
-    grouped: dict = {}
-    for record in records:
-        grouped.setdefault((record.regime, record.n, record.method), []).append(record)
-    return grouped
+def _successes(report: BenchmarkReport, column: np.ndarray) -> dict:
+    """{(regime, n, method): a cell's successful replications in ``column``, in order}."""
+    config, ok = report.config, ~report.failed
+    return {
+        (regime, n, label): column[g, i, :, p][ok[g, i, :, p]]
+        for (g, regime), (i, n), (p, label) in itertools.product(
+            *map(enumerate, (config.regimes, config.n_values, config.methods))
+        )
+    }
 
 
 def mean_misfe_table(report: BenchmarkReport) -> dict:
     """Per-cell mean forecast error with its Monte Carlo standard error.
 
     Returns {(regime, n, method): (mean, stderr, count)} for every cell of
-    the config, over successful replications only; failed fits reduce the
-    count and are never imputed, and a cell without any success gets
-    (NaN, NaN, 0).
+    the config, in its order, over successful replications only; failed
+    fits reduce the count and are never imputed, and a cell without any
+    success gets (NaN, NaN, 0).
     """
-    cells = _cells(report.records)
-    config = report.config
     table = {}
-    for key in itertools.product(config.regimes, config.n_values, config.methods):
-        values = np.array([r.misfe for r in cells.get(key, ()) if not r.failed])
+    for key, values in _successes(report, report.misfe).items():
         if values.size == 0:
             table[key] = (float("nan"), float("nan"), 0)
         else:
             stderr = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
             table[key] = (float(values.mean()), stderr, int(values.size))
     return table
-
-
-def _fpca_tau_methods(report: BenchmarkReport):
-    labels = []
-    for label in report.config.methods:
-        spec = parse_method(label)
-        if spec.kind == "fpca" and spec.tau is not None:
-            labels.append(label)
-    return labels
 
 
 def regret_table(report: BenchmarkReport) -> dict:
@@ -645,7 +643,8 @@ def regret_table(report: BenchmarkReport) -> dict:
     method may land below 0. The regret is NaN for a method without
     successes and for every method of a cell without an oracle.
     """
-    fpca_labels = _fpca_tau_methods(report)
+    # a variance threshold is the only method with a tau
+    fpca_labels = [label for label in report.config.methods if parse_method(label).tau is not None]
     means = mean_misfe_table(report)
     regrets = {}
     for regime in report.config.regimes:
@@ -662,7 +661,7 @@ def regret_table(report: BenchmarkReport) -> dict:
 
 
 def worst_case_table(report: BenchmarkReport) -> dict:
-    """Worst per-regime mean forecast error for each (method, n).
+    """Worst per-regime mean forecast error for each (method, n), in config order.
 
     NaN when any regime of that (method, n) has no successful replication.
     """
@@ -676,11 +675,10 @@ def worst_case_table(report: BenchmarkReport) -> dict:
 
 
 def tuning_summary(report: BenchmarkReport) -> dict:
-    """Per-cell mean tuning value: resolved K, or log10 of the selected alpha."""
+    """Per-cell mean tuning value, in config order: resolved K, or log10 of the selected alpha."""
     table = {}
-    for key, cell in _cells(report.records).items():
+    for key, values in _successes(report, report.tuning).items():
         spec = parse_method(key[2])
-        values = np.array([r.tuning for r in cell if not r.failed])
         if values.size == 0:
             table[key] = float("nan")
         elif spec.kind == "tikhonov":

@@ -267,8 +267,10 @@ def weighted_moments(coords: SpanCoordinates) -> WeightedMomentPair:
     tol = 8 * np.finfo(float).eps
     constant = _max_abs(centered) <= tol * _max_abs(values)
     centered[constant] = 0.0
-    c0 = centered.swapaxes(-1, -2) @ centered / n
-    c1 = centered[..., 1:, :].swapaxes(-1, -2) @ centered[..., :-1, :] / (n - 1)
+    # huge curves overflow to non-finite moments, which WeightedMomentPair rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0 = centered.swapaxes(-1, -2) @ centered / n
+        c1 = centered[..., 1:, :].swapaxes(-1, -2) @ centered[..., :-1, :] / (n - 1)
     return WeightedMomentPair(c0, c1, zbar)
 
 

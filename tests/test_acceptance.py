@@ -25,6 +25,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from benchmark_rows import record_rows
 from farkit.cli import write_records_csv
 from farkit.evaluate import (
     BenchmarkConfig,
@@ -196,7 +197,7 @@ def test_criterion_05_directional_benchmark(benchmark_report):
     with criterion(5, "benchmark regret structure"):
         config = benchmark_report.config
         assert config.replications == 50
-        assert len(benchmark_report.records) == 3600
+        assert len(record_rows(benchmark_report)) == 3600
         regrets = regret_table(benchmark_report)
         for regime in config.regimes:
             for n in config.n_values:
@@ -254,7 +255,7 @@ def test_criterion_07_rate_slope(benchmark_report):
         grid = HOLDOUT_ALPHAS
         selected = {
             (r.regime, r.n, r.replication): r
-            for r in benchmark_report.records
+            for r in record_rows(benchmark_report)
             if r.method == "tikhonov:cv"
         }
         oracle_log_alphas = {}

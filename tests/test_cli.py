@@ -106,6 +106,25 @@ class TestFitCommand:
         meta = json.loads((out / "fit.meta.json").read_text())
         assert meta["kind"] == "error" and meta["error"]
 
+    # a warning printed before the error line fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scale, message",
+        [(None, "{path}: no curves"), (1e200, "GridError: c0 contains non-finite entries")],
+        ids=["empty", "overflowing-moments"],
+    )
+    def test_unfittable_input_prints_one_error_line(self, tmp_path, capsys, scale, message):
+        sample = tmp_path / "sample.csv"
+        if scale is None:
+            sample.write_text("")
+        else:
+            values = np.random.default_rng(3).standard_normal((60, 5)) * scale
+            np.savetxt(sample, values, delimiter=",")
+        code = main(["fit", "--input", str(sample), "--method", "fpca:0.90",
+                     "--out", str(tmp_path / "fit")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=sample)}\n"
+
     def test_rejects_stale_schema(self, tmp_path):
         sample = tmp_path / "sample.csv"
         spectrum_sample_csv(sample, [0.9, 0.1], m=6, n=20)

@@ -2,8 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import benchmark_reference
 import dense_reference
+from benchmark_rows import record_rows
 from fit_rows import member_fit, member_fits
 from farkit import evaluate
 from farkit.errors import GridError, InsufficientDataError
@@ -13,7 +17,6 @@ from farkit.evaluate import (
     STACK_CURVES,
     BenchmarkConfig,
     BenchmarkReport,
-    CellResult,
     TheoryProbe,
     fit_method,
     fit_methods,
@@ -357,27 +360,28 @@ class TestMisfe:
             misfe(op, FunctionalSample(np.ones((1, 3)), g))
 
 
-def synthetic_report(cells):
-    """cells: {(regime, n, method): [misfe values]} -> BenchmarkReport."""
-    methods, regimes, ns = [], [], []
-    for regime, n, method in cells:
-        if method not in methods:
-            methods.append(method)
-        if regime not in regimes:
-            regimes.append(regime)
-        if n not in ns:
-            ns.append(n)
-    records = []
-    for (regime, n, method), values in cells.items():
-        for rep, v in enumerate(values):
-            records.append(
-                CellResult(regime, n, method, rep, misfe=v, tuning=1.0, seconds=0.0)
-            )
+def synthetic_report(cells, tunings=None):
+    """cells: {(regime, n, method): [misfe values]} -> BenchmarkReport.
+
+    A NaN value is a failed fit, and so is each replication a cell does not
+    list and each cell not listed. ``tunings`` gives the tuning values of
+    some cells, one per misfe value; any other tuning value is 1.0.
+    """
+    axes = [list(dict.fromkeys(key[k] for key in cells)) for k in range(3)]
     config = BenchmarkConfig(
-        regimes=tuple(regimes), n_values=tuple(ns), methods=tuple(methods),
+        regimes=tuple(axes[0]), n_values=tuple(axes[1]), methods=tuple(axes[2]),
         replications=max(len(v) for v in cells.values()),
     )
-    return BenchmarkReport(tuple(records), config)
+    shape = (len(axes[0]), len(axes[1]), config.replications, len(axes[2]))
+    misfe, tuning = np.full(shape, np.nan), np.full(shape, np.nan)
+    errors = np.full(shape, "SingularSystemError: no fit", dtype=object)
+    for key, values in cells.items():
+        g, i, p = (axis.index(k) for axis, k in zip(axes, key))
+        cell_tunings = (tunings or {}).get(key, [1.0] * len(values))
+        for r, (value, value_tuning) in enumerate(zip(values, cell_tunings, strict=True)):
+            if not np.isnan(value):
+                misfe[g, i, r, p], tuning[g, i, r, p], errors[g, i, r, p] = value, value_tuning, None
+    return BenchmarkReport(config, misfe, tuning, errors, np.zeros(len(axes[2])))
 
 
 class TestTables:
@@ -431,35 +435,75 @@ class TestTables:
         assert worst_case_table(report)[("fpca:0.80", 100)] == pytest.approx(0.6)
 
     def test_mean_table_excludes_failures(self):
-        records = (
-            CellResult("I", 100, "fpca:0.80", 0, 1.0, 2.0, 0.0),
-            CellResult("I", 100, "fpca:0.80", 1, float("nan"), float("nan"), 0.0,
-                       error="SingularSystemError: x"),
-            CellResult("I", 100, "fpca:0.80", 2, 3.0, 2.0, 0.0),
-        )
-        config = BenchmarkConfig(
-            regimes=("I",), n_values=(100,), methods=("fpca:0.80",), replications=3
-        )
-        mean, stderr, count = mean_misfe_table(BenchmarkReport(records, config))[
-            ("I", 100, "fpca:0.80")
-        ]
+        key = ("I", 100, "fpca:0.80")
+        report = synthetic_report({key: [1.0, float("nan"), 3.0]}, {key: [2.0, None, 2.0]})
+        assert record_rows(report)[1].error == "SingularSystemError: no fit"
+        mean, stderr, count = mean_misfe_table(report)[key]
         assert mean == pytest.approx(2.0)
         assert count == 2
 
     def test_tuning_summary_means(self):
-        records = tuple(
-            CellResult("I", 100, "fpca:0.80", r, 0.5, 3.0, 0.0) for r in range(4)
-        ) + tuple(
-            CellResult("I", 100, "tikhonov:cv", r, 0.5, a, 0.0)
-            for r, a in enumerate((0.01, 0.1))
+        fpca, ridge = ("I", 100, "fpca:0.80"), ("I", 100, "tikhonov:cv")
+        report = synthetic_report(
+            {fpca: [0.5] * 4, ridge: [0.5, 0.5]}, {fpca: [3.0] * 4, ridge: [0.01, 0.1]}
         )
-        config = BenchmarkConfig(
-            regimes=("I",), n_values=(100,), methods=("fpca:0.80", "tikhonov:cv"),
-            replications=4,
-        )
-        summary = tuning_summary(BenchmarkReport(records, config))
-        assert summary[("I", 100, "fpca:0.80")] == pytest.approx(3.0)
-        assert summary[("I", 100, "tikhonov:cv")] == pytest.approx(-1.5)
+        assert report.config.replications == 4
+        summary = tuning_summary(report)
+        assert summary[fpca] == pytest.approx(3.0)
+        assert summary[ridge] == pytest.approx(-1.5)
+
+
+def same_table(table, reference) -> bool:
+    """NaN-aware ==: the same keys in the same order, and each value equal or NaN on both sides."""
+    values = [np.array(list(t.values()), dtype=float) for t in (table, reference)]
+    return list(table) == list(reference) and np.array_equal(*values, equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    regimes=st.integers(1, 3),
+    sizes=st.integers(1, 3),
+    replications=st.integers(1, 5),
+    thresholds=st.integers(0, 2),
+    failing=st.sampled_from([0.0, 0.3, 0.9]),
+)
+def test_tables_match_per_record_reference(seed, regimes, sizes, replications, thresholds, failing):
+    """Random reports give the tables and the CV slope of a record-by-record computation.
+
+    Every report has one cell in which every replication failed, besides
+    ``failing`` replications failed at random; with no threshold method
+    no cell has a regret oracle.
+    """
+    rng = np.random.default_rng(seed)
+    methods = ["fpca:0.80", "fpca:0.95"][:thresholds]
+    methods += [m for m in ("fpca:K=3", "tikhonov:cv", "tikhonov:0.01") if rng.random() < 0.7]
+    methods = [str(m) for m in rng.permutation(methods or ["tikhonov:cv"])]
+    config = BenchmarkConfig(
+        regimes=("I", "II", "III")[:regimes], n_values=(100, 200, 400)[:sizes],
+        methods=tuple(methods), replications=replications,
+    )
+    shape = (regimes, sizes, replications, len(methods))
+    misfe = rng.lognormal(0.0, 1.0, shape)
+    ridge = np.array([m.startswith("tikhonov") for m in methods])
+    tuning = np.where(ridge, 10.0 ** rng.uniform(-5, 0, shape), rng.integers(1, 41, shape))
+    failed = rng.random(shape) < failing
+    g, i, p = rng.integers(regimes), rng.integers(sizes), rng.integers(len(methods))
+    failed[g, i, :, p] = True  # a cell without a success
+    misfe[failed], tuning[failed] = np.nan, np.nan
+    errors = np.where(failed, "NumericalError: synthetic", None)
+    report = BenchmarkReport(config, misfe, tuning, errors, np.zeros(len(methods)))
+
+    rows = record_rows(report)
+    assert same_table(mean_misfe_table(report), benchmark_reference.mean_table(rows, config))
+    assert same_table(regret_table(report), benchmark_reference.regret_table(rows, config))
+    assert same_table(worst_case_table(report), benchmark_reference.worst_case_table(rows, config))
+    assert same_table(tuning_summary(report), benchmark_reference.tuning_table(rows, config))
+    try:
+        slope = evaluate.rate_slope_from_report(report)
+    except ValueError:
+        slope = None
+    assert slope == benchmark_reference.cv_slope(rows, config)
 
 
 class TestRateSlope:
@@ -545,12 +589,25 @@ def per_replication_records(config: BenchmarkConfig) -> list:
     return records
 
 
-def record_fields(records) -> list:
-    """Each record's fields but its timing; repr tells the bits of a float, NaN included."""
+def record_fields(report) -> list:
+    """Each row's fields; repr tells the bits of a float, NaN included."""
     return [
         (r.regime, r.n, r.method, r.replication, repr(r.misfe), repr(r.tuning), r.error)
-        for r in records
+        for r in record_rows(report)
     ]
+
+
+def batch_report(config: BenchmarkConfig, train, test, tally) -> BenchmarkReport:
+    """The report of a config of one batch, fitted and scored by ``_batch_records``."""
+    shape = (1, 1, config.replications, len(config.methods))
+    misfe, tuning = np.full(shape, np.nan), np.full(shape, np.nan)
+    errors, fit_seconds = np.full(shape, None, dtype=object), np.zeros(len(config.methods))
+    regime = config.regimes[0]
+    evaluate._batch_records(
+        regime, train, test, coefficient_grid(regime), [parse_method(m) for m in config.methods],
+        tally, [misfe[0, 0], tuning[0, 0], errors[0, 0], fit_seconds],
+    )
+    return BenchmarkReport(config, misfe, tuning, errors, fit_seconds)
 
 
 class TestRunBenchmark:
@@ -562,13 +619,12 @@ class TestRunBenchmark:
         )
         assert STACK_CURVES // 800 == 5
         report = run_benchmark(config)
-        assert record_fields(report.records) == per_replication_records(config)
+        assert record_fields(report) == per_replication_records(config)
         assert report.span_ranks == {40: 2 * 2 * (BATCH_SIZE + 2)}
         assert report.single_member_refits == 0
         assert set(report.stage_seconds) == {"simulate", "fit", "score"}
 
     def test_batch_with_an_uncertified_path_fits_each_path_alone(self):
-        methods = BenchmarkConfig().methods
         config = BenchmarkConfig(regimes=("II",), n_values=(100,), replications=BATCH_SIZE)
         regime, n, reps = next(batches(config))
         train, test = simulate_batch(config, regime, n, reps)
@@ -576,11 +632,10 @@ class TestRunBenchmark:
         train[3][:, 7] = train[3][:, 2]
         raw = train.copy()
         tally = evaluate._Tally()
-        records = evaluate._batch_records(
-            regime, n, reps, train, test, coefficient_grid(regime),
-            [parse_method(m) for m in methods], tally,
+        report = batch_report(config, train, test, tally)
+        assert record_fields(report) == replication_records(
+            regime, n, reps, raw, test, config.methods
         )
-        assert record_fields(records) == replication_records(regime, n, reps, raw, test, methods)
         assert tally.span_ranks == {40: BATCH_SIZE - 1, 39: 1}
         # the uncertified batch was fitted from its raw paths, left as they were
         assert np.array_equal(train, raw)
@@ -599,9 +654,7 @@ class TestRunBenchmark:
         last = sum(cv.selected_alpha == cv.cv_curve[-1][0] for cv in cvs)
         assert last > 0
         tally = evaluate._Tally()
-        evaluate._batch_records(
-            regime, n, reps, train, test, grid, [parse_method(m) for m in config.methods], tally
-        )
+        batch_report(config, train, test, tally)
         assert tally.cv_edge_selections == {regime: last}
 
     def test_stacks_hold_at_most_one_stack_of_curves_more_than_single_fits(self):
@@ -628,8 +681,9 @@ class TestRunBenchmark:
             regimes=("I",), n_values=(100,), methods=("fpca:0.90",), replications=1
         )
         report = run_benchmark(config)
-        assert len(report.records) == 1
-        r = report.records[0]
+        rows = record_rows(report)
+        assert len(rows) == 1
+        r = rows[0]
         assert r.regime == "I" and r.n == 100 and not r.failed
         assert r.misfe > 0 and r.tuning >= 1
 
@@ -640,7 +694,7 @@ class TestRunBenchmark:
         )
         a = run_benchmark(config)
         b = run_benchmark(config)
-        for ra, rb in zip(a.records, b.records):
+        for ra, rb in zip(record_rows(a), record_rows(b), strict=True):
             assert (ra.regime, ra.n, ra.method, ra.replication) == (
                 rb.regime, rb.n, rb.method, rb.replication
             )
@@ -652,7 +706,8 @@ class TestRunBenchmark:
             regimes=("I", "III"), n_values=(100, 200), methods=("fpca:0.80", "tikhonov:cv"),
             replications=BATCH_SIZE + 2, master_seed=5,
         )
-        keys = [(r.regime, r.n, r.method, r.replication) for r in run_benchmark(config).records]
+        rows = record_rows(run_benchmark(config))
+        keys = [(r.regime, r.n, r.method, r.replication) for r in rows]
         assert keys == [
             (regime, n, method, rep)
             for regime in config.regimes
@@ -674,7 +729,7 @@ class TestRunBenchmark:
             replications=BATCH_SIZE + 2, master_seed=7,
         )
         records = {
-            (r.regime, r.method, r.replication): r for r in run_benchmark(config).records
+            (r.regime, r.method, r.replication): r for r in record_rows(run_benchmark(config))
         }
         for regime, code in (("I", 1), ("III", 3)):
             spec = REGIMES[regime]
@@ -703,11 +758,11 @@ class TestRunBenchmark:
             replications=1,
         )
         report = run_benchmark(config)
-        failed = [r for r in report.records if r.failed]
+        failed = [r for r in record_rows(report) if r.failed]
         assert len(failed) == 1
         assert failed[0].method == "fpca:K=99"
         assert np.isnan(failed[0].misfe)
-        ok = [r for r in report.records if not r.failed]
+        ok = [r for r in record_rows(report) if not r.failed]
         assert len(ok) == 1
 
     def test_k_methods_fail_with_one_class(self):
@@ -717,7 +772,7 @@ class TestRunBenchmark:
             regimes=("I",), n_values=(100,), methods=("fpca:K=60", "fpca:K=500", "fpca:K=3"),
             replications=1,
         )
-        errors = [r.error for r in run_benchmark(config).records]
+        errors = [r.error for r in record_rows(run_benchmark(config))]
         assert errors[0].startswith("SingularSystemError:")
         assert errors[1].startswith("SingularSystemError:")
         assert errors[2] is None
