@@ -42,11 +42,9 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .evaluate import (
-    FIT_ERRORS,
     BenchmarkConfig,
     TheoryProbe,
-    _error_text,
-    fit_method,
+    fit_methods,
     mean_misfe_table,
     operator_error_slope,
     parse_method,
@@ -162,20 +160,19 @@ def _load_sample(path: Path) -> FunctionalSample:
     if values.size == 0:
         raise ValueError(f"{path}: no curves")
     sidecar = path.with_suffix(".meta.json")
-    meta = _read_meta(sidecar)
-    if meta is not None and meta.get("grid_points"):
-        try:
-            points = np.asarray(meta["grid_points"], dtype=float)
-        except TypeError:
-            raise ValueError(f"{sidecar}: grid_points must be a list of numbers") from None
-        grid = make_trapezoid_grid(points)
-    else:
-        grid = uniform_grid(values.shape[1])
-    return FunctionalSample(values, grid)
+    points = (_read_meta(sidecar) or {}).get("grid_points")
+    if points is None:
+        return FunctionalSample(values, uniform_grid(values.shape[1]))
+    # exact types, as in a benchmark config: JSON true/false parse to bool; an
+    # integer beyond the doubles would overflow in the grid's float array
+    if not (isinstance(points, list)
+            and all(type(u) in (int, float) and abs(u) <= sys.float_info.max for u in points)):
+        raise ValueError(f"{sidecar}: grid_points must be a list of numbers")
+    return FunctionalSample(values, make_trapezoid_grid(points))
 
 
 def cmd_fit(args) -> int:
-    """Fit one method; a bad method id, input or sidecar, or a failed fit, exits 1."""
+    """Fit one method by ``fit_methods``; a bad method id, input or sidecar, or failed fit exits 1."""
     out = _out_dir(args)
     try:
         method = parse_method(args.method)
@@ -183,26 +180,29 @@ def cmd_fit(args) -> int:
     except (ValueError, OSError) as exc:
         error = str(exc)
     else:
-        try:
-            est, cv = fit_method(coords, method, cv_scheme=args.cv_scheme)
-            error = None
-        except FIT_ERRORS as exc:
-            error = _error_text(exc)
+        (fit,) = fit_methods(coords, [method], cv_scheme=args.cv_scheme)
+        error = fit.errors[0]
     if error is not None:
         _write_json(out / "fit.meta.json", {"kind": "error", "error": error})
         print(f"error: {error}", file=sys.stderr)
         return 1
-    _write_matrix(out / "kernel.csv", est.kernel)
+    _write_matrix(out / "kernel.csv", coords.kernel(fit.matrices[0]))
+    value = fit.tuning[0].item()
+    if method.kind == "fpca":
+        tuning = {"k": int(value), **({} if method.tau is None else {"tau": method.tau})}
+    else:
+        tuning = {"alpha": value, **({"selected_by": args.cv_scheme} if method.cv else {})}
     meta = {
         "kind": "operator_fit",
         "method": args.method,
-        "tuning": {k: (float(v) if isinstance(v, (int, float)) else v) for k, v in est.tuning.items()},
+        "tuning": {k: (float(v) if isinstance(v, (int, float)) else v) for k, v in tuning.items()},
     }
+    cv = fit.cv
     if cv is not None:
         meta["cv_scheme"] = cv.scheme
-        meta["cv_curve"] = [[a, l] for a, l in cv.cv_curve]
+        meta["cv_curve"] = [[a, l] for a, l in zip(cv.alphas[0].tolist(), cv.losses[0].tolist())]
     _write_json(out / "fit.meta.json", meta)
-    print(f"fit {args.method}: tuning {est.tuning}")
+    print(f"fit {args.method}: tuning {tuning}")
     return 0
 
 
@@ -349,7 +349,7 @@ def cmd_rolling(args) -> int:
 
     summary = []
     for label, ises, errors in zip(methods, result.ise, result.errors):
-        scored = ises[[error is None for error in errors]]
+        scored = ises[np.equal(errors, None)]
         failures = _failures_by_class(errors)
         summary.append(
             {

@@ -186,10 +186,7 @@ def fit_method(
         # CvResult, so a stack runs the same sweep under its private name
         select = _cv_select if coords.stacked else cv_select_alpha
         cv = select(coords, decomposition, scheme=cv_scheme)
-        est = tikhonov_fit(
-            coords, cv.selected_alpha, moments=moments, decomposition=decomposition,
-            selected_by=cv_scheme,
-        )
+        est = tikhonov_fit(coords, cv.selected_alpha, moments=moments, decomposition=decomposition)
     return est, cv
 
 
@@ -204,7 +201,7 @@ class FitOutcome:
 
     matrices: np.ndarray  # (B, r, r) operator matrices in span coordinates
     tuning: np.ndarray  # (B,) resolved K, or ridge strength
-    errors: tuple  # B texts, None where the fit succeeded
+    errors: np.ndarray  # (B,) object: error texts, None where the fit succeeded
     refit_alone: np.ndarray  # (B,) bool
     # this method's own fit time per member, shared decomposition excluded
     seconds: float
@@ -263,9 +260,8 @@ def fit_methods(coords: SpanCoordinates, methods, *, cv_scheme: str = "holdout")
         if cv is not None:
             cv = CvResult(*map(as_rows, (cv.alphas, cv.losses, cv.selected_alpha)), cv.scheme)
         size = len(tuning)
-        outcomes.append(FitOutcome(
-            as_rows(est.matrix), tuning, (None,) * size, np.zeros(size, bool), seconds / size, cv
-        ))
+        outcomes.append(FitOutcome(as_rows(est.matrix), tuning, np.full(size, None),
+                                   np.zeros(size, bool), seconds / size, cv))
     return outcomes
 
 
@@ -276,7 +272,7 @@ def _failed_step(coords: SpanCoordinates, methods, exc: Exception, seconds: floa
     and its outcome is written into its row.
     """
     if not coords.stacked:
-        shape, error = (1, coords.dim, coords.dim), (_error_text(exc),)
+        shape, error = (1, coords.dim, coords.dim), np.full(1, _error_text(exc), dtype=object)
         return [FitOutcome(np.full(shape, np.nan), np.full(1, np.nan), error, np.zeros(1, bool),
                            seconds) for _ in methods]
     alone = [fit_methods(replace(coords, values=v), methods, cv_scheme=cv_scheme)
@@ -296,7 +292,7 @@ def _member_rows(rows) -> FitOutcome:
     return FitOutcome(
         np.concatenate([row.matrices for row in rows]),
         np.concatenate([row.tuning for row in rows]),
-        sum((row.errors for row in rows), ()),
+        np.concatenate([row.errors for row in rows]),
         np.ones(len(rows), dtype=bool),
         sum(row.seconds for row in rows) / len(rows),
         cv,
@@ -319,26 +315,34 @@ def misfe(op: OperatorEstimate, test: FunctionalSample) -> float:
     coords = op.coordinates
     if test.grid.size != coords.grid.size or coords.stacked:
         raise GridError("test path must be on the grid of an estimate of one sample")
-    return _path_misfe(op.matrix, *_encode_path(coords, test.values))
+    return float(_path_misfe(op.matrix[None], *_encode_path(coords, test.values[None]))[0])
 
 
 def _encode_path(coords: SpanCoordinates, values: np.ndarray):
-    """Span coordinates of a path's curves and the summed out-of-span energy of its targets.
+    """Span coordinates (B, T, r) of B paths (B, T, M) and each path's out-of-span energy (B,).
 
-    The energy ``sum_w x^2 - ||enc x||^2`` of curves 2..T is 0 when the
-    span fills the grid.
+    The energy ``sum_w x^2 - ||enc x||^2`` of a path's curves 2..T is 0
+    when the span fills the grid.
     """
     encoded = coords.encode(values)
-    outside = 0.0
+    outside = np.zeros(len(values))
     if coords.dim < coords.grid.size:
-        outside = float(np.sum(values[1:] ** 2 @ coords.grid.weights) - np.sum(encoded[1:] ** 2))
+        inside = (encoded[:, 1:] ** 2).reshape(len(values), -1)
+        outside = np.sum(values[:, 1:] ** 2 @ coords.grid.weights, axis=-1) - inside.sum(axis=-1)
     return encoded, outside
 
 
-def _path_misfe(matrix: np.ndarray, encoded: np.ndarray, outside: float) -> float:
-    """``misfe`` of an r x r operator matrix on a path encoded by ``_encode_path``."""
-    residual = encoded[1:] - encoded[:-1] @ matrix.T
-    return (float(np.sum(residual**2)) + outside) / (encoded.shape[0] - 1)
+def _path_misfe(matrices: np.ndarray, encoded: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """``misfe`` (B,) of B r x r operator matrices, each on its path encoded by ``_encode_path``.
+
+    Numpy's stacked matmul calls BLAS once per path, with the shapes of
+    that path scored alone, and each path's squares are summed as one
+    contiguous row, so every error has the bits of its path scored alone.
+    A matrix of NaN (a failed fit) gives NaN.
+    """
+    residual = encoded[:, 1:] - encoded[:, :-1] @ matrices.swapaxes(-1, -2)
+    squares = (residual**2).reshape(len(residual), -1)
+    return (squares.sum(axis=-1) + outside) / (encoded.shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +571,10 @@ def _batch_records(regime, train, test, grid, methods, tally: _Tally, columns) -
     curves in the identity basis, each stack in one ``fit_methods`` call;
     otherwise each path is fitted alone in its ``span_coordinates``. A
     stack member's fit has the bits of the path alone, and so have its
-    results. Each group of paths is scored as soon as it is fitted: each
-    test path is encoded once in its training path's coordinates and every
-    method is scored there, as ``misfe`` scores one.
+    results. Each group of paths is scored as soon as it is fitted: its
+    test paths are encoded once in their training paths' coordinates, and
+    each method scores them in one stacked product, with the bits
+    ``misfe`` gives each path alone.
     """
     t0 = time.perf_counter()
     size = max(1, STACK_CURVES // train.shape[1])
@@ -591,14 +596,11 @@ def _batch_records(regime, train, test, grid, methods, tally: _Tally, columns) -
         tally.span_ranks[coords.rank] += len(fitted[0].errors)
         tally.single_member_refits += int(np.any([o.refit_alone for o in fitted], axis=0).sum())
         tally.cv_edge_selections[regime] += sum(int(o.cv_at_grid_edge.sum()) for o in fitted)
-        encoded = [_encode_path(coords, states) for states in test[paths]]
+        encoded = _encode_path(coords, test[paths])
         for p, outcome in enumerate(fitted):
-            misfe[paths, p] = [
-                math.nan if error is not None else _path_misfe(matrix, *path)
-                for matrix, error, path in zip(outcome.matrices, outcome.errors, encoded)
-            ]
+            misfe[paths, p] = _path_misfe(outcome.matrices, *encoded)
             tuning[paths, p], errors[paths, p] = outcome.tuning, outcome.errors
-            fit_seconds[p] += outcome.seconds * len(encoded)
+            fit_seconds[p] += outcome.seconds * len(outcome.errors)
         tally.stage_seconds["fit"] += t1 - t0
         tally.stage_seconds["score"] += time.perf_counter() - t1
         # drop this group's fits before the next group is fitted

@@ -193,14 +193,14 @@ class RollingResult:
     indices of the kept evaluation days and ``refit`` marks those that
     open a refit block. ``ise`` and ``tuning`` are (P, D), one row per
     method in config order, NaN on the days of a failed fit, whose error
-    text ``errors`` holds: one tuple per method, None on a scored day.
+    text the (P, D) object array ``errors`` holds, None on a scored day.
     """
 
     days: np.ndarray
     refit: np.ndarray
     ise: np.ndarray
     tuning: np.ndarray
-    errors: tuple
+    errors: np.ndarray
     skipped_gaps: int  # evaluation days skipped by the gap policy, per method
     span_rank: int  # numerical rank of the sample's centred sqrt-weighted curves
     single_member_refits: int = 0  # windows refitted alone after their stack's step raised
@@ -465,7 +465,7 @@ def rolling_forecast(
     # errors per method and day; tuning and error text per method and block
     ise = np.full((len(methods), n), np.nan)
     tuning = np.full((len(methods), len(starts)), np.nan)
-    errors = [[None] * len(starts) for _ in methods]
+    errors = np.full((len(methods), len(starts)), None)
     refit_alone = cv_edges = 0
     for first in range(0, len(starts), BATCH_SIZE):
         chunk = starts[first : first + BATCH_SIZE]
@@ -478,7 +478,7 @@ def rolling_forecast(
         cv_edges += sum(int(o.cv_at_grid_edge.sum()) for o in fitted)
         for i, outcome in enumerate(fitted):
             tuning[i, first : first + len(chunk)] = outcome.tuning
-            errors[i][first : first + len(chunk)] = outcome.errors
+            errors[i, first : first + len(chunk)] = outcome.errors
         _score_stack(coords, sample.values, chunk, refit, fitted, ise)
         fit_seconds += t1 - t0
         score_seconds += time.perf_counter() - t1
@@ -489,7 +489,7 @@ def rolling_forecast(
         days == starts[blocks],
         ise[:, days],
         tuning[:, blocks],
-        tuple(tuple(map(texts.__getitem__, blocks.tolist())) for texts in errors),
+        errors[:, blocks],
         n - config.window - days.size,
         coords.rank,
         single_member_refits=refit_alone,
@@ -519,7 +519,7 @@ def _score_stack(coords: SpanCoordinates, values, starts, refit: int, fitted, is
         lags = coords.encode(values[first - 1 : stop - 1].reshape(-1, length, m))
         targets = values[first:stop].reshape(-1, length, m)
         for errors, outcome in zip(ise, fitted):
-            ok = np.array([error is None for error in outcome.errors])[group]
+            ok = np.equal(outcome.errors, None)[group]
             if not ok.any():
                 continue
             # a full selection stays a view of the days

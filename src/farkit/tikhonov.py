@@ -65,7 +65,6 @@ def tikhonov_fit(
     *,
     moments: WeightedMomentPair | None = None,
     decomposition: SpectralDecomposition | None = None,
-    selected_by: str | None = None,
 ):
     """Ridge estimate of the autoregression operator at a fixed strength.
 
@@ -73,9 +72,7 @@ def tikhonov_fit(
     spectral decomposition of C0. Precomputed moments of ``coords`` and
     the decomposition of their ``c0`` skip the O(r^3) work. A stack is
     fitted at one strength or at one strength per member, into one
-    estimate. ``selected_by`` names the cross-validation scheme that
-    selected ``alpha``, and is recorded in the estimate's tuning after the
-    strength.
+    estimate.
     """
     alpha = np.asarray(alpha, dtype=float)
     if not (alpha > 0).all():
@@ -88,8 +85,7 @@ def tikhonov_fit(
     q = decomposition.vectors
     filters = (lam + alpha[..., None])[..., None, :]
     psi = ((moments.c1 @ q) / filters) @ q.swapaxes(-1, -2)
-    scheme = {} if selected_by is None else {"selected_by": selected_by}
-    tuning = {"alpha": (np.zeros(lam.shape[:-1]) + alpha).tolist(), **scheme}
+    tuning = {"alpha": (np.zeros(lam.shape[:-1]) + alpha).tolist()}
     return OperatorEstimate(psi, coords, method="tikhonov", tuning=tuning)
 
 

@@ -25,6 +25,7 @@ class MemberFit(NamedTuple):
 def member_fit(outcome, b: int) -> MemberFit:
     """Member b's row of ``outcome``; checks that every column holds one row per member."""
     size = len(outcome.errors)
+    assert outcome.errors.dtype == object and outcome.errors.shape == (size,)
     assert outcome.matrices.shape[0] == len(outcome.tuning) == len(outcome.refit_alone) == size
     cv, error = outcome.cv, outcome.errors[b]
     if cv is not None:

@@ -125,6 +125,25 @@ class TestFitCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message.format(path=sample)}\n"
 
+    # JSON true is a bool and "0.5" a string: neither is a grid point
+    @pytest.mark.parametrize(
+        "points",
+        [[0, True, 2], ["0", "0.5", "1"], "012", [1, 2, "x", 4, 5], [0, 1, 10**400]],
+        ids=["bool", "strings", "string", "list-with-string", "int-beyond-doubles"],
+    )
+    def test_grid_points_not_a_list_of_numbers(self, tmp_path, capsys, points):
+        sample = tmp_path / "sample.csv"
+        spectrum_sample_csv(sample, [0.6, 0.3, 0.1], m=3, n=40)
+        sidecar = tmp_path / "sample.meta.json"
+        sidecar.write_text(json.dumps({"schema_version": 1, "grid_points": points}))
+        code = main(["fit", "--input", str(sample), "--method", "fpca:0.90",
+                     "--out", str(tmp_path / "fit")])
+        assert code == 1
+        error = f"{sidecar}: grid_points must be a list of numbers"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        meta = json.loads((tmp_path / "fit" / "fit.meta.json").read_text())
+        assert meta == {"schema_version": 1, "kind": "error", "error": error}
+
     def test_rejects_stale_schema(self, tmp_path):
         sample = tmp_path / "sample.csv"
         spectrum_sample_csv(sample, [0.9, 0.1], m=6, n=20)

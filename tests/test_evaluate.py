@@ -108,12 +108,13 @@ class TestFitMethods:
             est, cv = fit_method(coords, label)
             assert np.array_equal(coords.kernel(row.matrix), est.kernel)
             assert row.tuning == est.tuning["k" if label.startswith("fpca") else "alpha"]
-            # only the cross-validated fit carries its strength selection
-            # and names the scheme that made it in its tuning
-            assert ("selected_by" in est.tuning) == (label == "tikhonov:cv")
+            # only the cross-validated fit carries its strength selection,
+            # which names the scheme that made it; the tuning holds no scheme
+            assert "selected_by" not in est.tuning
             assert (row.cv is None) == (cv is None) == (label != "tikhonov:cv")
             if cv is not None:
                 assert row.cv.cv_curve == cv.cv_curve
+                assert outcome.cv.scheme == cv.scheme == "holdout"
 
     def test_non_finite_moments_recorded_as_grid_error(self, rng):
         sample = FunctionalSample(rng.standard_normal((60, 8)) * 1e156, uniform_grid(8))
@@ -567,15 +568,17 @@ def coefficient_grid(regime):
 
 
 def replication_records(regime, n, reps, train, test, methods):
-    """``record_fields`` of a batch with each path fitted alone and scored by ``_path_misfe``."""
+    """``record_fields`` of a batch with each path fitted alone and scored alone by ``misfe``."""
     grid = coefficient_grid(regime)
     records = []
     for rep, train_states, test_states in zip(reps, train, test):
         coords = span_coordinates(FunctionalSample(train_states, grid))
-        test_path = evaluate._encode_path(coords, test_states)
+        test_path = FunctionalSample(test_states, grid)
         for label, row in zip(methods, member_fits(fit_methods(coords, methods), 0)):
-            misfe = np.nan if row.matrix is None else evaluate._path_misfe(row.matrix, *test_path)
-            records.append((regime, n, label, rep, repr(misfe), repr(row.tuning), row.error))
+            value = np.nan
+            if row.matrix is not None:
+                value = misfe(OperatorEstimate(row.matrix, coords, label), test_path)
+            records.append((regime, n, label, rep, repr(value), repr(row.tuning), row.error))
     return records
 
 

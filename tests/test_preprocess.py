@@ -542,6 +542,21 @@ class TestRollingForecast:
             [r for r in forecast_rows(contiguous, methods) if r.index != 120]
         )
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "a refit start skipped as a gap day leaves its block without a flag; the "
+        "benchmark harness's output check (perfbench/checks.py) pins the flag to "
+        "step % refit == 0, so the fix waits for the harness refresh"
+    ))
+    def test_gap_on_refit_day_flags_first_evaluated_day(self):
+        sample = drifting_sample(45)
+        # three days are missing before day 30, which opens the third refit block
+        dates = [dt.date(2019, 1, 8) + dt.timedelta(days=t + 3 * (t >= 30)) for t in range(45)]
+        config = RollingConfig(window=20, refit_interval=5, methods=("tikhonov:0.05",))
+        result = rolling_forecast(sample, config, dates=dates)
+        assert result.skipped_gaps == 1
+        rows = forecast_rows(result, config.methods)
+        assert [r.index for r in rows if r.refit] == [20, 25, 31, 35, 40]
+
     def test_failed_blocks_then_scored_blocks(self):
         # integer noise with zero column sums keeps the constant days at exactly
         # the sample mean, so their coordinates are exactly zero (constant days
