@@ -35,7 +35,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import replace
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -227,16 +227,18 @@ def write_records_csv(report, path: Path) -> None:
     Timing stays out, so reruns are byte-identical.
     """
     config = report.config
-    rows = [
-        [config.regimes[g], _fmt(config.n_values[i]), config.methods[p], _fmt(r),
-         _fmt(report.misfe[g, i, r, p]), _fmt(report.tuning[g, i, r, p]),
-         report.errors[g, i, r, p] or ""]
-        for g, i, r, p in np.ndindex(report.misfe.shape)
-    ]
+    # rows are streamed from the flattened columns; repr of a float is its _fmt
+    keys = product(config.regimes, map(str, config.n_values),
+                   map(str, range(config.replications)), config.methods)
+    cells = zip(keys, map(repr, report.misfe.ravel().tolist()),
+                map(repr, report.tuning.ravel().tolist()), report.errors.ravel().tolist())
     _write_csv(
         path,
         ["regime", "n", "method", "replication", "misfe", "tuning", "error"],
-        rows,
+        (
+            (regime, n, method, replication, misfe, tuning, error or "")
+            for (regime, n, replication, method), misfe, tuning, error in cells
+        ),
     )
 
 

@@ -170,21 +170,34 @@ def full_rank_certified(z: np.ndarray) -> np.ndarray:
     """Whether centred sqrt-weighted curves ``z`` (n x M) certainly have rank M.
 
     The certificate: more curves than grid points, a finite Gram
-    ``z^T z`` and its eigenvalues within a ratio of 1e-10, so that the
+    G = ``z^T z`` and a Cholesky factor of ``G - 1e-10 tr(G) I``. That
+    factor exists only if the smallest eigenvalue of G exceeds
+    1e-10 tr(G), which is at least 1e-10 times the largest, so the
     smallest singular value is over 1e-5 times the largest, far above
     ``span_coordinates``'s rank tolerance. A (B, n, M) stack gets one
-    answer per member, each the one it gets alone, from one batched
-    ``eigvalsh`` call.
+    answer per member, each the one it gets alone: every member is
+    factored on its own, and a rank-deficient one fails at its first
+    vanishing pivot.
     """
     n, m = z.shape[-2:]
+    certified = np.zeros(z.shape[:-2], dtype=bool)
     if n <= m:
-        return np.zeros(z.shape[:-2], dtype=bool)
+        return certified
     with np.errstate(over="ignore", invalid="ignore"):
         gram = z.swapaxes(-1, -2) @ z
-    finite = np.isfinite(gram).all(axis=(-2, -1))
-    # a member with a non-finite Gram is not certified; zeros keep eigvalsh defined
-    lam = np.linalg.eigvalsh(np.where(finite[..., None, None], gram, 0.0))
-    return finite & (lam[..., 0] > 1e-10 * lam[..., -1])
+        finite = np.isfinite(gram).all(axis=(-2, -1))
+        # a member with a non-finite Gram is not certified: its zeros have no factor
+        gram = np.where(finite[..., None, None], gram, 0.0)
+        shift = 1e-10 * np.trace(gram, axis1=-2, axis2=-1)
+    diagonal = np.arange(m)
+    gram[..., diagonal, diagonal] -= shift[..., None]
+    for member in np.ndindex(certified.shape):
+        try:
+            np.linalg.cholesky(gram[member])
+        except np.linalg.LinAlgError:
+            continue
+        certified[member] = True
+    return certified
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,8 +8,12 @@ recursion once for the whole batch and only on the operator's leading
 block (the other coordinates are pure innovations); ``simulate_far1``
 expands one path onto the evaluation grid. Randomness comes from
 ``numpy.random.Generator`` seeded with PCG64 (``default_rng``), drawing
-normals with ``standard_normal``; the same seed gives bitwise-identical
-paths on any platform with IEEE doubles.
+normals with ``standard_normal``, so a seed fixes the innovations. The
+states are bitwise reproducible only for one batch of seeds on one
+machine and BLAS: the recursion runs through BLAS matrix products, whose
+rounding depends on the kernel the library picks and on the number of
+rows, so a path simulated alone, in another batch or elsewhere agrees
+with it to rounding (about 1e-14 relative).
 """
 
 from __future__ import annotations
@@ -166,12 +170,17 @@ def simulate_states(op: TrueOperator, spec: RegimeSpec, n: int, seeds) -> np.nda
 
     Path r draws ``default_rng(seeds[r]).standard_normal((BURN_IN + n, J))``
     scaled by the innovation standard deviations, starts from the zero
-    vector and keeps the last n of its ``BURN_IN + n`` states. The
-    recursion runs once for all seeds, on the leading ``block_size``
-    coordinates only: the others are the innovations themselves. It
-    overwrites the block columns of the states in place, so the noise is
-    held once, in the returned array plus a burn-in buffer of the block;
-    each path draws into one reused buffer and is scaled there.
+    vector and keeps the last n of its ``BURN_IN + n`` states. The draws
+    come in two calls on one generator, the burn-in head into a reused
+    buffer and the kept rows straight into the returned array; together
+    they continue one stream, so they are the numbers of the single draw.
+
+    The recursion runs once for all seeds, on the leading ``block_size``
+    coordinates only: the others are the innovations themselves. It steps
+    through a time-major (BURN_IN + 1, R, b) buffer whose row 0 carries the
+    state between chunks: the burn-in, then the kept rows ``BURN_IN`` at a
+    time, copied in and back. Each step is the product ``xi @ block.T``
+    into a scratch row, added to the step's innovations in place.
     Deterministic given (op, spec, n, seeds).
     """
     if n < 2:
@@ -180,20 +189,38 @@ def simulate_states(op: TrueOperator, spec: RegimeSpec, n: int, seeds) -> np.nda
     j, b = spec.basis_dim, spec.block_size
     sigma = np.sqrt(innovation_eigenvalues(spec))
     states = np.empty((len(seeds), n, j))
-    burn = np.empty((len(seeds), BURN_IN, b))
-    noise = np.empty((BURN_IN + n, j))  # each path's draws, reused
+    chunk = np.empty((BURN_IN + 1, len(seeds), b))
+    head = np.empty((BURN_IN, j))  # each path's burn-in draws, reused
     for r, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=noise)
-        noise *= sigma
-        burn[r] = noise[:BURN_IN, :b]
-        states[r] = noise[BURN_IN:]
-    block_t = op.coefficients[:b, :b].T
-    xi = np.zeros((len(seeds), b))
-    for t in range(BURN_IN):
-        xi = xi @ block_t + burn[:, t]
-    for t in range(n):
-        xi = xi @ block_t + states[:, t, :b]
-        states[:, t, :b] = xi
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=head)
+        head *= sigma
+        chunk[1:, r] = head[:, :b]
+        rng.standard_normal(out=states[r])
+        states[r] *= sigma
+    # the transpose of a contiguous copy: np.dot hands it to BLAS as a
+    # transposed operand, the gemm that ``xi @ block.T`` runs, at less call
+    # overhead than np.matmul (np.dot copies a transposed slice, and that
+    # gemm rounds differently)
+    block_t = np.ascontiguousarray(op.coefficients[:b, :b]).T
+    product = np.empty((len(seeds), b))
+    rows = list(chunk)  # views of the chunk's rows, so that a step indexes nothing
+
+    def advance(steps: int) -> None:
+        # rows 1..steps of the chunk become states, each from the row before
+        for prev, row in zip(rows[:steps], rows[1:steps + 1]):
+            np.dot(prev, block_t, out=product)
+            np.add(product, row, out=row)
+        chunk[0] = chunk[steps]
+
+    chunk[0] = 0.0
+    advance(BURN_IN)
+    for start in range(0, n, BURN_IN):
+        kept = states[:, start:start + BURN_IN, :b]
+        steps = kept.shape[1]
+        chunk[1:steps + 1] = kept.swapaxes(0, 1)
+        advance(steps)
+        kept[...] = chunk[1:steps + 1].swapaxes(0, 1)
     return states
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,15 @@ def svd_coordinates(sample):
     return SpanCoordinates(z @ basis, basis, sample.grid, basis.shape[1])
 
 
+def gram_with_smallest_eigenvalue(rng, n, m, ratio):
+    """Curves (n, m) whose Gram has m - 1 unit eigenvalues and a smallest one of ``ratio`` times its trace."""
+    left = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    right = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    eigenvalues = np.ones(m)
+    eigenvalues[-1] = ratio * (m - 1) / (1 - ratio)
+    return (left * np.sqrt(eigenvalues)) @ right.T
+
+
 class TestSpanCoordinates:
     def test_full_rank_sample_gets_identity_basis(self, rng):
         g = uniform_grid(12)
@@ -180,12 +191,39 @@ class TestSpanCoordinates:
         stack = np.stack(members)
         with np.errstate(over="ignore", invalid="ignore"):
             certified = full_rank_certified(centre_curves(stack, g))
+            each = [bool(full_rank_certified(centre_curves(v, g))) for v in members]
         alone = [
             np.array_equal(span_coordinates(FunctionalSample(v, g)).basis, np.eye(8))
             for v in members
         ]
-        assert certified.tolist() == alone == [True, False, False, False]
+        assert certified.tolist() == each == alone == [True, False, False, False]
         assert not full_rank_certified(centre_curves(stack[:, :8], g)).any()
+        # members on both sides of the threshold and a non-finite one, as a (2, 3) stack
+        graded = [gram_with_smallest_eigenvalue(rng, 60, 8, ratio) for ratio in (1e-9, 1e-11)]
+        nonfinite = rng.standard_normal((60, 8))
+        nonfinite[3, 4] = np.nan
+        stack = np.stack([graded + [nonfinite], [nonfinite] + graded[::-1]])
+        assert full_rank_certified(stack).tolist() == [
+            [bool(full_rank_certified(z)) for z in row] for row in stack
+        ] == [[True, False, False], [False, False, True]]
+
+    @pytest.mark.parametrize("ratio, certified", [(1e-9, True), (1e-11, False)])
+    def test_certificate_threshold_on_the_trace(self, rng, ratio, certified):
+        # the rule: the smallest Gram eigenvalue must exceed 1e-10 of the trace
+        z = gram_with_smallest_eigenvalue(rng, 80, 12, ratio)
+        lam = np.linalg.eigvalsh(z.T @ z)
+        assert lam[0] == pytest.approx(ratio * lam.sum(), rel=1e-3)
+        assert bool(full_rank_certified(z)) is certified
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    def test_nonfinite_gram_is_not_certified_without_warnings(self, rng, bad):
+        z = rng.standard_normal((40, 6))
+        z[7, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not full_rank_certified(z)
+            stack = np.stack([z, rng.standard_normal((40, 6))])
+            assert full_rank_certified(stack).tolist() == [False, True]
 
     def test_in_place_centring_keeps_the_bits(self, rng):
         g = make_trapezoid_grid(np.sort(rng.uniform(size=9)))

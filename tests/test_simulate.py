@@ -249,6 +249,31 @@ class TestSimulateStates:
             b = spec.block_size
             assert np.array_equal(states[r, :, b:], (noise * sigma)[BURN_IN:, b:])
 
+    @pytest.mark.parametrize("name", REGIMES)
+    @pytest.mark.parametrize("count", [1, 2, 3, 10])
+    @pytest.mark.parametrize("n", [40, BURN_IN, 2 * BURN_IN + 37])
+    def test_bits_of_the_row_major_batch_recursion(self, name, count, n):
+        # reference: the whole batch stepped one row at a time, with the
+        # same products on the same operands, so the bits must agree
+        spec = REGIMES[name]
+        op = draw_regime_operator(spec, seed=91)
+        seeds = [np.random.SeedSequence([91, count, n, r]) for r in range(count)]
+        j, b = spec.basis_dim, spec.block_size
+        sigma = np.sqrt(innovation_eigenvalues(spec))
+        noise = np.stack(
+            [np.random.default_rng(seed).standard_normal((BURN_IN + n, j)) for seed in seeds]
+        )
+        noise *= sigma
+        expected = noise[:, BURN_IN:].copy()
+        block_t = op.coefficients[:b, :b].T
+        xi = np.zeros((count, b))
+        for t in range(BURN_IN):
+            xi = xi @ block_t + noise[:, t, :b]
+        for t in range(n):
+            xi = xi @ block_t + expected[:, t, :b]
+            expected[:, t, :b] = xi
+        assert np.array_equal(simulate_states(op, spec, n, seeds), expected)
+
     def test_batch_rows_match_one_seed(self):
         spec = REGIMES["III"]
         op = draw_regime_operator(spec, seed=81)
