@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
 import warnings
 from collections import Counter
 from dataclasses import replace
-from itertools import product, repeat
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,13 @@ def _write_csv(path: Path, header, rows) -> None:
         if header:
             writer.writerow(header)
         writer.writerows(rows)
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as the csv writer of ``_write_csv`` renders it inside a row, quoted if need be."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]
 
 
 def _write_matrix(path: Path, matrix) -> None:
@@ -256,31 +264,31 @@ def cmd_benchmark(args) -> int:
         return 2
     out = _out_dir(args)
     report = run_benchmark(config)
-    write_records_csv(report, out / "records.csv")
-
     # each table is a dict in config order, which is the order of its file's rows
-    regrets = regret_table(report)
+    regrets, means = regret_table(report), mean_misfe_table(report)
+    worst, tunings = worst_case_table(report), tuning_summary(report)
+
+    t0 = time.perf_counter()
+    write_records_csv(report, out / "records.csv")
     _write_csv(
         out / "regret.csv",
         ["regime", "n", "method", "mean_misfe", "count", "regret_pct"],
         [
             [regime, _fmt(n), method, _fmt(mean), _fmt(count), _fmt(regrets[(regime, n, method)])]
-            for (regime, n, method), (mean, _, count) in mean_misfe_table(report).items()
+            for (regime, n, method), (mean, _, count) in means.items()
         ],
     )
     _write_csv(
         out / "worst_case.csv",
         ["method", "n", "worst_mean_misfe"],
-        [[m, _fmt(n), _fmt(worst)] for (m, n), worst in worst_case_table(report).items()],
+        [[m, _fmt(n), _fmt(value)] for (m, n), value in worst.items()],
     )
     _write_csv(
         out / "tuning.csv",
         ["regime", "n", "method", "mean_tuning"],
-        [
-            [regime, _fmt(n), method, _fmt(value)]
-            for (regime, n, method), value in tuning_summary(report).items()
-        ],
+        [[regime, _fmt(n), method, _fmt(value)] for (regime, n, method), value in tunings.items()],
     )
+    write_seconds = time.perf_counter() - t0
 
     try:
         slope = rate_slope_from_report(report)
@@ -299,7 +307,7 @@ def cmd_benchmark(args) -> int:
             "span_ranks": report.span_ranks,
             "single_member_refits": report.single_member_refits,
             "cv_edge_selections": report.cv_edge_selections,
-            "stage_seconds": report.stage_seconds,
+            "stage_seconds": {**report.stage_seconds, "write": write_seconds},
         },
     )
     slope_text = "n/a" if slope is None else f"{slope:.3f}"
@@ -371,18 +379,19 @@ def cmd_rolling(args) -> int:
     for s in summary:
         s["regret_pct"] = _regret_pct(s["mean_ise"], best)
 
-    # rows are streamed, method-major; repr of a float is its _fmt
+    t0 = time.perf_counter()
+    # one joined text per method, method-major: dates, the repr of a float (its
+    # _fmt) and the flags never need quoting, and each label is rendered once
     dates = [prepared.dates[t].isoformat() for t in result.days.tolist()]
     flags = ["1" if refit else "0" for refit in result.refit.tolist()]
-    _write_csv(
-        out / "forecasts.csv",
-        ["date", "method", "ise", "alpha_or_k", "refit_flag"],
-        (
-            row
-            for label, ises, tunings in zip(methods, result.ise.tolist(), result.tuning.tolist())
-            for row in zip(dates, repeat(label), map(repr, ises), map(repr, tunings), flags)
-        ),
-    )
+    with open(out / "forecasts.csv", "w", newline="\n") as handle:
+        handle.write("date,method,ise,alpha_or_k,refit_flag\n")
+        for label, ises, tunings in zip(methods, result.ise.tolist(), result.tuning.tolist()):
+            cell = _csv_cell(label)
+            handle.write("".join(
+                f"{date},{cell},{ise!r},{tuning!r},{flag}\n"
+                for date, ise, tuning, flag in zip(dates, ises, tunings, flags)
+            ))
     _write_csv(
         out / "summary.csv",
         ["method", "mean_ise", "median_ise", "regret_pct", "evaluations", "failures"],
@@ -402,6 +411,7 @@ def cmd_rolling(args) -> int:
         ["weekday"] + CSV_HEADER[1:],
         weekday_rows,
     )
+    write_seconds = time.perf_counter() - t0
     _write_json(
         out / "rolling.meta.json",
         {
@@ -418,6 +428,7 @@ def cmd_rolling(args) -> int:
                 **ingest_seconds,
                 "fit": result.fit_seconds,
                 "score": result.score_seconds,
+                "write": write_seconds,
             },
             "summary": summary,
         },

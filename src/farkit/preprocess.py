@@ -53,8 +53,12 @@ SLOTS_PER_DAY = 48
 # method's forecasts of 64 blocks of 20 days on a 100-point grid
 BATCH_SIZE = 64
 
-# raw-file rows parsed and converted at a time: a chunk's cell strings, about
-# 0.4 MB for 128 rows, are freed before the next chunk is read
+# raw-file lines tokenized, and rows converted, at a time: a chunk's cell
+# strings, about 0.4 MB for 128 rows, are freed before the next chunk is read.
+# A chunk of plain lines (no quote, carriage return or NUL, none longer than
+# the csv module's field limit) is split on commas, as the csv module would
+# split it; the first chunk that is not plain hands itself and the rest of
+# the file to ``csv.reader``, since a quoted cell may span lines.
 PARSE_ROWS = 128
 
 CSV_HEADER = ["date"] + [f"h{i:02d}" for i in range(1, SLOTS_PER_DAY + 1)]
@@ -219,16 +223,16 @@ def load_halfhourly_csv(path) -> DayTable:
 
     A cell is stripped; an empty one is a missing reading, any other is
     read with ``float()`` (so ``nan`` is missing too). Dates must be
-    ISO-8601 and unique. Rows are converted ``PARSE_ROWS`` at a time
-    straight into arrays and checked as they are, so neither the whole
-    file's cell strings nor a per-day object is ever held. Every problem,
-    the csv module's own errors included, raises ValueError naming the
-    first offending line of the file.
+    ISO-8601 and unique. Rows are tokenized by ``_rows`` and converted
+    ``PARSE_ROWS`` at a time straight into arrays and checked as they
+    are, so neither the whole file's cell strings nor a per-day object is
+    ever held. Every problem, the csv module's own errors included,
+    raises ValueError naming the first offending line of the file.
     """
     dates, seen, chunks = [], set(), []
     rows, lines, problem = [], [], None
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _rows(handle)
         try:
             header = next(reader, None)
             if header != CSV_HEADER:
@@ -254,7 +258,7 @@ def load_halfhourly_csv(path) -> DayTable:
                     lines.clear()
         except csv.Error as exc:
             # e.g. a cell longer than the csv module's field size limit
-            problem = f"line {reader.line_num}: {exc}"
+            problem = str(exc)
     # the rows before a problem are checked first: a fault among them comes earlier
     if rows:
         chunks.append(_readings(rows, lines))
@@ -267,6 +271,31 @@ def load_halfhourly_csv(path) -> DayTable:
         order = sorted(range(len(dates)), key=dates.__getitem__)
         dates, values = [dates[i] for i in order], values[order]
     return DayTable._checked(tuple(dates), values)
+
+
+def _rows(handle):
+    """Yield the rows ``csv.reader`` yields for an open raw file, tokenized as ``PARSE_ROWS`` says.
+
+    The csv module's errors are raised as ``csv.Error`` whose text starts
+    with ``line N:``, N counting the lines of the whole file.
+    """
+    limit = csv.field_size_limit()
+    read = 0
+    for chunk in iter(lambda: list(itertools.islice(handle, PARSE_ROWS)), []):
+        text = "".join(chunk)
+        if '"' in text or "\r" in text or "\0" in text or max(map(len, chunk)) > limit:
+            reader = csv.reader(itertools.chain(chunk, handle))
+            try:
+                yield from reader
+            except csv.Error as exc:
+                raise csv.Error(f"line {read + reader.line_num}: {exc}") from None
+            return
+        # rows go out one at a time, without the chunk's text: holding a chunk's
+        # rows at once added about 0.6 MB of peak RSS
+        del text
+        read += len(chunk)
+        for line in chunk:
+            yield line.rstrip("\n").split(",") if line != "\n" else []
 
 
 def _row_date(row: list) -> dt.date:
@@ -332,11 +361,38 @@ def filter_and_interpolate(table: DayTable, config: PipelineConfig) -> DayTable:
         & (missing.sum(axis=1) <= config.max_missing)
     )
     values, missing = table.values[keep], missing[keep]
-    idx = np.arange(SLOTS_PER_DAY, dtype=float)
-    for row in np.flatnonzero(missing.any(axis=1)).tolist():
-        present = ~missing[row]
-        values[row] = np.interp(idx, idx[present], values[row, present])
+    _fill_gaps(values, missing)
     return DayTable._checked(tuple(itertools.compress(table.dates, keep.tolist())), values)
+
+
+def _fill_gaps(values: np.ndarray, missing: np.ndarray) -> None:
+    """Fill the ``missing`` cells of the day rows ``values`` in place, as ``np.interp`` does.
+
+    Every day must hold a present reading. The cells are taken by flat
+    index, whose differences within a day are slot differences, as runs
+    of missing slots of one day. A cell ``x`` between the present cells
+    ``lo`` and ``hi`` that bound its run gets ``(y_hi - y_lo) / (hi - lo)
+    * (x - lo) + y_lo``, the operations of ``np.interp`` in its order, so
+    the bits are its bits; a run at a day edge takes the nearest reading.
+    Only arrays over the missing cells are allocated.
+    """
+    cells = np.flatnonzero(missing)
+    if not cells.size:
+        return
+    # the cells that open a run: not next to the previous missing cell, or first of a day
+    opens = np.ones(cells.size, dtype=bool)
+    opens[1:] = (np.diff(cells) != 1) | (cells[1:] % SLOTS_PER_DAY == 0)
+    first, last = cells[opens], cells[np.append(opens[1:], True)]
+    # a run's bounding present cells; at a day edge its one neighbour stands for both
+    lo = np.where(first % SLOTS_PER_DAY == 0, last + 1, first - 1)
+    hi = np.where(last % SLOTS_PER_DAY == SLOTS_PER_DAY - 1, lo, last + 1)
+    run = np.cumsum(opens) - 1
+    lo, hi = lo[run], hi[run]
+    filled = np.take(values, lo)
+    inner = hi > lo
+    y_lo, lo, hi = filled[inner], lo[inner], hi[inner]
+    filled[inner] = (np.take(values, hi) - y_lo) / (hi - lo) * (cells[inner] - lo) + y_lo
+    np.put(values, cells, filled)
 
 
 def _design_matrix(x: np.ndarray, n_basis: int) -> np.ndarray:

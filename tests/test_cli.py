@@ -1,4 +1,6 @@
+import csv
 import datetime as dt
+import io
 import json
 
 import numpy as np
@@ -169,7 +171,7 @@ class TestBenchmarkCommand:
         assert "rate_slope_log10_alpha_vs_log10_n" in summary
         assert summary["single_member_refits"] == 0
         assert set(summary["cv_edge_selections"]) == {"I", "II", "III"}
-        assert set(summary["stage_seconds"]) == {"simulate", "fit", "score"}
+        assert set(summary["stage_seconds"]) == {"simulate", "fit", "score", "write"}
         assert all(seconds >= 0 for seconds in summary["stage_seconds"].values())
 
     def test_flag_overrides_and_thread_invariance(self, tmp_path):
@@ -298,7 +300,7 @@ class TestRollingCommand:
         edges = {s["method"]: s["cv_edge_selections"] for s in meta["summary"]
                  if "cv_edge_selections" in s}
         assert list(edges) == ["tikhonov:cv"] and 0 <= edges["tikhonov:cv"] <= 3
-        assert set(meta["stage_seconds"]) == {"load", "filter", "smooth", "fit", "score"}
+        assert set(meta["stage_seconds"]) == {"load", "filter", "smooth", "fit", "score", "write"}
         assert all(seconds >= 0 for seconds in meta["stage_seconds"].values())
 
     def test_single_method_refit_flags(self, tmp_path):
@@ -311,6 +313,26 @@ class TestRollingCommand:
         flags = [r.split(",")[4] for r in rows]
         assert [i for i, f in enumerate(flags) if f == "1"] == [0, 20, 40]
 
+
+    @pytest.mark.parametrize(
+        "methods", [None, "fpca:\n0.8,tikhonov:cv"], ids=["default", "label-csv-quotes"]
+    )
+    def test_forecasts_render_as_the_csv_writer_does(self, tmp_path, methods):
+        raw = tmp_path / "raw.csv"
+        write_raw_days(raw, 150)
+        out = tmp_path / "roll"
+        flags = [] if methods is None else ["--methods", methods]
+        assert main(["rolling", "--raw", str(raw), "--out", str(out), *flags]) == 0
+        text = (out / "forecasts.csv").read_bytes()
+        with open(out / "forecasts.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        labels = json.loads((out / "rolling.meta.json").read_text())["methods"]
+        assert [row[1] for row in rows[1:]] == [label for label in labels for _ in range(50)]
+        rendered = io.StringIO(newline="")
+        csv.writer(rendered, lineterminator="\n").writerows(rows)
+        assert text == rendered.getvalue().encode()
+        if methods is not None:
+            assert labels[0] == "fpca:\n0.8" and b'"fpca:\n0.8"' in text
 
     def test_k_beyond_directions_recorded_as_failures(self, tmp_path):
         raw = tmp_path / "raw.csv"

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bspline_reference
@@ -83,6 +83,16 @@ class TestLoadCsv:
         assert np.isnan(table.values[0, :4]).all()
         assert table.values[0, 4:].tolist() == [3.5, 4.25, 5.0] + [1.0] * 41
 
+    def test_quoted_cell_across_the_end_of_a_chunk(self, tmp_path):
+        # line PARSE_ROWS, the last of the first chunk of lines, ends inside a quoted cell
+        rows = [full_row(d, [1.0] * 48) for d in winter_dates(PARSE_ROWS + 5)]
+        rows[PARSE_ROWS - 2] = rows[PARSE_ROWS - 2].replace(",1.0", ',"\n2.5"', 1)
+        p = tmp_path / "raw.csv"
+        write_csv(p, rows)
+        table = load_halfhourly_csv(p)
+        assert len(table) == PARSE_ROWS + 5 and table.values[PARSE_ROWS - 2, 0] == 2.5
+        assert table.values.tobytes() == raw_reference.load(p)[1].tobytes()
+
     def test_sorted_output(self, tmp_path):
         p = tmp_path / "raw.csv"
         write_csv(
@@ -155,10 +165,15 @@ FAULTS = {
 }
 
 
-def faulty_file(tmp_path, lines: int, faults: dict):
-    """A raw file of ``lines`` lines in all, whose line numbers in ``faults`` hold a bad row."""
+def faulty_file(tmp_path, lines: int, faults: dict, quoted_line=None):
+    """A raw file of ``lines`` lines in all, whose line numbers in ``faults`` hold a bad row.
+
+    A valid row with one quoted cell stands on line ``quoted_line``, if given.
+    """
     dates = [FIRST_DATE + dt.timedelta(days=i) for i in range(lines - 1)]
     rows = [full_row(d, [1.0] * 48) for d in dates]
+    if quoted_line is not None:
+        rows[quoted_line - 2] = full_row(dates[quoted_line - 2], ['"1.0"'] + [1.0] * 47)
     for line, kind in faults.items():
         rows[line - 2] = FAULTS[kind][0](dates[line - 2])
     p = tmp_path / "raw.csv"
@@ -187,6 +202,15 @@ class TestLoaderFaults:
             load_halfhourly_csv(p)
         assert str(info.value).startswith(f"line {line}: {FAULTS[kind][1]}")
 
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_fault_after_the_switch_to_the_csv_module_names_its_line(self, tmp_path, kind):
+        # the quoted cell hands the second chunk of lines and the rest of the file to csv
+        line = 2 * PARSE_ROWS + 7
+        p = faulty_file(tmp_path, line + 3, {line: kind}, quoted_line=PARSE_ROWS + 10)
+        with pytest.raises(ValueError) as info:
+            load_halfhourly_csv(p)
+        assert str(info.value).startswith(f"line {line}: {FAULTS[kind][1]}")
+
 
 MISSING_CELLS = ("", " ", "\t", "nan", "NaN", " -nan ")
 ODD_NUMBERS = ("0", "-0.0", "+7", ".5", "5.", "1_000", "1e3")
@@ -197,8 +221,9 @@ NUMBER_FORMATS = (
     "{:.3e}".format,
     lambda v: str(int(v)),
     lambda v: f" {v!r}\t",
-    lambda v: f'"{v!r}"',
 )
+# a quoted cell, also one spanning two lines; any sends its chunk and the rest to csv
+QUOTED_FORMATS = (lambda v: f'"{v!r}"', lambda v: f'" {v!r}\n"', lambda v: f'"\r\n{v!r}"')
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -207,16 +232,29 @@ NUMBER_FORMATS = (
     days=st.integers(0, 2 * PARSE_ROWS + 20),
     missing=st.sampled_from([0.0, 0.05, 0.5]),
     blank_rows=st.booleans(),
+    eol=st.sampled_from(["\n", "\r\n"]),
+    quoted=st.booleans(),
 )
-def test_loader_matches_per_cell_reference(tmp_path_factory, seed, days, missing, blank_rows):
-    """Random valid files load to the bits of a per-cell ``float()`` reader."""
+# lines split on commas throughout; a switch to csv after the first chunk; csv throughout
+@example(seed=1, days=2 * PARSE_ROWS + 20, missing=0.05, blank_rows=True, eol="\n", quoted=False)
+@example(seed=2, days=2 * PARSE_ROWS + 20, missing=0.05, blank_rows=True, eol="\n", quoted=True)
+@example(seed=3, days=2 * PARSE_ROWS + 20, missing=0.05, blank_rows=True, eol="\r\n", quoted=False)
+def test_loader_matches_per_cell_reference(
+    tmp_path_factory, seed, days, missing, blank_rows, eol, quoted
+):
+    """Random valid files load to the bits of a per-cell ``float()`` reader.
+
+    ``eol`` ends every line; if ``quoted``, one cell of a row after the first
+    ``PARSE_ROWS`` rows is quoted.
+    """
     rng = np.random.default_rng(seed)
     offsets = rng.choice(20 * 366, size=days, replace=False)  # unique, in shuffled order
     values = rng.lognormal(1.0, 2.0, (days, SLOTS_PER_DAY))
     kinds = rng.choice(len(NUMBER_FORMATS) + 2, size=(days, SLOTS_PER_DAY))
     gaps = rng.random((days, SLOTS_PER_DAY)) < missing
+    quoted_row = int(rng.integers(PARSE_ROWS, days)) if quoted and days > PARSE_ROWS else -1
     lines = []
-    for offset, row, row_kinds, row_gaps in zip(offsets, values, kinds, gaps):
+    for i, (offset, row, row_kinds, row_gaps) in enumerate(zip(offsets, values, kinds, gaps)):
         cells = []
         for v, kind, gap in zip(row.tolist(), row_kinds.tolist(), row_gaps.tolist()):
             if gap:
@@ -225,12 +263,15 @@ def test_loader_matches_per_cell_reference(tmp_path_factory, seed, days, missing
                 cells.append(ODD_NUMBERS[rng.integers(len(ODD_NUMBERS))])
             else:
                 cells.append(NUMBER_FORMATS[kind](v))
+        if i == quoted_row:
+            j = int(rng.integers(SLOTS_PER_DAY))
+            cells[j] = QUOTED_FORMATS[rng.integers(len(QUOTED_FORMATS))](float(row[j]))
         date = dt.date(2000, 1, 1) + dt.timedelta(days=int(offset))
         lines.append(f"{date}," + ",".join(cells))
         if blank_rows and rng.random() < 0.1:
             lines.append("")
     p = tmp_path_factory.mktemp("raw") / "raw.csv"
-    write_csv(p, lines)
+    p.write_bytes(eol.join([HEADER] + lines + [""]).encode())
     table = load_halfhourly_csv(p)
     dates, readings = raw_reference.load(p)
     assert table.dates == dates
@@ -340,12 +381,21 @@ class TestFilterAndInterpolate:
         twice = filter_and_interpolate(once, self.config())
         assert np.array_equal(once.values, twice.values)
 
-    def test_matches_per_day_rule(self, rng):
+    @pytest.mark.parametrize("max_missing", [3, 47])
+    def test_matches_per_day_rule(self, rng, max_missing):
         # every calendar day of a year, with random gaps, against the rule applied day by day
-        cfg = PipelineConfig(max_missing=3)
+        cfg = PipelineConfig(max_missing=max_missing)
         dates = [dt.date(2019, 6, 1) + dt.timedelta(days=i) for i in range(366)]
         values = rng.uniform(0.0, 9.0, (len(dates), SLOTS_PER_DAY))
-        values[rng.random(values.shape) < 0.05] = np.nan
+        rates = rng.choice([0.05, 0.3, 0.9], size=(len(dates), 1))
+        values[rng.random(values.shape) < rates] = np.nan
+        # in-season days (from Oct 1, index 122): three gaps touching both day edges,
+        # and a single present reading at the first, a middle and the last slot
+        values[130] = rng.uniform(0.0, 9.0, SLOTS_PER_DAY)
+        values[130, [0, 1, 47]] = np.nan
+        for day, slot in zip((131, 132, 133), (0, 20, 47)):
+            values[day] = np.nan
+            values[day, slot] = 4.5
         kept = filter_and_interpolate(DayTable(dates, values), cfg)
         idx = np.arange(SLOTS_PER_DAY, dtype=float)
         want_dates, want_values = [], []
