@@ -32,7 +32,6 @@ import csv
 import io
 import json
 import sys
-import time
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -44,6 +43,7 @@ import numpy as np
 from .errors import InsufficientDataError
 from .evaluate import (
     BenchmarkConfig,
+    RunLog,
     TheoryProbe,
     fit_methods,
     mean_misfe_table,
@@ -203,7 +203,7 @@ def cmd_fit(args) -> int:
     meta = {
         "kind": "operator_fit",
         "method": args.method,
-        "tuning": {k: (float(v) if isinstance(v, (int, float)) else v) for k, v in tuning.items()},
+        "tuning": tuning,
     }
     cv = fit.cv
     if cv is not None:
@@ -264,11 +264,14 @@ def cmd_benchmark(args) -> int:
         return 2
     out = _out_dir(args)
     report = run_benchmark(config)
+    log = report.log
     # each table is a dict in config order, which is the order of its file's rows
     regrets, means = regret_table(report), mean_misfe_table(report)
     worst, tunings = worst_case_table(report), tuning_summary(report)
-
-    t0 = time.perf_counter()
+    try:
+        slope = rate_slope_from_report(report)
+    except ValueError:
+        slope = None  # fewer than two sample sizes, or no cross-validated cells
     write_records_csv(report, out / "records.csv")
     _write_csv(
         out / "regret.csv",
@@ -288,32 +291,29 @@ def cmd_benchmark(args) -> int:
         ["regime", "n", "method", "mean_tuning"],
         [[regime, _fmt(n), method, _fmt(value)] for (regime, n, method), value in tunings.items()],
     )
-    write_seconds = time.perf_counter() - t0
-
-    try:
-        slope = rate_slope_from_report(report)
-    except ValueError:
-        slope = None  # fewer than two sample sizes, or no cross-validated cells
+    # the laps before writing cover the run
+    wall_clock = sum(log.stage_seconds.values())
+    log.lap("write")
     _write_json(
         out / "summary.json",
         {
             "kind": "benchmark_summary",
             "config": config.to_dict(),
             "rate_slope_log10_alpha_vs_log10_n": slope,
-            "wall_clock_seconds": report.wall_clock_seconds,
+            "wall_clock_seconds": wall_clock,
             "fit_seconds_by_method": dict(zip(config.methods, report.fit_seconds.tolist())),
             "failed_fits": int(report.failed.sum()),
             "failures_by_class": _failures_by_class(report.errors.flat),
-            "span_ranks": report.span_ranks,
-            "single_member_refits": report.single_member_refits,
-            "cv_edge_selections": report.cv_edge_selections,
-            "stage_seconds": {**report.stage_seconds, "write": write_seconds},
+            "span_ranks": log.span_ranks,
+            "single_member_refits": log.single_member_refits,
+            "cv_edge_selections": log.cv_edge_selections,
+            "stage_seconds": log.stage_seconds,
         },
     )
     slope_text = "n/a" if slope is None else f"{slope:.3f}"
     print(
         f"benchmark: {report.misfe.size} records, "
-        f"rate slope {slope_text}, wall clock {report.wall_clock_seconds:.1f}s"
+        f"rate slope {slope_text}, wall clock {wall_clock:.1f}s"
     )
     return 0
 
@@ -339,14 +339,14 @@ def cmd_rolling(args) -> int:
             methods=methods,
             gap_policy=args.gap_policy,
         )
-        t0 = time.perf_counter()
+        ingest = RunLog()
         raw = load_halfhourly_csv(args.raw)
-        t1 = time.perf_counter()
+        ingest.lap("load")
         complete = filter_and_interpolate(raw, pipeline)
         del raw  # the unfiltered readings are not needed again
-        t2 = time.perf_counter()
+        ingest.lap("filter")
         prepared = preprocess_curves(complete, pipeline)
-        ingest_seconds = {"load": t1 - t0, "filter": t2 - t1, "smooth": time.perf_counter() - t2}
+        ingest.lap("smooth")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -356,6 +356,7 @@ def cmd_rolling(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _out_dir(args)
+    log = result.log
 
     summary = []
     for label, ises, errors in zip(methods, result.ise, result.errors):
@@ -373,13 +374,12 @@ def cmd_rolling(args) -> int:
             }
         )
         if parse_method(label).cv:
-            summary[-1]["cv_edge_selections"] = result.cv_edge_selections
+            summary[-1]["cv_edge_selections"] = log.cv_edge_selections[label]
 
     best = min((s["mean_ise"] for s in summary if np.isfinite(s["mean_ise"])), default=float("nan"))
     for s in summary:
         s["regret_pct"] = _regret_pct(s["mean_ise"], best)
 
-    t0 = time.perf_counter()
     # one joined text per method, method-major: dates, the repr of a float (its
     # _fmt) and the flags never need quoting, and each label is rendered once
     dates = [prepared.dates[t].isoformat() for t in result.days.tolist()]
@@ -411,7 +411,7 @@ def cmd_rolling(args) -> int:
         ["weekday"] + CSV_HEADER[1:],
         weekday_rows,
     )
-    write_seconds = time.perf_counter() - t0
+    log.lap("write")
     _write_json(
         out / "rolling.meta.json",
         {
@@ -423,13 +423,8 @@ def cmd_rolling(args) -> int:
             "gap_policy": args.gap_policy,
             "methods": methods,
             "span_rank": result.span_rank,
-            "single_member_refits": result.single_member_refits,
-            "stage_seconds": {
-                **ingest_seconds,
-                "fit": result.fit_seconds,
-                "score": result.score_seconds,
-                "write": write_seconds,
-            },
+            "single_member_refits": log.single_member_refits,
+            "stage_seconds": {**ingest.stage_seconds, **log.stage_seconds},
             "summary": summary,
         },
     )
@@ -483,9 +478,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     checks = run_verification_suite(probes)
-    slope = None
-    if not args.skip_diagnostics:
-        slope, _ = operator_error_slope()
+    slope, _ = operator_error_slope()
     payload = {
         "kind": "verification_report",
         "checks": [
@@ -497,8 +490,7 @@ def cmd_verify(args) -> int:
     failed = [c for c in checks if not c.passed]
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}  ({c.detail})")
-    if slope is not None:
-        print(f"diagnostic: estimation-error slope vs n = {slope:.3f} (reported only)")
+    print(f"diagnostic: estimation-error slope vs n = {slope:.3f} (reported only)")
     if failed:
         print(f"{len(failed)} check(s) failed: {[c.name for c in failed]}", file=sys.stderr)
         return 1
@@ -546,26 +538,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rolling", help="preprocess raw half-hourly data and backtest")
     p.add_argument("--raw", required=True, help="CSV with header date,h01..h48")
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=100)
-    p.add_argument("--refit", type=int, default=20)
+    p.add_argument("--window", type=int, default=RollingConfig.window)
+    p.add_argument("--refit", type=int, default=RollingConfig.refit_interval)
     p.add_argument(
-        "--methods",
-        default="fpca:0.80,fpca:0.85,fpca:0.90,fpca:0.95,fpca:0.99,tikhonov:cv",
-        help="comma-separated estimator ids",
+        "--methods", default=",".join(BenchmarkConfig.methods), help="comma-separated estimator ids"
     )
     p.add_argument(
-        "--gap-policy", default="exclude-cross-gap", choices=["exclude-cross-gap", "contiguous"]
+        "--gap-policy",
+        default=RollingConfig.gap_policy,
+        choices=["exclude-cross-gap", "contiguous"],
     )
     p.set_defaults(func=cmd_rolling)
 
     p = sub.add_parser("verify", help="run numerical self-checks")
     p.add_argument("--out", required=True)
     p.add_argument("--probes", help="JSON file with a 'probes' list of bias probes")
-    p.add_argument(
-        "--skip-diagnostics",
-        action="store_true",
-        help="skip the (slower) estimation-error slope diagnostic",
-    )
     p.set_defaults(func=cmd_verify)
     return parser
 

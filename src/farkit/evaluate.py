@@ -55,6 +55,7 @@ __all__ = [
     "fit_methods",
     "BenchmarkConfig",
     "BenchmarkReport",
+    "RunLog",
     "TheoryProbe",
     "misfe",
     "mean_misfe_table",
@@ -436,6 +437,38 @@ class BenchmarkConfig:
         return cls(**data)
 
 
+@dataclass
+class RunLog:
+    """What a benchmark or a backtest reports besides its columns: stage seconds and fit counts.
+
+    ``lap(stage)`` adds the seconds since the previous lap, or since the
+    log was made, to ``stage``, so the stages add up to the run's wall
+    time. ``count`` adds one fitted group: its members by the rank of
+    their span (``span_ranks``), those refitted alone after their stack's
+    step raised (``single_member_refits``), and under ``key`` its
+    ``tikhonov:cv`` fits whose strength is the first or last candidate of
+    their grid (``cv_edge_selections``).
+    """
+
+    stage_seconds: Counter = field(default_factory=Counter)
+    span_ranks: Counter = field(default_factory=Counter)
+    single_member_refits: int = 0
+    cv_edge_selections: Counter = field(default_factory=Counter)
+    mark: float = field(default_factory=time.perf_counter)
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.stage_seconds[stage] += now - self.mark
+        self.mark = now
+
+    def count(self, key, rank: int, fitted) -> None:
+        """Count one group: ``fitted`` holds each method's ``FitOutcome`` for members of span ``rank``."""
+        self.span_ranks[rank] += len(fitted[0].errors)
+        # a member counts once, however many of its methods were refit alone
+        self.single_member_refits += int(np.any([o.refit_alone for o in fitted], axis=0).sum())
+        self.cv_edge_selections[key] += sum(int(o.cv_at_grid_edge.sum()) for o in fitted)
+
+
 @dataclass(frozen=True, eq=False)
 class BenchmarkReport:
     """One benchmark run as columns over (regime, n, replication, method), plus its config.
@@ -451,30 +484,12 @@ class BenchmarkReport:
     tuning: np.ndarray  # shaped like misfe
     errors: np.ndarray  # object array shaped like misfe
     fit_seconds: np.ndarray  # (methods,) fit time summed over the run
-    wall_clock_seconds: float = 0.0
-    span_ranks: dict = field(default_factory=dict)  # training paths counted by span rank
-    # training paths refitted alone after their stack's step raised
-    single_member_refits: int = 0
-    stage_seconds: dict = field(default_factory=dict)  # "simulate", "fit", "score"
-    # tikhonov:cv fits per regime whose strength is the first or last CV grid candidate
-    cv_edge_selections: dict = field(default_factory=dict)
+    log: RunLog = field(default_factory=RunLog)  # stages and fit counts; CV edges by regime
 
     @property
     def failed(self) -> np.ndarray:
         """Shaped like ``errors``: whether the fit failed."""
         return np.not_equal(self.errors, None)
-
-
-@dataclass
-class _Tally:
-    """What ``run_benchmark`` reports besides its columns, summed over batches."""
-
-    span_ranks: Counter = field(default_factory=Counter)
-    single_member_refits: int = 0
-    cv_edge_selections: Counter = field(default_factory=Counter)
-    stage_seconds: dict = field(
-        default_factory=lambda: {"simulate": 0.0, "fit": 0.0, "score": 0.0}
-    )
 
 
 def _regime_seed(master_seed: int, regime: str) -> np.random.SeedSequence:
@@ -496,12 +511,9 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     forecast error, the resolved tuning value, and the incremental fit
     time. Fit failures are recorded on the cell and never abort the run.
     The report is a pure function of the config (timings aside). Besides
-    its columns it counts the training paths by the rank of their span
-    (``span_ranks``) and those refitted alone after their stack's step
-    raised (``single_member_refits``), counts per regime the ``tikhonov:cv``
-    fits that select the first or last candidate of their strength grid
-    (``cv_edge_selections``), and gives the seconds spent in
-    ``stage_seconds`` (``simulate``, ``fit``, ``score``).
+    its columns its ``log`` counts the training paths, and per regime the
+    CV grid-edge selections, and laps the stages ``simulate``, ``fit``
+    and ``score``.
 
     Paths stay in the simulator's J Fourier coefficients, on a unit-weight
     grid of J points: the basis is orthonormal under the regime grid's
@@ -513,7 +525,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     otherwise each path alone. Either way each path's results have the
     bits of the path fitted alone.
     """
-    t_start = time.perf_counter()
+    log = RunLog()
     methods = [parse_method(label) for label in config.methods]
     operators = {
         regime: draw_regime_operator(REGIMES[regime], _regime_seed(config.master_seed, regime))
@@ -522,14 +534,12 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     shape = (len(config.regimes), len(config.n_values), config.replications, len(methods))
     misfe, tuning = np.full(shape, np.nan), np.full(shape, np.nan)
     errors, fit_seconds = np.full(shape, None, dtype=object), np.zeros(len(methods))
-    tally = _Tally()
     for g, regime in enumerate(config.regimes):
         spec = REGIMES[regime]
         grid = QuadratureGrid(np.arange(spec.basis_dim), np.ones(spec.basis_dim))
         for i, n in enumerate(config.n_values):
             for start in range(0, config.replications, BATCH_SIZE):
                 reps = range(start, min(start + BATCH_SIZE, config.replications))
-                t0 = time.perf_counter()
                 train, test = (
                     simulate_states(
                         operators[regime],
@@ -539,27 +549,16 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
                     )
                     for length, tag in ((n, _TRAIN_TAG), (config.test_length, _TEST_TAG))
                 )
-                tally.stage_seconds["simulate"] += time.perf_counter() - t0
+                log.lap("simulate")
                 rows = (g, i, slice(reps.start, reps.stop))
                 columns = (misfe[rows], tuning[rows], errors[rows], fit_seconds)
-                _batch_records(regime, train, test, grid, methods, tally, columns)
+                _batch_records(regime, train, test, grid, methods, log, columns)
                 # drop this batch's paths before the next batch is simulated
                 del train, test
-    return BenchmarkReport(
-        config,
-        misfe,
-        tuning,
-        errors,
-        fit_seconds,
-        wall_clock_seconds=time.perf_counter() - t_start,
-        span_ranks=dict(sorted(tally.span_ranks.items())),
-        single_member_refits=tally.single_member_refits,
-        stage_seconds=tally.stage_seconds,
-        cv_edge_selections={r: tally.cv_edge_selections[r] for r in config.regimes},
-    )
+    return BenchmarkReport(config, misfe, tuning, errors, fit_seconds, log)
 
 
-def _batch_records(regime, train, test, grid, methods, tally: _Tally, columns) -> None:
+def _batch_records(regime, train, test, grid, methods, log: RunLog, columns) -> None:
     """Fit and score one batch of training paths ``train`` (R, n, J) and test paths ``test``.
 
     ``columns`` are the batch's (R, methods) rows of the report's
@@ -574,9 +573,9 @@ def _batch_records(regime, train, test, grid, methods, tally: _Tally, columns) -
     results. Each group of paths is scored as soon as it is fitted: its
     test paths are encoded once in their training paths' coordinates, and
     each method scores them in one stacked product, with the bits
-    ``misfe`` gives each path alone.
+    ``misfe`` gives each path alone. The fits are counted in ``log``
+    under ``regime``.
     """
-    t0 = time.perf_counter()
     size = max(1, STACK_CURVES // train.shape[1])
     stacks = [slice(i, i + size) for i in range(0, len(train), size)]
     # the stacks are certified on copies, so that a batch that fails keeps its raw paths
@@ -587,22 +586,17 @@ def _batch_records(regime, train, test, grid, methods, tally: _Tally, columns) -
     else:
         groups = [(span_coordinates(FunctionalSample(train[i], grid)), slice(i, i + 1))
                   for i in range(len(train))]
-    tally.stage_seconds["fit"] += time.perf_counter() - t0
     misfe, tuning, errors, fit_seconds = columns
     for coords, paths in groups:
-        t0 = time.perf_counter()
         fitted = fit_methods(coords, methods)
-        t1 = time.perf_counter()
-        tally.span_ranks[coords.rank] += len(fitted[0].errors)
-        tally.single_member_refits += int(np.any([o.refit_alone for o in fitted], axis=0).sum())
-        tally.cv_edge_selections[regime] += sum(int(o.cv_at_grid_edge.sum()) for o in fitted)
+        log.lap("fit")
+        log.count(regime, coords.rank, fitted)
         encoded = _encode_path(coords, test[paths])
         for p, outcome in enumerate(fitted):
             misfe[paths, p] = _path_misfe(outcome.matrices, *encoded)
             tuning[paths, p], errors[paths, p] = outcome.tuning, outcome.errors
             fit_seconds[p] += outcome.seconds * len(outcome.errors)
-        tally.stage_seconds["fit"] += t1 - t0
-        tally.stage_seconds["score"] += time.perf_counter() - t1
+        log.lap("score")
         # drop this group's fits before the next group is fitted
         del fitted, encoded
 

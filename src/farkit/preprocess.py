@@ -17,14 +17,13 @@ import csv
 import datetime as dt
 import itertools
 import operator
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InsufficientDataError, NumericalError
-from .evaluate import fit_methods, parse_method
+from .evaluate import RunLog, fit_methods, parse_method
 from .grid import uniform_grid
 from .moments import FunctionalSample, SpanCoordinates, span_coordinates
 
@@ -191,7 +190,7 @@ class PreprocessedCurves:
 
 @dataclass(frozen=True, eq=False)
 class RollingResult:
-    """Every method's forecasts over the kept evaluation days, plus run diagnostics.
+    """Every method's forecasts over the kept evaluation days, plus the run's log.
 
     The columns are shared by every method: ``days`` holds the (D,)
     indices of the kept evaluation days and ``refit`` marks those that
@@ -207,11 +206,8 @@ class RollingResult:
     errors: np.ndarray
     skipped_gaps: int  # evaluation days skipped by the gap policy, per method
     span_rank: int  # numerical rank of the sample's centred sqrt-weighted curves
-    single_member_refits: int = 0  # windows refitted alone after their stack's step raised
-    # tikhonov:cv windows whose strength is the first or last candidate of the CV grid
-    cv_edge_selections: int = 0
-    fit_seconds: float = 0.0  # span coordinates and window fits
-    score_seconds: float = 0.0  # forecasting and scoring the blocks
+    # the stages fit and score, and the windows counted; CV edges under "tikhonov:cv"
+    log: RunLog
 
 
 _READING_CELLS = operator.itemgetter(slice(1, None))
@@ -492,11 +488,12 @@ def rolling_forecast(
     ``dates`` are skipped and counted; the refit schedule does not move.
     The dates serve that policy only. A failed fit
     marks its method's whole block as failed without stopping the run;
-    the windows of a stack whose step raised are refitted alone and
-    counted in ``single_member_refits``. ``cv_edge_selections`` counts
-    the ``tikhonov:cv`` windows whose strength is the first or last
-    candidate of the grid.
+    the windows of a stack whose step raised are refitted alone. The
+    result's ``log`` laps the stages ``fit`` and ``score`` and counts the
+    windows, those refitted alone, and under ``"tikhonov:cv"`` those whose
+    strength is the first or last candidate of the grid.
     """
+    log = RunLog()
     n = sample.n
     if n <= config.window:
         raise InsufficientDataError(
@@ -514,30 +511,23 @@ def rolling_forecast(
 
     methods = [parse_method(label) for label in config.methods]
     refit = config.refit_interval
-    t0 = time.perf_counter()
     coords = span_coordinates(sample)
-    fit_seconds, score_seconds = time.perf_counter() - t0, 0.0
     starts = np.arange(config.window, n, refit)
     # errors per method and day; tuning and error text per method and block
     ise = np.full((len(methods), n), np.nan)
     tuning = np.full((len(methods), len(starts)), np.nan)
     errors = np.full((len(methods), len(starts)), None)
-    refit_alone = cv_edges = 0
     for first in range(0, len(starts), BATCH_SIZE):
         chunk = starts[first : first + BATCH_SIZE]
-        t0 = time.perf_counter()
         stack = coords.windows(chunk - config.window, config.window)
         fitted = fit_methods(stack, methods, cv_scheme="k-fold-forward")
-        t1 = time.perf_counter()
-        # a window counts once, however many of its methods were refit alone
-        refit_alone += int(np.any([o.refit_alone for o in fitted], axis=0).sum())
-        cv_edges += sum(int(o.cv_at_grid_edge.sum()) for o in fitted)
+        log.lap("fit")
+        log.count("tikhonov:cv", coords.rank, fitted)
         for i, outcome in enumerate(fitted):
             tuning[i, first : first + len(chunk)] = outcome.tuning
             errors[i, first : first + len(chunk)] = outcome.errors
         _score_stack(coords, sample.values, chunk, refit, fitted, ise)
-        fit_seconds += t1 - t0
-        score_seconds += time.perf_counter() - t1
+        log.lap("score")
     days = np.flatnonzero(kept[config.window :]) + config.window
     blocks = (days - config.window) // refit
     return RollingResult(
@@ -548,10 +538,7 @@ def rolling_forecast(
         errors[:, blocks],
         n - config.window - days.size,
         coords.rank,
-        single_member_refits=refit_alone,
-        cv_edge_selections=cv_edges,
-        fit_seconds=fit_seconds,
-        score_seconds=score_seconds,
+        log,
     )
 
 

@@ -216,7 +216,7 @@ def test_criterion_05_directional_benchmark(benchmark_report):
         # (d) the ridge beats every threshold in the wide-spectrum regime
         assert regrets[("III", 100, "tikhonov:cv")] < 0.0
         # single-core budget
-        assert benchmark_report.wall_clock_seconds <= 900.0
+        assert sum(benchmark_report.log.stage_seconds.values()) <= 900.0
 
 
 def test_criterion_06_worst_case_dominance(benchmark_report):

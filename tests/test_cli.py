@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from farkit.cli import main
+from farkit.cli import build_parser, main
 from farkit.evaluate import BenchmarkConfig, parse_method
+from farkit.preprocess import RollingConfig
 from farkit.grid import uniform_grid
 
 HEADER = "date," + ",".join(f"h{i:02d}" for i in range(1, 49))
@@ -73,6 +74,15 @@ class TestFitCommand:
         assert meta["tuning"]["k"] == 3
         kernel_rows = read_csv_rows(out / "kernel.csv")
         assert len(kernel_rows) == 12 and len(kernel_rows[0].split(",")) == 12
+
+    @pytest.mark.parametrize("method", ["fpca:K=3", "fpca:0.9"])
+    def test_truncation_level_written_as_integer(self, tmp_path, method):
+        sample = tmp_path / "sample.csv"
+        spectrum_sample_csv(sample, [0.804, 0.091, 0.043, 0.03, 0.012, 0.008, 0.007, 0.005])
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(sample), "--method", method, "--out", str(out)]) == 0
+        tuning = json.loads((out / "fit.meta.json").read_text())["tuning"]
+        assert tuning["k"] == 3 and type(tuning["k"]) is int
 
     def test_tikhonov_fixed_alpha(self, tmp_path):
         sample = tmp_path / "sample.csv"
@@ -173,6 +183,18 @@ class TestBenchmarkCommand:
         assert set(summary["cv_edge_selections"]) == {"I", "II", "III"}
         assert set(summary["stage_seconds"]) == {"simulate", "fit", "score", "write"}
         assert all(seconds >= 0 for seconds in summary["stage_seconds"].values())
+
+    def test_wall_clock_is_the_stages_before_writing(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"replications": 2, "n_values": [100], "regimes": ["I"]}))
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        stages = summary["stage_seconds"]
+        # the stages are summed in another order than the command's
+        assert summary["wall_clock_seconds"] == pytest.approx(
+            sum(seconds for stage, seconds in stages.items() if stage != "write"), rel=1e-12
+        )
 
     def test_flag_overrides_and_thread_invariance(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -279,6 +301,13 @@ def write_raw_days(path, count=150, level=6.0):
 
 
 class TestRollingCommand:
+    def test_defaults_come_from_the_configs(self):
+        args = build_parser().parse_args(["rolling", "--raw", "raw.csv", "--out", "roll"])
+        assert args.window == RollingConfig.window
+        assert args.refit == RollingConfig.refit_interval
+        assert args.gap_policy == RollingConfig.gap_policy
+        assert args.methods.split(",") == list(BenchmarkConfig.methods)
+
     def test_synthetic_150_day_run(self, tmp_path):
         raw = tmp_path / "raw.csv"
         write_raw_days(raw, 150)
@@ -445,7 +474,7 @@ class TestRollingCommand:
 class TestVerifyCommand:
     def test_default_suite_passes(self, tmp_path):
         out = tmp_path / "verify"
-        assert main(["verify", "--out", str(out), "--skip-diagnostics"]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
         report = json.loads((out / "verify.json").read_text())
         assert report["checks"] and all(c["passed"] for c in report["checks"])
 
@@ -453,8 +482,7 @@ class TestVerifyCommand:
         probes = tmp_path / "probes.json"
         probes.write_text(json.dumps({"probes": [{"beta": 2.0, "eigen_scale": 4.0}]}))
         out = tmp_path / "verify"
-        code = main(["verify", "--out", str(out), "--probes", str(probes),
-                     "--skip-diagnostics"])
+        code = main(["verify", "--out", str(out), "--probes", str(probes)])
         assert code == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out and "bias-bound beta=2" in captured.out
@@ -463,8 +491,7 @@ class TestVerifyCommand:
         probes = tmp_path / "probes.json"
         probes.write_text(json.dumps({"probes": [{"beta": 1, "n_components": 5, "rho": 1}]}))
         out = tmp_path / "verify"
-        assert main(["verify", "--out", str(out), "--probes", str(probes),
-                     "--skip-diagnostics"]) == 0
+        assert main(["verify", "--out", str(out), "--probes", str(probes)]) == 0
 
     def test_empty_probe_list_is_config_error(self, tmp_path):
         probes = tmp_path / "probes.json"
@@ -473,7 +500,7 @@ class TestVerifyCommand:
         assert code == 2
 
 
-VERIFY = ["verify", "--skip-diagnostics", "--probes", "probes.json"]
+VERIFY = ["verify", "--probes", "probes.json"]
 FIT = ["fit", "--method", "fpca:0.9", "--input", "sample.csv"]
 
 

@@ -17,6 +17,7 @@ from farkit.evaluate import (
     STACK_CURVES,
     BenchmarkConfig,
     BenchmarkReport,
+    RunLog,
     TheoryProbe,
     fit_method,
     fit_methods,
@@ -600,17 +601,31 @@ def record_fields(report) -> list:
     ]
 
 
-def batch_report(config: BenchmarkConfig, train, test, tally) -> BenchmarkReport:
+def batch_report(config: BenchmarkConfig, train, test) -> BenchmarkReport:
     """The report of a config of one batch, fitted and scored by ``_batch_records``."""
     shape = (1, 1, config.replications, len(config.methods))
     misfe, tuning = np.full(shape, np.nan), np.full(shape, np.nan)
     errors, fit_seconds = np.full(shape, None, dtype=object), np.zeros(len(config.methods))
-    regime = config.regimes[0]
+    regime, log = config.regimes[0], RunLog()
     evaluate._batch_records(
         regime, train, test, coefficient_grid(regime), [parse_method(m) for m in config.methods],
-        tally, [misfe[0, 0], tuning[0, 0], errors[0, 0], fit_seconds],
+        log, [misfe[0, 0], tuning[0, 0], errors[0, 0], fit_seconds],
     )
-    return BenchmarkReport(config, misfe, tuning, errors, fit_seconds)
+    return BenchmarkReport(config, misfe, tuning, errors, fit_seconds, log)
+
+
+class TestRunLog:
+    def test_laps_add_up_to_the_time_since_the_log_was_made(self, monkeypatch):
+        # binary fractions, so that every difference and sum is exact
+        log = RunLog(mark=1.5)
+        clock = iter([2.0, 2.25, 4.0])
+        monkeypatch.setattr(evaluate.time, "perf_counter", lambda: next(clock))
+        log.lap("fit")
+        log.lap("score")
+        log.lap("fit")
+        assert log.stage_seconds == {"fit": 0.5 + 1.75, "score": 0.25}
+        assert sum(log.stage_seconds.values()) == 4.0 - 1.5
+        assert log.mark == 4.0
 
 
 class TestRunBenchmark:
@@ -623,9 +638,9 @@ class TestRunBenchmark:
         assert STACK_CURVES // 800 == 5
         report = run_benchmark(config)
         assert record_fields(report) == per_replication_records(config)
-        assert report.span_ranks == {40: 2 * 2 * (BATCH_SIZE + 2)}
-        assert report.single_member_refits == 0
-        assert set(report.stage_seconds) == {"simulate", "fit", "score"}
+        assert report.log.span_ranks == {40: 2 * 2 * (BATCH_SIZE + 2)}
+        assert report.log.single_member_refits == 0
+        assert set(report.log.stage_seconds) == {"simulate", "fit", "score"}
 
     def test_batch_with_an_uncertified_path_fits_each_path_alone(self):
         config = BenchmarkConfig(regimes=("II",), n_values=(100,), replications=BATCH_SIZE)
@@ -634,12 +649,11 @@ class TestRunBenchmark:
         # path 3 loses a dimension, so no path of the batch is stacked
         train[3][:, 7] = train[3][:, 2]
         raw = train.copy()
-        tally = evaluate._Tally()
-        report = batch_report(config, train, test, tally)
+        report = batch_report(config, train, test)
         assert record_fields(report) == replication_records(
             regime, n, reps, raw, test, config.methods
         )
-        assert tally.span_ranks == {40: BATCH_SIZE - 1, 39: 1}
+        assert report.log.span_ranks == {40: BATCH_SIZE - 1, 39: 1}
         # the uncertified batch was fitted from its raw paths, left as they were
         assert np.array_equal(train, raw)
 
@@ -656,9 +670,8 @@ class TestRunBenchmark:
         ]
         last = sum(cv.selected_alpha == cv.cv_curve[-1][0] for cv in cvs)
         assert last > 0
-        tally = evaluate._Tally()
-        batch_report(config, train, test, tally)
-        assert tally.cv_edge_selections == {regime: last}
+        report = batch_report(config, train, test)
+        assert report.log.cv_edge_selections == {regime: last}
 
     def test_stacks_hold_at_most_one_stack_of_curves_more_than_single_fits(self):
         # a stack's fit holds temporaries of the stack's size; every larger

@@ -574,7 +574,7 @@ class TestRollingForecast:
         assert all(r.error is not None for r in rows)
         assert all(np.isnan(r.ise) for r in rows)
         # both windows share one stack, whose threshold step raised
-        assert result.single_member_refits == 2
+        assert result.log.single_member_refits == 2
 
     def test_gap_on_refit_day_keeps_refit_schedule(self):
         sample = drifting_sample(140)
@@ -627,7 +627,7 @@ class TestRollingForecast:
         assert all(np.isnan(r.tuning) for r in failed)
         assert all(r.error is None for r in scored)
         # the seven windows share one stack, whose threshold step raised
-        assert result.single_member_refits == 7
+        assert result.log.single_member_refits == 7
         expected = per_window_rows(sample, 100, 10, "fpca:0.90")
         assert [r.ise for r in scored] == [expected[r.index][0] for r in scored]
         assert [r.tuning for r in scored] == [expected[r.index][1] for r in scored]
@@ -640,7 +640,7 @@ class TestRollingForecast:
         config = RollingConfig(window=window, refit_interval=refit, methods=SCORED_METHODS,
                                gap_policy="contiguous")
         result = assert_rows_equal_per_window_rows(sample, config)
-        assert result.single_member_refits == 0
+        assert result.log.single_member_refits == 0
         assert all(r.error is None for r in forecast_rows(result, config.methods))
 
     @pytest.mark.parametrize(
@@ -701,7 +701,7 @@ class TestRollingForecast:
         assert failed == set(range(40, 73))
         assert all(r.method == "fpca:K=5" for r in rows if r.error is not None)
         assert any(r.error is None for r in rows if r.method == "fpca:K=5")
-        assert result.single_member_refits == len(range(40, sample.n, 3))
+        assert result.log.single_member_refits == len(range(40, sample.n, 3))
 
     def test_cv_edge_selections_count_windows(self):
         # white noise: the strongest ridge, the grid's last candidate, forecasts best
@@ -718,7 +718,7 @@ class TestRollingForecast:
         ]
         last = sum(cv.selected_alpha == cv.cv_curve[-1][0] for cv in cvs)
         assert last > 0
-        assert result.cv_edge_selections == last
+        assert result.log.cv_edge_selections == {"tikhonov:cv": last}
 
     def test_needs_more_than_window(self):
         sample = drifting_sample(100)
