@@ -14,7 +14,7 @@ Output files by command:
                    regret.csv   (regime,n,method,mean_misfe,count,regret_pct)
                    worst_case.csv (method,n,worst_mean_misfe)
                    tuning.csv   (regime,n,method,mean_tuning)
-                   summary.json (rate slope, timings, stage seconds, span ranks,
+                   summary.json (rate slope, wall clock, stage seconds, span ranks,
                    single-member refits, CV grid-edge selections per regime,
                    resolved config)
 * ``rolling``   -> forecasts.csv (date,method,ise,alpha_or_k,refit_flag)
@@ -266,8 +266,8 @@ def cmd_benchmark(args) -> int:
     report = run_benchmark(config)
     log = report.log
     # each table is a dict in config order, which is the order of its file's rows
-    regrets, means = regret_table(report), mean_misfe_table(report)
-    worst, tunings = worst_case_table(report), tuning_summary(report)
+    means, tunings = mean_misfe_table(report), tuning_summary(report)
+    regrets, worst = regret_table(means), worst_case_table(means)
     try:
         slope = rate_slope_from_report(report)
     except ValueError:
@@ -301,7 +301,6 @@ def cmd_benchmark(args) -> int:
             "config": config.to_dict(),
             "rate_slope_log10_alpha_vs_log10_n": slope,
             "wall_clock_seconds": wall_clock,
-            "fit_seconds_by_method": dict(zip(config.methods, report.fit_seconds.tolist())),
             "failed_fits": int(report.failed.sum()),
             "failures_by_class": _failures_by_class(report.errors.flat),
             "span_ranks": log.span_ranks,
@@ -339,24 +338,23 @@ def cmd_rolling(args) -> int:
             methods=methods,
             gap_policy=args.gap_policy,
         )
-        ingest = RunLog()
+        log = RunLog()
         raw = load_halfhourly_csv(args.raw)
-        ingest.lap("load")
+        log.lap("load")
         complete = filter_and_interpolate(raw, pipeline)
         del raw  # the unfiltered readings are not needed again
-        ingest.lap("filter")
+        log.lap("filter")
         prepared = preprocess_curves(complete, pipeline)
-        ingest.lap("smooth")
+        log.lap("smooth")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = rolling_forecast(prepared.sample, config, dates=prepared.dates)
+        result = rolling_forecast(prepared.sample, config, dates=prepared.dates, log=log)
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _out_dir(args)
-    log = result.log
 
     summary = []
     for label, ises, errors in zip(methods, result.ise, result.errors):
@@ -424,7 +422,7 @@ def cmd_rolling(args) -> int:
             "methods": methods,
             "span_rank": result.span_rank,
             "single_member_refits": log.single_member_refits,
-            "stage_seconds": {**ingest.stage_seconds, **log.stage_seconds},
+            "stage_seconds": log.stage_seconds,
             "summary": summary,
         },
     )

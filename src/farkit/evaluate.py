@@ -106,6 +106,12 @@ class MethodSpec:
     cv: bool = False
     label: str = ""
 
+    @property
+    def id(self) -> str:
+        """The method id: ``label``, or else the id that ``parse_method`` reads as this spec."""
+        arg = f"K={self.k}" if self.k is not None else "cv" if self.cv else self.tau or self.alpha
+        return self.label or f"{self.kind}:{arg}"
+
 
 def parse_method(label: str) -> MethodSpec:
     """Parse an estimator id.
@@ -204,8 +210,6 @@ class FitOutcome:
     tuning: np.ndarray  # (B,) resolved K, or ridge strength
     errors: np.ndarray  # (B,) object: error texts, None where the fit succeeded
     refit_alone: np.ndarray  # (B,) bool
-    # this method's own fit time per member, shared decomposition excluded
-    seconds: float
     # the selection of a tikhonov:cv fit, NaN in the rows of members without one
     cv: CvResult | None = None
 
@@ -222,61 +226,65 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def fit_methods(coords: SpanCoordinates, methods, *, cv_scheme: str = "holdout") -> list:
+def fit_methods(coords: SpanCoordinates, methods, *, cv_scheme: str = "holdout", log=None) -> list:
     """Fit every method to one sample or stack in span coordinates from one shared decomposition.
 
     Returns one FitOutcome per method, in order, with one row per member
     of a stack, or the one row of a sample. Estimator failures
     (``FIT_ERRORS``) become rows with the error text, including a failed
     shared decomposition, which fails every method; any other exception
-    propagates.
+    propagates. It laps ``decompose``, then ``fit:<method id>`` per method,
+    into ``log``, a fresh ``RunLog`` when None.
 
     A stack of samples (``SpanCoordinates.windows``) is fitted through the
     same steps, each step once for the whole stack. When a stacked step
     raises a ``FIT_ERRORS`` class, each member is refitted alone through
-    ``fit_methods`` for the methods that step covered (``refit_alone``):
-    each member's row then holds the outcome it would record alone, and a
-    failing member leaves its neighbours' fits unchanged.
+    ``fit_methods``, into the same log, for the methods that step covered
+    (``refit_alone``): each member's row then holds the outcome it would
+    record alone, and a failing member leaves its neighbours' fits unchanged.
     """
+    log = RunLog() if log is None else log
     methods = [parse_method(m) if isinstance(m, str) else m for m in methods]
     try:
         moments = weighted_moments(coords)
         decomposition = spectra(moments)
     except FIT_ERRORS as exc:
-        return _failed_step(coords, methods, exc, 0.0, cv_scheme)
+        return _failed_step(coords, methods, exc, cv_scheme, log)
+    finally:
+        log.lap("decompose")
     # a sample's results get the leading axis of a stack of one
     as_rows = np.asarray if coords.stacked else (lambda x: np.asarray(x)[None])
     outcomes = []
     for method in methods:
-        t0 = time.perf_counter()
         try:
             est, cv = fit_method(
                 coords, method, moments=moments, decomposition=decomposition, cv_scheme=cv_scheme
             )
         except FIT_ERRORS as exc:
-            outcomes += _failed_step(coords, [method], exc, time.perf_counter() - t0, cv_scheme)
-            continue
-        seconds = time.perf_counter() - t0
-        tuning = as_rows(est.tuning["k" if method.kind == "fpca" else "alpha"]).astype(float)
-        if cv is not None:
-            cv = CvResult(*map(as_rows, (cv.alphas, cv.losses, cv.selected_alpha)), cv.scheme)
-        size = len(tuning)
-        outcomes.append(FitOutcome(as_rows(est.matrix), tuning, np.full(size, None),
-                                   np.zeros(size, bool), seconds / size, cv))
+            log.lap(f"fit:{method.id}")
+            outcomes += _failed_step(coords, [method], exc, cv_scheme, log)
+        else:
+            tuning = as_rows(est.tuning["k" if method.kind == "fpca" else "alpha"]).astype(float)
+            if cv is not None:
+                cv = CvResult(*map(as_rows, (cv.alphas, cv.losses, cv.selected_alpha)), cv.scheme)
+            size = len(tuning)
+            outcomes.append(FitOutcome(as_rows(est.matrix), tuning, np.full(size, None),
+                                       np.zeros(size, bool), cv))
+        log.lap(f"fit:{method.id}")
     return outcomes
 
 
-def _failed_step(coords: SpanCoordinates, methods, exc: Exception, seconds: float, cv_scheme):
+def _failed_step(coords: SpanCoordinates, methods, exc: Exception, cv_scheme, log: RunLog):
     """The outcomes of ``methods`` after their step raised ``exc``.
 
     A sample records the error. Each member of a stack is refitted alone,
-    and its outcome is written into its row.
+    lapping into ``log``, and its outcome is written into its row.
     """
     if not coords.stacked:
         shape, error = (1, coords.dim, coords.dim), np.full(1, _error_text(exc), dtype=object)
-        return [FitOutcome(np.full(shape, np.nan), np.full(1, np.nan), error, np.zeros(1, bool),
-                           seconds) for _ in methods]
-    alone = [fit_methods(replace(coords, values=v), methods, cv_scheme=cv_scheme)
+        return [FitOutcome(np.full(shape, np.nan), np.full(1, np.nan), error, np.zeros(1, bool))
+                for _ in methods]
+    alone = [fit_methods(replace(coords, values=v), methods, cv_scheme=cv_scheme, log=log)
              for v in coords.values]
     return [_member_rows(rows) for rows in zip(*alone)]
 
@@ -295,7 +303,6 @@ def _member_rows(rows) -> FitOutcome:
         np.concatenate([row.tuning for row in rows]),
         np.concatenate([row.errors for row in rows]),
         np.ones(len(rows), dtype=bool),
-        sum(row.seconds for row in rows) / len(rows),
         cv,
     )
 
@@ -341,9 +348,9 @@ def _path_misfe(matrices: np.ndarray, encoded: np.ndarray, outside: np.ndarray) 
     contiguous row, so every error has the bits of its path scored alone.
     A matrix of NaN (a failed fit) gives NaN.
     """
-    residual = encoded[:, 1:] - encoded[:, :-1] @ matrices.swapaxes(-1, -2)
-    squares = (residual**2).reshape(len(residual), -1)
-    return (squares.sum(axis=-1) + outside) / (encoded.shape[1] - 1)
+    product = encoded[:, :-1] @ matrices.swapaxes(-1, -2)
+    squares = np.square(np.subtract(encoded[:, 1:], product, out=product), out=product)
+    return (squares.reshape(len(squares), -1).sum(axis=-1) + outside) / (encoded.shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +490,6 @@ class BenchmarkReport:
     misfe: np.ndarray  # (regimes, n_values, replications, methods)
     tuning: np.ndarray  # shaped like misfe
     errors: np.ndarray  # object array shaped like misfe
-    fit_seconds: np.ndarray  # (methods,) fit time summed over the run
     log: RunLog = field(default_factory=RunLog)  # stages and fit counts; CV edges by regime
 
     @property
@@ -508,12 +514,12 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     Each replication simulates one training path and one independent test
     path (both after burn-in, from the regime's single operator draw),
     fits every method to the same training path, and records the test-path
-    forecast error, the resolved tuning value, and the incremental fit
-    time. Fit failures are recorded on the cell and never abort the run.
-    The report is a pure function of the config (timings aside). Besides
-    its columns its ``log`` counts the training paths, and per regime the
-    CV grid-edge selections, and laps the stages ``simulate``, ``fit``
-    and ``score``.
+    forecast error and the resolved tuning value. Fit failures are
+    recorded on the cell and never abort the run. The report is a pure
+    function of the config (timings aside). Besides its columns its
+    ``log`` counts the training paths, and per regime the CV grid-edge
+    selections, and laps the stages ``simulate``, ``decompose``,
+    ``fit:<method id>`` and ``score``.
 
     Paths stay in the simulator's J Fourier coefficients, on a unit-weight
     grid of J points: the basis is orthonormal under the regime grid's
@@ -533,7 +539,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     }
     shape = (len(config.regimes), len(config.n_values), config.replications, len(methods))
     misfe, tuning = np.full(shape, np.nan), np.full(shape, np.nan)
-    errors, fit_seconds = np.full(shape, None, dtype=object), np.zeros(len(methods))
+    errors = np.full(shape, None, dtype=object)
     for g, regime in enumerate(config.regimes):
         spec = REGIMES[regime]
         grid = QuadratureGrid(np.arange(spec.basis_dim), np.ones(spec.basis_dim))
@@ -551,19 +557,18 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
                 )
                 log.lap("simulate")
                 rows = (g, i, slice(reps.start, reps.stop))
-                columns = (misfe[rows], tuning[rows], errors[rows], fit_seconds)
+                columns = (misfe[rows], tuning[rows], errors[rows])
                 _batch_records(regime, train, test, grid, methods, log, columns)
                 # drop this batch's paths before the next batch is simulated
                 del train, test
-    return BenchmarkReport(config, misfe, tuning, errors, fit_seconds, log)
+    return BenchmarkReport(config, misfe, tuning, errors, log)
 
 
 def _batch_records(regime, train, test, grid, methods, log: RunLog, columns) -> None:
     """Fit and score one batch of training paths ``train`` (R, n, J) and test paths ``test``.
 
     ``columns`` are the batch's (R, methods) rows of the report's
-    ``misfe``, ``tuning`` and ``errors``, written in place, and its
-    ``fit_seconds``, added to.
+    ``misfe``, ``tuning`` and ``errors``, written in place.
 
     When ``full_rank_certified`` certifies every training path, ``train``
     is centred in place and fitted as stacks of at most ``STACK_CURVES``
@@ -573,8 +578,8 @@ def _batch_records(regime, train, test, grid, methods, log: RunLog, columns) -> 
     results. Each group of paths is scored as soon as it is fitted: its
     test paths are encoded once in their training paths' coordinates, and
     each method scores them in one stacked product, with the bits
-    ``misfe`` gives each path alone. The fits are counted in ``log``
-    under ``regime``.
+    ``misfe`` gives each path alone. The fits lap into ``log``, which
+    counts them under ``regime``; certifying and centring lap as ``decompose``.
     """
     size = max(1, STACK_CURVES // train.shape[1])
     stacks = [slice(i, i + size) for i in range(0, len(train), size)]
@@ -586,16 +591,14 @@ def _batch_records(regime, train, test, grid, methods, log: RunLog, columns) -> 
     else:
         groups = [(span_coordinates(FunctionalSample(train[i], grid)), slice(i, i + 1))
                   for i in range(len(train))]
-    misfe, tuning, errors, fit_seconds = columns
+    misfe, tuning, errors = columns
     for coords, paths in groups:
-        fitted = fit_methods(coords, methods)
-        log.lap("fit")
+        fitted = fit_methods(coords, methods, log=log)
         log.count(regime, coords.rank, fitted)
         encoded = _encode_path(coords, test[paths])
         for p, outcome in enumerate(fitted):
             misfe[paths, p] = _path_misfe(outcome.matrices, *encoded)
             tuning[paths, p], errors[paths, p] = outcome.tuning, outcome.errors
-            fit_seconds[p] += outcome.seconds * len(outcome.errors)
         log.lap("score")
         # drop this group's fits before the next group is fitted
         del fitted, encoded
@@ -630,44 +633,42 @@ def mean_misfe_table(report: BenchmarkReport) -> dict:
     return table
 
 
-def regret_table(report: BenchmarkReport) -> dict:
+def regret_table(means: dict) -> dict:
     """Percent excess mean forecast error over the best truncation rule per cell.
 
-    The oracle in each (regime, n) cell is the smallest mean error among
-    the variance-threshold methods with at least one successful
+    ``means`` is a ``mean_misfe_table``, and the regrets follow its
+    order. The oracle in each (regime, n) cell is the smallest mean error
+    among the variance-threshold methods with at least one successful
     replication, so the best of them has regret exactly 0 and a ridge
     method may land below 0. The regret is NaN for a method without
     successes and for every method of a cell without an oracle.
     """
     # a variance threshold is the only method with a tau
-    fpca_labels = [label for label in report.config.methods if parse_method(label).tau is not None]
-    means = mean_misfe_table(report)
+    labels = {label for _, _, label in means}
+    thresholds = {label for label in labels if parse_method(label).tau is not None}
+    candidates = {}  # (regime, n): its thresholds' means with a success, in config order
+    for (regime, n, label), (mean, _, count) in means.items():
+        if label in thresholds and count > 0:
+            candidates.setdefault((regime, n), []).append(mean)
     regrets = {}
-    for regime in report.config.regimes:
-        for n in report.config.n_values:
-            oracle = min(
-                (means[(regime, n, label)][0] for label in fpca_labels
-                 if means[(regime, n, label)][2] > 0),
-                default=float("nan"),
-            )
-            for label in report.config.methods:
-                mean = means[(regime, n, label)][0]
-                regrets[(regime, n, label)] = 100.0 * (mean - oracle) / oracle
+    for (regime, n, label), (mean, _, _) in means.items():
+        oracle = min(candidates.get((regime, n), [float("nan")]))
+        regrets[(regime, n, label)] = 100.0 * (mean - oracle) / oracle
     return regrets
 
 
-def worst_case_table(report: BenchmarkReport) -> dict:
+def worst_case_table(means: dict) -> dict:
     """Worst per-regime mean forecast error for each (method, n), in config order.
 
-    NaN when any regime of that (method, n) has no successful replication.
+    ``means`` is a ``mean_misfe_table``. NaN when any regime of that
+    (method, n) has no successful replication.
     """
-    means = mean_misfe_table(report)
-    table = {}
-    for label in report.config.methods:
-        for n in report.config.n_values:
-            cell_means = [means[(regime, n, label)][0] for regime in report.config.regimes]
-            table[(label, n)] = float(np.max(cell_means))
-    return table
+    regimes, n_values, labels = (list(dict.fromkeys(key[a] for key in means)) for a in range(3))
+    return {
+        (label, n): float(np.max([means[(regime, n, label)][0] for regime in regimes]))
+        for label in labels
+        for n in n_values
+    }
 
 
 def tuning_summary(report: BenchmarkReport) -> dict:

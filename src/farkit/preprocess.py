@@ -206,7 +206,7 @@ class RollingResult:
     errors: np.ndarray
     skipped_gaps: int  # evaluation days skipped by the gap policy, per method
     span_rank: int  # numerical rank of the sample's centred sqrt-weighted curves
-    # the stages fit and score, and the windows counted; CV edges under "tikhonov:cv"
+    # the run's stages, and the windows counted; CV edges under "tikhonov:cv"
     log: RunLog
 
 
@@ -467,6 +467,7 @@ def rolling_forecast(
     sample: FunctionalSample,
     config: RollingConfig,
     dates=None,
+    log: RunLog | None = None,
 ) -> RollingResult:
     """One-step-ahead forecasts of every method from a sliding window with periodic refits.
 
@@ -486,14 +487,14 @@ def rolling_forecast(
     from ``apply_kernel_matrix`` alone. Under the ``exclude-cross-gap``
     policy, days more than one calendar day after their predecessor in
     ``dates`` are skipped and counted; the refit schedule does not move.
-    The dates serve that policy only. A failed fit
-    marks its method's whole block as failed without stopping the run;
-    the windows of a stack whose step raised are refitted alone. The
-    result's ``log`` laps the stages ``fit`` and ``score`` and counts the
-    windows, those refitted alone, and under ``"tikhonov:cv"`` those whose
-    strength is the first or last candidate of the grid.
+    The dates serve that policy only. A failed fit marks its method's
+    whole block as failed without stopping the run; the windows of a stack
+    whose step raised are refitted alone. The result's ``log``, a fresh
+    ``RunLog`` when None, laps ``fit_methods``' stages and ``score`` and
+    counts the windows, those refitted alone, and under ``"tikhonov:cv"``
+    those whose strength is the first or last candidate of the grid.
     """
-    log = RunLog()
+    log = RunLog() if log is None else log
     n = sample.n
     if n <= config.window:
         raise InsufficientDataError(
@@ -520,8 +521,7 @@ def rolling_forecast(
     for first in range(0, len(starts), BATCH_SIZE):
         chunk = starts[first : first + BATCH_SIZE]
         stack = coords.windows(chunk - config.window, config.window)
-        fitted = fit_methods(stack, methods, cv_scheme="k-fold-forward")
-        log.lap("fit")
+        fitted = fit_methods(stack, methods, cv_scheme="k-fold-forward", log=log)
         log.count("tikhonov:cv", coords.rank, fitted)
         for i, outcome in enumerate(fitted):
             tuning[i, first : first + len(chunk)] = outcome.tuning

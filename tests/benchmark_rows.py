@@ -26,7 +26,10 @@ def record_rows(report) -> list:
     config = report.config
     shape = (len(config.regimes), len(config.n_values), config.replications, len(config.methods))
     assert report.misfe.shape == report.tuning.shape == report.errors.shape == shape
-    assert report.fit_seconds.shape == shape[-1:]
+    # every fit lap names a configured method
+    assert {s for s in report.log.stage_seconds if s.startswith("fit:")} <= {
+        f"fit:{label}" for label in config.methods
+    }
     rows = [
         Row(config.regimes[g], config.n_values[i], config.methods[p], r,
             report.misfe[g, i, r, p].item(), report.tuning[g, i, r, p].item(),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from farkit import cli, evaluate
 from farkit.cli import build_parser, main
 from farkit.evaluate import BenchmarkConfig, parse_method
 from farkit.preprocess import RollingConfig
@@ -181,8 +182,43 @@ class TestBenchmarkCommand:
         assert "rate_slope_log10_alpha_vs_log10_n" in summary
         assert summary["single_member_refits"] == 0
         assert set(summary["cv_edge_selections"]) == {"I", "II", "III"}
-        assert set(summary["stage_seconds"]) == {"simulate", "fit", "score", "write"}
+        fits = {f"fit:{label}" for label in BenchmarkConfig.methods}
+        assert set(summary["stage_seconds"]) == {"simulate", "decompose", *fits, "score", "write"}
         assert all(seconds >= 0 for seconds in summary["stage_seconds"].values())
+
+    def test_every_method_laps_its_fit_and_fit_seconds_are_gone(self, tmp_path):
+        # K=60 exceeds the 40 coefficients of regime I, so that method fails every fit
+        methods = ["fpca:0.90", "fpca:K=60", "tikhonov:cv"]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"replications": 2, "n_values": [100], "regimes": ["I"],
+                                   "methods": methods}))
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures_by_class"] == {"SingularSystemError": 2}
+        assert set(summary["stage_seconds"]) == {
+            "simulate", "decompose", *(f"fit:{m}" for m in methods), "score", "write"
+        }
+        assert set(summary) == {
+            "schema_version", "kind", "config", "rate_slope_log10_alpha_vs_log10_n",
+            "wall_clock_seconds", "failed_fits", "failures_by_class", "span_ranks",
+            "single_member_refits", "cv_edge_selections", "stage_seconds",
+        }
+
+    def test_the_mean_table_is_derived_once(self, tmp_path, monkeypatch):
+        calls, derive = [], evaluate.mean_misfe_table
+
+        def counted(report):
+            calls.append(report)
+            return derive(report)
+
+        # every binding that holds the function
+        for module in (evaluate, cli):
+            monkeypatch.setattr(module, "mean_misfe_table", counted)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"replications": 2, "n_values": [100, 200]}))
+        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert len(calls) == 1
 
     def test_wall_clock_is_the_stages_before_writing(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -329,8 +365,28 @@ class TestRollingCommand:
         edges = {s["method"]: s["cv_edge_selections"] for s in meta["summary"]
                  if "cv_edge_selections" in s}
         assert list(edges) == ["tikhonov:cv"] and 0 <= edges["tikhonov:cv"] <= 3
-        assert set(meta["stage_seconds"]) == {"load", "filter", "smooth", "fit", "score", "write"}
+        fits = {f"fit:{label}" for label in BenchmarkConfig.methods}
+        assert set(meta["stage_seconds"]) == {
+            "load", "filter", "smooth", "decompose", *fits, "score", "write"
+        }
         assert all(seconds >= 0 for seconds in meta["stage_seconds"].values())
+
+    def test_a_failing_method_still_laps_its_fit(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        write_raw_days(raw, 150)
+        out = tmp_path / "roll"
+        # K=60 exceeds the usable directions of a 100-curve window of smoothed curves
+        assert main(["rolling", "--raw", str(raw), "--out", str(out), "--methods",
+                     "fpca:0.9,fpca:K=60", "--gap-policy", "contiguous"]) == 0
+        meta = json.loads((out / "rolling.meta.json").read_text())
+        # failures are counted per forecast day: 150 days, window 100
+        assert [s["failures_by_class"] for s in meta["summary"]] == [
+            {}, {"SingularSystemError": 50}
+        ]
+        assert set(meta["stage_seconds"]) == {
+            "load", "filter", "smooth", "decompose", "fit:fpca:0.9", "fit:fpca:K=60", "score",
+            "write",
+        }
 
     def test_single_method_refit_flags(self, tmp_path):
         raw = tmp_path / "raw.csv"

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from farkit.evaluate import (
     STACK_CURVES,
     BenchmarkConfig,
     BenchmarkReport,
+    MethodSpec,
     RunLog,
     TheoryProbe,
     fit_method,
@@ -383,7 +385,7 @@ def synthetic_report(cells, tunings=None):
         for r, (value, value_tuning) in enumerate(zip(values, cell_tunings, strict=True)):
             if not np.isnan(value):
                 misfe[g, i, r, p], tuning[g, i, r, p], errors[g, i, r, p] = value, value_tuning, None
-    return BenchmarkReport(config, misfe, tuning, errors, np.zeros(len(axes[2])))
+    return BenchmarkReport(config, misfe, tuning, errors)
 
 
 class TestTables:
@@ -391,7 +393,7 @@ class TestTables:
         report = synthetic_report(
             {("I", 100, "fpca:0.80"): [1.0], ("I", 100, "fpca:0.85"): [1.1]}
         )
-        regrets = regret_table(report)
+        regrets = regret_table(mean_misfe_table(report))
         assert regrets[("I", 100, "fpca:0.80")] == 0.0
         assert regrets[("I", 100, "fpca:0.85")] == pytest.approx(10.0, rel=1e-12)
 
@@ -403,7 +405,7 @@ class TestTables:
                 ("I", 100, "tikhonov:cv"): [0.9, 0.7],
             }
         )
-        regrets = regret_table(report)
+        regrets = regret_table(mean_misfe_table(report))
         assert all(abs(v) <= 1e-12 for v in regrets.values())
 
     def test_cells_without_results_are_nan(self):
@@ -413,18 +415,19 @@ class TestTables:
                 ("I", 200, "fpca:0.80"): [],
             }
         )
-        regrets = regret_table(report)
+        means = mean_misfe_table(report)
+        regrets = regret_table(means)
         assert regrets[("I", 100, "fpca:0.80")] == 0.0
         assert np.isnan(regrets[("I", 200, "fpca:0.80")])
-        worst = worst_case_table(report)
+        worst = worst_case_table(means)
         assert worst[("fpca:0.80", 100)] == 1.0
         assert np.isnan(worst[("fpca:0.80", 200)])
-        mean, _, count = mean_misfe_table(report)[("I", 200, "fpca:0.80")]
+        mean, _, count = means[("I", 200, "fpca:0.80")]
         assert np.isnan(mean) and count == 0
 
     def test_worst_case_single_regime(self):
         report = synthetic_report({("II", 100, "fpca:0.80"): [0.4, 0.6]})
-        assert worst_case_table(report)[("fpca:0.80", 100)] == pytest.approx(0.5)
+        assert worst_case_table(mean_misfe_table(report))[("fpca:0.80", 100)] == pytest.approx(0.5)
 
     def test_worst_case_max_across_regimes(self):
         report = synthetic_report(
@@ -434,7 +437,7 @@ class TestTables:
                 ("III", 100, "fpca:0.80"): [0.55],
             }
         )
-        assert worst_case_table(report)[("fpca:0.80", 100)] == pytest.approx(0.6)
+        assert worst_case_table(mean_misfe_table(report))[("fpca:0.80", 100)] == pytest.approx(0.6)
 
     def test_mean_table_excludes_failures(self):
         key = ("I", 100, "fpca:0.80")
@@ -494,12 +497,13 @@ def test_tables_match_per_record_reference(seed, regimes, sizes, replications, t
     failed[g, i, :, p] = True  # a cell without a success
     misfe[failed], tuning[failed] = np.nan, np.nan
     errors = np.where(failed, "NumericalError: synthetic", None)
-    report = BenchmarkReport(config, misfe, tuning, errors, np.zeros(len(methods)))
+    report = BenchmarkReport(config, misfe, tuning, errors)
 
     rows = record_rows(report)
-    assert same_table(mean_misfe_table(report), benchmark_reference.mean_table(rows, config))
-    assert same_table(regret_table(report), benchmark_reference.regret_table(rows, config))
-    assert same_table(worst_case_table(report), benchmark_reference.worst_case_table(rows, config))
+    means = mean_misfe_table(report)
+    assert same_table(means, benchmark_reference.mean_table(rows, config))
+    assert same_table(regret_table(means), benchmark_reference.regret_table(rows, config))
+    assert same_table(worst_case_table(means), benchmark_reference.worst_case_table(rows, config))
     assert same_table(tuning_summary(report), benchmark_reference.tuning_table(rows, config))
     try:
         slope = evaluate.rate_slope_from_report(report)
@@ -605,13 +609,13 @@ def batch_report(config: BenchmarkConfig, train, test) -> BenchmarkReport:
     """The report of a config of one batch, fitted and scored by ``_batch_records``."""
     shape = (1, 1, config.replications, len(config.methods))
     misfe, tuning = np.full(shape, np.nan), np.full(shape, np.nan)
-    errors, fit_seconds = np.full(shape, None, dtype=object), np.zeros(len(config.methods))
+    errors = np.full(shape, None, dtype=object)
     regime, log = config.regimes[0], RunLog()
     evaluate._batch_records(
         regime, train, test, coefficient_grid(regime), [parse_method(m) for m in config.methods],
-        log, [misfe[0, 0], tuning[0, 0], errors[0, 0], fit_seconds],
+        log, [misfe[0, 0], tuning[0, 0], errors[0, 0]],
     )
-    return BenchmarkReport(config, misfe, tuning, errors, fit_seconds, log)
+    return BenchmarkReport(config, misfe, tuning, errors, log)
 
 
 class TestRunLog:
@@ -627,6 +631,36 @@ class TestRunLog:
         assert sum(log.stage_seconds.values()) == 4.0 - 1.5
         assert log.mark == 4.0
 
+    def test_refit_members_lap_every_second_into_the_fit_methods_log(self, monkeypatch):
+        # a stub clock that ticks one second per reading: each lap takes one second
+        clock = iter(range(1, 100))
+        monkeypatch.setattr(evaluate.time, "perf_counter", lambda: float(next(clock)))
+        rng = np.random.default_rng(12)
+        # the constant member fails the stacked CV step, so both members are refitted alone
+        members = [ar_window(rng), np.ones((60, 12))]
+        stack = SpanCoordinates(np.stack(members), np.eye(12), unit_weight_grid(12), 12)
+        log = RunLog(mark=0.0)
+        ridge, cv = fit_methods(stack, ["tikhonov:0.1", "tikhonov:cv"], log=log)
+        assert not ridge.refit_alone.any() and cv.refit_alone.all()
+        assert cv.errors[0] is None and cv.errors[1].startswith("DegenerateSpectrumError:")
+        # the stack: decompose, the fixed ridge, the CV step that raised; each member:
+        # decompose and its CV fit, lapped twice by the constant member that fails alone;
+        # then the members' rows joined
+        assert log.stage_seconds == {
+            "decompose": 1 + 2, "fit:tikhonov:0.1": 1, "fit:tikhonov:cv": 1 + 1 + 2 + 1
+        }
+        assert sum(log.stage_seconds.values()) == log.mark == 9.0
+
+    def test_a_spec_without_a_label_laps_under_its_method_id(self, rng):
+        coords = span_coordinates(FunctionalSample(rng.standard_normal((60, 8)), uniform_grid(8)))
+        specs = [MethodSpec("fpca", tau=0.9), MethodSpec("fpca", k=2),
+                 MethodSpec("tikhonov", alpha=0.1), MethodSpec("tikhonov", cv=True)]
+        log = RunLog()
+        fit_methods(coords, specs, log=log)
+        ids = ["fpca:0.9", "fpca:K=2", "tikhonov:0.1", "tikhonov:cv"]
+        assert set(log.stage_seconds) == {"decompose", *(f"fit:{i}" for i in ids)}
+        assert [parse_method(i) for i in ids] == [replace(s, label=i) for s, i in zip(specs, ids)]
+
 
 class TestRunBenchmark:
     def test_stacked_batches_equal_per_replication_fits(self):
@@ -640,7 +674,9 @@ class TestRunBenchmark:
         assert record_fields(report) == per_replication_records(config)
         assert report.log.span_ranks == {40: 2 * 2 * (BATCH_SIZE + 2)}
         assert report.log.single_member_refits == 0
-        assert set(report.log.stage_seconds) == {"simulate", "fit", "score"}
+        assert set(report.log.stage_seconds) == {
+            "simulate", "decompose", *(f"fit:{label}" for label in config.methods), "score"
+        }
 
     def test_batch_with_an_uncertified_path_fits_each_path_alone(self):
         config = BenchmarkConfig(regimes=("II",), n_values=(100,), replications=BATCH_SIZE)
