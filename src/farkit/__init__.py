@@ -20,6 +20,7 @@ from .evaluate import (
     BenchmarkReport,
     TheoryProbe,
     fit_method,
+    mean_misfe_table,
     misfe,
     parse_method,
     rate_slope,

@@ -269,7 +269,7 @@ def cmd_benchmark(args) -> int:
     means, tunings = mean_misfe_table(report), tuning_summary(report)
     regrets, worst = regret_table(means), worst_case_table(means)
     try:
-        slope = rate_slope_from_report(report)
+        slope = rate_slope_from_report(tunings)
     except ValueError:
         slope = None  # fewer than two sample sizes, or no cross-validated cells
     write_records_csv(report, out / "records.csv")

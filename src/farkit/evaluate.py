@@ -30,7 +30,6 @@ from .moments import (
     FunctionalSample,
     OperatorEstimate,
     SpanCoordinates,
-    WeightedMomentPair,
     apply_kernel_matrix,
     centre_curves,
     full_rank_certified,
@@ -155,25 +154,24 @@ def fit_method(
     coords: SpanCoordinates,
     method: MethodSpec | str,
     *,
-    moments: WeightedMomentPair | None = None,
     decomposition: SpectralDecomposition | None = None,
     cv_scheme: str = "holdout",
 ):
     """Fit one estimator id to a sample in span coordinates; returns ``(estimate, cv)``.
 
-    For ``tikhonov:cv`` the strength is selected with ``cv_scheme`` and the
-    estimator is refitted on the full sample; ``cv`` is that selection's
-    ``CvResult`` (None for every other method). A stack is fitted in one
-    pass into one estimate and one selection, each with one row per
-    member; a failure of any member raises for the whole stack.
+    ``decomposition``, the ``spectra`` of the sample's moments, may be
+    shared by several methods. For ``tikhonov:cv`` the strength is
+    selected with ``cv_scheme`` and the estimator is refitted on the full
+    sample; ``cv`` is that selection's ``CvResult`` (None for every other
+    method). A stack is fitted in one pass into one estimate and one
+    selection, each with one row per member; a failure of any member
+    raises for the whole stack.
     """
     if isinstance(method, str):
         method = parse_method(method)
     cv = None
-    if moments is None:
-        moments = weighted_moments(coords)
     if decomposition is None:
-        decomposition = spectra(moments)
+        decomposition = spectra(weighted_moments(coords))
     if method.kind == "fpca":
         if method.k is not None:
             # one failure class for every K beyond the covariance's usable
@@ -183,17 +181,15 @@ def fit_method(
                 raise SingularSystemError(
                     f"K={method.k} exceeds the {usable} usable covariance directions"
                 )
-        est = fpca_far_fit(
-            coords, tau=method.tau, k=method.k, moments=moments, decomposition=decomposition
-        )
+        est = fpca_far_fit(coords, tau=method.tau, k=method.k, decomposition=decomposition)
     elif not method.cv:
-        est = tikhonov_fit(coords, method.alpha, moments=moments, decomposition=decomposition)
+        est = tikhonov_fit(coords, method.alpha, decomposition=decomposition)
     else:
         # perfbench's tracer reads the result of cv_select_alpha as one
         # CvResult, so a stack runs the same sweep under its private name
         select = _cv_select if coords.stacked else cv_select_alpha
         cv = select(coords, decomposition, scheme=cv_scheme)
-        est = tikhonov_fit(coords, cv.selected_alpha, moments=moments, decomposition=decomposition)
+        est = tikhonov_fit(coords, cv.selected_alpha, decomposition=decomposition)
     return est, cv
 
 
@@ -246,8 +242,7 @@ def fit_methods(coords: SpanCoordinates, methods, *, cv_scheme: str = "holdout",
     log = RunLog() if log is None else log
     methods = [parse_method(m) if isinstance(m, str) else m for m in methods]
     try:
-        moments = weighted_moments(coords)
-        decomposition = spectra(moments)
+        decomposition = spectra(weighted_moments(coords))
     except FIT_ERRORS as exc:
         return _failed_step(coords, methods, exc, cv_scheme, log)
     finally:
@@ -257,9 +252,7 @@ def fit_methods(coords: SpanCoordinates, methods, *, cv_scheme: str = "holdout",
     outcomes = []
     for method in methods:
         try:
-            est, cv = fit_method(
-                coords, method, moments=moments, decomposition=decomposition, cv_scheme=cv_scheme
-            )
+            est, cv = fit_method(coords, method, decomposition=decomposition, cv_scheme=cv_scheme)
         except FIT_ERRORS as exc:
             log.lap(f"fit:{method.id}")
             outcomes += _failed_step(coords, [method], exc, cv_scheme, log)
@@ -700,11 +693,10 @@ def rate_slope(points) -> float:
     return float(slope)
 
 
-def rate_slope_from_report(report: BenchmarkReport) -> float:
-    """Pooled tuning-rate slope of every cross-validated ridge cell."""
-    summary = tuning_summary(report)
+def rate_slope_from_report(tunings: dict) -> float:
+    """Pooled tuning-rate slope of every cross-validated ridge cell of a ``tuning_summary``."""
     points = []
-    for (regime, n, label), value in summary.items():
+    for (regime, n, label), value in tunings.items():
         if parse_method(label).cv and np.isfinite(value):
             points.append((n, value))
     return rate_slope(points)
@@ -732,8 +724,9 @@ class TheoryProbe:
         # NaN fails every comparison, so a non-finite probe could never fail its check
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ValueError("smoothness exponent beta must be positive and finite")
-        if not math.isfinite(self.rho):
-            raise ValueError("the bound rho must be finite")
+        # a zero bound would make every bias/bound ratio a division by zero
+        if not (self.rho > 0 and math.isfinite(self.rho)):
+            raise ValueError("the bound rho must be positive and finite")
         factor = np.asarray(self.factor, dtype=float)
         lambdas = np.asarray(self.lambdas, dtype=float)
         if lambdas.ndim != 1 or lambdas.size == 0:
@@ -773,7 +766,9 @@ class TheoryProbe:
         if n_components < 1:
             raise ValueError("a probe needs at least one component")
         k = np.arange(1, n_components + 1, dtype=float)
-        lambdas = eigen_scale * k ** (-eigen_decay)
+        # an overflow to inf is rejected with the other non-finite eigenvalues
+        with np.errstate(over="ignore"):
+            lambdas = eigen_scale * k ** (-eigen_decay)
         profile = 1.0 / k
         factor = np.diag(profile * (rho / np.linalg.norm(profile)))
         return cls(beta=beta, rho=rho, factor=factor, lambdas=lambdas)
@@ -874,10 +869,10 @@ def run_verification_suite(probes=None, seed: int = 1234) -> list:
     for _ in range(5):
         n, m = int(rng.integers(40, 90)), int(rng.integers(8, 24))
         coords = span_coordinates(FunctionalSample(rng.standard_normal((n, m)), uniform_grid(m)))
-        mom = weighted_moments(coords)
-        dec = eigendecompose(mom)
+        dec = eigendecompose(weighted_moments(coords))
+        mom = dec.moments
         for alpha in alphas[::6]:
-            est = tikhonov_fit(coords, alpha, moments=mom, decomposition=dec)
+            est = tikhonov_fit(coords, alpha, decomposition=dec)
             dense = np.linalg.solve((mom.c0 + alpha * np.eye(coords.dim)).T, mom.c1.T).T
             rel = float(np.linalg.norm(est.matrix - dense)) / max(
                 float(np.linalg.norm(dense)), 1e-300
@@ -898,12 +893,9 @@ def run_verification_suite(probes=None, seed: int = 1234) -> list:
         n = 4 * m
         sample = FunctionalSample(rng.standard_normal((n, m)), uniform_grid(m))
         coords = span_coordinates(sample)
-        mom = weighted_moments(coords)
-        dec = eigendecompose(mom)
-        full = fpca_far_fit(coords, k=m, moments=mom, decomposition=dec)
-        ridge = tikhonov_fit(
-            coords, 1e-12 * float(dec.eigenvalues[0]), moments=mom, decomposition=dec
-        )
+        dec = eigendecompose(weighted_moments(coords))
+        full = fpca_far_fit(coords, k=m, decomposition=dec)
+        ridge = tikhonov_fit(coords, 1e-12 * float(dec.eigenvalues[0]), decomposition=dec)
         x = sample.values[-1:]
         a = apply_kernel_matrix(full, x)
         b = apply_kernel_matrix(ridge, x)

@@ -63,13 +63,17 @@ NEGATIVE_EIGENVALUE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (nonincreasing, clamped >= 0) and eigenvectors of the covariance.
+    """The spectrum of a sample's covariance, carried with the sample's moments.
 
-    A stack's decomposition carries its leading axis on both arrays.
+    Eigenvalues are nonincreasing and clamped >= 0. ``moments`` is the
+    pair whose ``c0`` was decomposed; both estimators read its lag-one
+    moment ``c1`` through this spectrum. A stack's decomposition carries
+    its leading axis on every array.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray  # orthonormal columns in span coordinates
+    moments: WeightedMomentPair
 
 
 def eigendecompose(moments: WeightedMomentPair) -> SpectralDecomposition:
@@ -78,7 +82,7 @@ def eigendecompose(moments: WeightedMomentPair) -> SpectralDecomposition:
     Eigenvalues are sorted nonincreasing and clamped at zero; ``checked_eigh``
     holds the checks, which raise NumericalError.
     """
-    return SpectralDecomposition(*checked_eigh(moments.c0))
+    return SpectralDecomposition(*checked_eigh(moments.c0), moments)
 
 
 def spectra(moments: WeightedMomentPair) -> SpectralDecomposition:
@@ -91,7 +95,7 @@ def spectra(moments: WeightedMomentPair) -> SpectralDecomposition:
     # one sample's dimension, so a stack must not pass through it
     if moments.c0.ndim == 2:
         return eigendecompose(moments)
-    return SpectralDecomposition(*checked_eigh(moments.c0))
+    return SpectralDecomposition(*checked_eigh(moments.c0), moments)
 
 
 def checked_eigh(c0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,15 +166,15 @@ def fpca_far_fit(
     tau: float | None = None,
     k: int | None = None,
     *,
-    moments: WeightedMomentPair | None = None,
     decomposition: SpectralDecomposition | None = None,
 ) -> OperatorEstimate:
     """Fit the rank-K truncation estimator of the autoregression kernel.
 
     Exactly one of ``tau`` (cumulative variance threshold) and ``k``
-    (explicit truncation level) must be given. Precomputed moments and/or
-    the eigendecomposition can be passed to avoid repeating the dominant
-    O(r^3) work when several truncation levels are fitted to one sample.
+    (explicit truncation level) must be given. The decomposition of the
+    sample's moments (``spectra``), which carries those moments, can be
+    passed to avoid repeating the dominant O(r^3) work when several
+    truncation levels are fitted to one sample.
 
     The returned estimate reproduces the score-space prediction: scoring a
     curve against the leading eigenfunctions, advancing the scores one step
@@ -185,10 +189,8 @@ def fpca_far_fit(
         raise ValueError("give exactly one of tau and k")
     if isinstance(coords, FunctionalSample):
         coords = span_coordinates(coords)
-    if moments is None:
-        moments = weighted_moments(coords)
     if decomposition is None:
-        decomposition = spectra(moments)
+        decomposition = spectra(weighted_moments(coords))
     lam = decomposition.eigenvalues
     if tau is not None:
         k = select_k(lam, tau)
@@ -208,7 +210,9 @@ def fpca_far_fit(
             f"score Gram matrix is numerically singular at K={k} "
             f"(condition above {GRAM_CONDITION_LIMIT:.0e})"
         )
-    matrices = _truncation_matrices(moments.c1, lam, decomposition.vectors, ks, k_values)
+    matrices = _truncation_matrices(
+        decomposition.moments.c1, lam, decomposition.vectors, ks, k_values
+    )
     tuning = {"k": ks.tolist()} if tau is None else {"k": ks.tolist(), "tau": float(tau)}
     return OperatorEstimate(matrices, coords, method="fpca", tuning=tuning)
 

@@ -426,9 +426,10 @@ def smooth_days(day_values: np.ndarray, config: PipelineConfig) -> np.ndarray:
         raise ValueError(f"day rows must have {SLOTS_PER_DAY} values")
     midpoints = (np.arange(SLOTS_PER_DAY) + 0.5) / SLOTS_PER_DAY
     design = _design_matrix(midpoints, config.n_basis)
-    if np.linalg.matrix_rank(design) < config.n_basis:
+    # lstsq's rank uses matrix_rank's rule, s > max(M, N) * eps * s_max
+    coeffs, _, rank, _ = np.linalg.lstsq(design, day_values.T, rcond=None)
+    if rank < config.n_basis:
         raise NumericalError("B-spline design matrix is rank deficient")
-    coeffs, *_ = np.linalg.lstsq(design, day_values.T, rcond=None)
     grid = uniform_grid(config.output_grid_size)
     return (_design_matrix(grid.points, config.n_basis) @ coeffs).T
 

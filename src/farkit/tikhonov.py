@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, InsufficientDataError, NumericalError
 from .fpca import SpectralDecomposition, checked_eigh, spectra
-from .moments import OperatorEstimate, SpanCoordinates, WeightedMomentPair, weighted_moments
+from .moments import OperatorEstimate, SpanCoordinates, weighted_moments
 
 __all__ = [
     "HOLDOUT_ALPHAS",
@@ -63,45 +63,44 @@ def tikhonov_fit(
     coords: SpanCoordinates,
     alpha,
     *,
-    moments: WeightedMomentPair | None = None,
     decomposition: SpectralDecomposition | None = None,
 ):
     """Ridge estimate of the autoregression operator at a fixed strength.
 
     Computes C1 (C0 + alpha I)^{-1} in span coordinates through the
-    spectral decomposition of C0. Precomputed moments of ``coords`` and
-    the decomposition of their ``c0`` skip the O(r^3) work. A stack is
-    fitted at one strength or at one strength per member, into one
-    estimate.
+    spectral decomposition of C0. A precomputed decomposition of the
+    moments of ``coords`` (``spectra``), which carries C1 with it, skips
+    the O(r^3) work. A stack is fitted at one strength or at one strength
+    per member, into one estimate.
     """
     alpha = np.asarray(alpha, dtype=float)
     if not (alpha > 0).all():
         raise ValueError(f"ridge strength must be positive, got {alpha}")
-    if moments is None:
-        moments = weighted_moments(coords)
     if decomposition is None:
-        decomposition = spectra(moments)
+        decomposition = spectra(weighted_moments(coords))
     lam = decomposition.eigenvalues
     q = decomposition.vectors
     filters = (lam + alpha[..., None])[..., None, :]
-    psi = ((moments.c1 @ q) / filters) @ q.swapaxes(-1, -2)
+    psi = ((decomposition.moments.c1 @ q) / filters) @ q.swapaxes(-1, -2)
     tuning = {"alpha": (np.zeros(lam.shape[:-1]) + alpha).tolist()}
     return OperatorEstimate(psi, coords, method="tikhonov", tuning=tuning)
 
 
-def _block_losses(mom: WeightedMomentPair, lam, q, lag_values, target_values, alphas):
+def _block_losses(decomposition: SpectralDecomposition, lag_values, target_values, alphas):
     """Mean squared one-step errors of one validation block, one per alpha.
 
-    ``mom`` holds the training moments and ``lam``, ``q`` the spectrum of
-    their ``c0``. Lags and targets are centred at the training mean before
-    rotation, because the fitted operator models fluctuations around that
-    mean. With ``B = C1 Q``, ``r = Q^T lag`` and the ridge filter
-    ``d_a = 1 / (lam + alpha_a)``, the error ``||z - B diag(d_a) r||^2``
-    expands into a constant, a linear and a quadratic form in ``d_a``, so
-    the filters of all strengths, stacked as the rows of one (A, r)
-    matrix, are scored by one matrix product. Every argument may carry
-    the leading axis of a stack, and the losses then carry it too.
+    ``decomposition`` is the spectrum ``lam``, ``Q`` of the training
+    covariance, with the training moments. Lags and targets are centred
+    at the training mean before rotation, because the fitted operator
+    models fluctuations around that mean. With ``B = C1 Q``,
+    ``r = Q^T lag`` and the ridge filter ``d_a = 1 / (lam + alpha_a)``,
+    the error ``||z - B diag(d_a) r||^2`` expands into a constant, a
+    linear and a quadratic form in ``d_a``, so the filters of all
+    strengths, stacked as the rows of one (A, r) matrix, are scored by
+    one matrix product. Every argument may carry the leading axis of a
+    stack, and the losses then carry it too.
     """
+    mom, lam, q = decomposition.moments, decomposition.eigenvalues, decomposition.vectors
     mean = mom.mean[..., None, :]
     z_tgt = target_values - mean
     rotated_lags = (lag_values - mean) @ q
@@ -195,9 +194,7 @@ def _cv_select(coords: SpanCoordinates, decomposition: SpectralDecomposition, sc
     losses = np.mean(
         [
             _block_losses(
-                mom,
-                lam_b,
-                q_b,
+                SpectralDecomposition(lam_b, q_b, mom),
                 values[..., start - 1 : stop - 1, :],
                 values[..., start:stop, :],
                 alphas,

@@ -111,9 +111,8 @@ def forecast_error_sweep(train, test, alphas):
     coords = span_coordinates(train)
     mean = coords.values.mean(axis=0)
     lags, targets = coords.encode(test.values[:-1]), coords.encode(test.values[1:])
-    mom = weighted_moments(coords)
-    dec = eigendecompose(mom)
-    return _block_losses(mom, dec.eigenvalues, dec.vectors, lags + mean, targets + mean, alphas)
+    dec = eigendecompose(weighted_moments(coords))
+    return _block_losses(dec, lags + mean, targets + mean, alphas)
 
 
 def test_criterion_01_ridge_oracle_equivalence():
@@ -126,10 +125,10 @@ def test_criterion_01_ridge_oracle_equivalence():
             m = int(rng.integers(11, 42))
             g = uniform_grid(m)
             coords = span_coordinates(FunctionalSample(rng.standard_normal((n, m)), g))
-            mom = weighted_moments(coords)
-            dec = eigendecompose(mom)
+            dec = eigendecompose(weighted_moments(coords))
+            mom = dec.moments
             for alpha in alphas:
-                est = tikhonov_fit(coords, alpha, moments=mom, decomposition=dec)
+                est = tikhonov_fit(coords, alpha, decomposition=dec)
                 dense = np.linalg.solve(
                     (mom.c0 + alpha * np.eye(coords.dim)).T, mom.c1.T
                 ).T
@@ -167,12 +166,9 @@ def test_criterion_03_truncation_ridge_limit():
             n = int(rng.integers(max(m + 1, 3 * m), 121))
             sample = FunctionalSample(rng.standard_normal((n, m)), uniform_grid(m))
             coords = span_coordinates(sample)
-            mom = weighted_moments(coords)
-            dec = eigendecompose(mom)
-            full = fpca_far_fit(coords, k=m, moments=mom, decomposition=dec)
-            ridge = tikhonov_fit(
-                coords, 1e-12 * dec.eigenvalues[0], moments=mom, decomposition=dec
-            )
+            dec = eigendecompose(weighted_moments(coords))
+            full = fpca_far_fit(coords, k=m, decomposition=dec)
+            ridge = tikhonov_fit(coords, 1e-12 * dec.eigenvalues[0], decomposition=dec)
             x = sample.values[-1:]
             a = apply_kernel_matrix(full, x)
             b = apply_kernel_matrix(ridge, x)
@@ -272,18 +268,14 @@ def test_criterion_07_rate_slope(benchmark_report):
             oracle_log_alphas.setdefault((regime, n), []).append(np.log10(grid[best]))
             if rep == 0:
                 coords = span_coordinates(train)
-                mom = weighted_moments(coords)
-                dec = eigendecompose(mom)
+                dec = eigendecompose(weighted_moments(coords))
                 naive = np.array(
-                    [
-                        misfe(tikhonov_fit(coords, a, moments=mom, decomposition=dec), test)
-                        for a in grid
-                    ]
+                    [misfe(tikhonov_fit(coords, a, decomposition=dec), test) for a in grid]
                 )
                 assert np.abs(losses - naive).max() <= 1e-9 * np.abs(naive).max()
                 assert best == int(np.argmin(naive)), (regime, n)
         oracle_slope = rate_slope((n, np.mean(v)) for (_, n), v in oracle_log_alphas.items())
-        cv_slope = rate_slope_from_report(benchmark_report)
+        cv_slope = rate_slope_from_report(tuning_summary(benchmark_report))
         message = (
             f"CV slope {cv_slope:.3f}, oracle slope {oracle_slope:.3f}, "
             "a-priori strength slope in [-0.50, -0.25]"

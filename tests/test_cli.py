@@ -205,8 +205,9 @@ class TestBenchmarkCommand:
             "single_member_refits", "cv_edge_selections", "stage_seconds",
         }
 
-    def test_the_mean_table_is_derived_once(self, tmp_path, monkeypatch):
-        calls, derive = [], evaluate.mean_misfe_table
+    @pytest.mark.parametrize("table", ["mean_misfe_table", "tuning_summary"])
+    def test_each_table_is_derived_once(self, tmp_path, monkeypatch, table):
+        calls, derive = [], getattr(evaluate, table)
 
         def counted(report):
             calls.append(report)
@@ -214,11 +215,15 @@ class TestBenchmarkCommand:
 
         # every binding that holds the function
         for module in (evaluate, cli):
-            monkeypatch.setattr(module, "mean_misfe_table", counted)
+            monkeypatch.setattr(module, table, counted)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"replications": 2, "n_values": [100, 200]}))
-        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        out = tmp_path / "b"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(calls) == 1
+        # the slope is read from the one tuning table
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rate_slope_log10_alpha_vs_log10_n"] is not None
 
     def test_wall_clock_is_the_stages_before_writing(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -574,11 +579,14 @@ FIT = ["fit", "--method", "fpca:0.9", "--input", "sample.csv"]
         (VERIFY, {"probes.json": {"probes": [{"beta": 1.0, "n_components": True}]}}, 2),
         (VERIFY, {"probes.json": {"probes": [{"beta": 1.0, "gamma": 2.0}]}}, 2),
         (VERIFY, {"probes.json": {"probes": [{"rho": 1.0}]}}, 2),
+        (VERIFY, {"probes.json": {"probes": [{"beta": 1, "rho": 0}]}}, 2),
+        (VERIFY, {"probes.json": {"probes": [{"beta": 1, "eigen_decay": -5000}]}}, 2),
         (FIT, {"sample.meta.json": {"schema_version": 1, "grid_points": {"a": 1}}}, 1),
     ],
     ids=["negative-seed", "probes-not-object", "probe-not-object", "probe-null",
          "probe-nan", "probe-bool", "probe-string", "probe-fractional-components",
-         "probe-bool-components", "probe-unknown-key", "probe-no-beta", "grid-points-object"],
+         "probe-bool-components", "probe-unknown-key", "probe-no-beta", "probe-zero-rho",
+         "probe-overflowing-eigenvalues", "grid-points-object"],
 )
 def test_bad_outside_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code):
     monkeypatch.chdir(tmp_path)

@@ -504,9 +504,10 @@ def test_tables_match_per_record_reference(seed, regimes, sizes, replications, t
     assert same_table(means, benchmark_reference.mean_table(rows, config))
     assert same_table(regret_table(means), benchmark_reference.regret_table(rows, config))
     assert same_table(worst_case_table(means), benchmark_reference.worst_case_table(rows, config))
-    assert same_table(tuning_summary(report), benchmark_reference.tuning_table(rows, config))
+    tunings = tuning_summary(report)
+    assert same_table(tunings, benchmark_reference.tuning_table(rows, config))
     try:
-        slope = evaluate.rate_slope_from_report(report)
+        slope = evaluate.rate_slope_from_report(tunings)
     except ValueError:
         slope = None
     assert slope == benchmark_reference.cv_slope(rows, config)
@@ -539,12 +540,12 @@ class TestRateSlope:
         config = BenchmarkConfig(
             regimes=("II",), n_values=(100, 400), methods=methods, replications=4, master_seed=5
         )
-        report = run_benchmark(config)
+        tunings = tuning_summary(run_benchmark(config))
         if slope is None:
             with pytest.raises(ValueError):
-                evaluate.rate_slope_from_report(report)
+                evaluate.rate_slope_from_report(tunings)
         else:
-            assert evaluate.rate_slope_from_report(report) == pytest.approx(slope, rel=1e-12)
+            assert evaluate.rate_slope_from_report(tunings) == pytest.approx(slope, rel=1e-12)
 
 
 def batches(config: BenchmarkConfig):

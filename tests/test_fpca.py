@@ -208,23 +208,21 @@ class TestFpcaFarFit:
     def test_sign_flip_invariance(self, rng):
         g = uniform_grid(8)
         coords = span_coordinates(FunctionalSample(rng.standard_normal((40, 8)), g))
-        mom = weighted_moments(coords)
-        dec = eigendecompose(mom)
+        dec = eigendecompose(weighted_moments(coords))
         flipped = SpectralDecomposition(
-            dec.eigenvalues, dec.vectors * np.array([1, -1, 1, -1, 1, 1, -1, 1])
+            dec.eigenvalues, dec.vectors * np.array([1, -1, 1, -1, 1, 1, -1, 1]), dec.moments
         )
-        a = fpca_far_fit(coords, k=3, moments=mom, decomposition=dec).kernel
-        b = fpca_far_fit(coords, k=3, moments=mom, decomposition=flipped).kernel
+        a = fpca_far_fit(coords, k=3, decomposition=dec).kernel
+        b = fpca_far_fit(coords, k=3, decomposition=flipped).kernel
         assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
 
     def test_full_rank_matches_vanishing_ridge(self, rng):
         g = uniform_grid(7)
         sample = FunctionalSample(rng.standard_normal((35, 7)), g)
         coords = span_coordinates(sample)
-        mom = weighted_moments(coords)
-        dec = eigendecompose(mom)
-        full = fpca_far_fit(coords, k=7, moments=mom, decomposition=dec)
-        ridge = tikhonov_fit(coords, 1e-12 * dec.eigenvalues[0], moments=mom, decomposition=dec)
+        dec = eigendecompose(weighted_moments(coords))
+        full = fpca_far_fit(coords, k=7, decomposition=dec)
+        ridge = tikhonov_fit(coords, 1e-12 * dec.eigenvalues[0], decomposition=dec)
         x = sample.values[-1:]
         a = apply_kernel_matrix(full, x)
         b = apply_kernel_matrix(ridge, x)

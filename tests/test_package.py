@@ -22,6 +22,13 @@ def test_all_names_resolve(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
+def test_the_benchmark_tables_are_exported():
+    # the README's "Removed public names" table points readers to
+    # regret_table(means) with means = mean_misfe_table(report)
+    for name in ("mean_misfe_table", "regret_table", "worst_case_table", "tuning_summary"):
+        assert getattr(farkit, name) is getattr(farkit.evaluate, name)
+
+
 def test_readme_quick_tour_runs():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     tour = readme.split("## Library quick tour", 1)[1]

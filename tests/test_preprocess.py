@@ -11,7 +11,7 @@ import bspline_reference
 import dense_reference
 import raw_reference
 from rolling_rows import forecast_rows
-from farkit.errors import InsufficientDataError, SingularSystemError
+from farkit.errors import InsufficientDataError, NumericalError, SingularSystemError
 from farkit.evaluate import FIT_ERRORS, fit_method
 from farkit.grid import uniform_grid
 from farkit.moments import FunctionalSample, apply_kernel_matrix, span_coordinates
@@ -436,6 +436,12 @@ class TestPreprocessCurves:
         combo = smooth_days((2.0 * a - 0.5 * b)[None, :], cfg)[0]
         parts = 2.0 * smooth_days(a[None, :], cfg)[0] - 0.5 * smooth_days(b[None, :], cfg)[0]
         assert np.abs(combo - parts).max() <= 1e-10
+
+    @pytest.mark.parametrize("n_basis", [49, 50])
+    def test_more_splines_than_the_slots_resolve_are_rejected(self, rng, n_basis):
+        # a design of 48 slot midpoints cannot have 49 or 50 independent columns
+        with pytest.raises(NumericalError):
+            smooth_days(rng.standard_normal((3, SLOTS_PER_DAY)), PipelineConfig(n_basis=n_basis))
 
     def test_two_point_weekday_centering(self):
         # two days per weekday; the pair of Mondays centers to +/- half

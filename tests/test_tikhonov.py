@@ -92,39 +92,39 @@ class TestTikhonovFit:
     def test_diagonal_case(self):
         d = np.array([4.0, 2.0, 1.0, 0.5])
         c = np.array([1.0, -2.0, 0.5, 3.0])
-        pair = moment_pair(np.diag(d), np.diag(c))
-        est = tikhonov_fit(rotation_coordinates(4), alpha=0.25, moments=pair)
+        dec = eigendecompose(moment_pair(np.diag(d), np.diag(c)))
+        est = tikhonov_fit(rotation_coordinates(4), alpha=0.25, decomposition=dec)
         assert np.allclose(est.matrix, np.diag(c / (d + 0.25)), atol=1e-12)
         assert est.method == "tikhonov"
         assert est.tuning == {"alpha": 0.25}
 
     def test_zero_cross_moment(self, rng):
         coords = rotation_coordinates(5, uniform_grid(5))
-        pair = moment_pair(random_spd(rng, 5), np.zeros((5, 5)))
+        dec = eigendecompose(moment_pair(random_spd(rng, 5), np.zeros((5, 5))))
         for alpha in (1e-4, 0.1, 10.0):
-            assert np.allclose(tikhonov_fit(coords, alpha, moments=pair).kernel, 0.0)
+            assert np.allclose(tikhonov_fit(coords, alpha, decomposition=dec).kernel, 0.0)
 
     def test_dense_solve_oracle(self, rng):
         c0t = random_spd(rng, 8)
         c1t = rng.standard_normal((8, 8))
-        pair = moment_pair(c0t, c1t)
+        dec = eigendecompose(moment_pair(c0t, c1t))
         alpha = 0.1
-        est = tikhonov_fit(rotation_coordinates(8), alpha, moments=pair)
+        est = tikhonov_fit(rotation_coordinates(8), alpha, decomposition=dec)
         dense = np.linalg.solve((c0t + alpha * np.eye(8)).T, c1t.T).T
         got = est.matrix
         assert np.linalg.norm(got - dense) <= 1e-10 * np.linalg.norm(dense)
 
     def test_alpha_must_be_positive(self, rng):
-        pair = moment_pair(np.eye(3), np.eye(3))
+        dec = eigendecompose(moment_pair(np.eye(3), np.eye(3)))
         for alpha in (0.0, -1.0):
             with pytest.raises(ValueError):
-                tikhonov_fit(rotation_coordinates(3), alpha, moments=pair)
+                tikhonov_fit(rotation_coordinates(3), alpha, decomposition=dec)
 
     def test_resolvent_norm_nonincreasing_in_alpha(self, rng):
         coords = rotation_coordinates(7)
-        pair = moment_pair(random_spd(rng, 7), rng.standard_normal((7, 7)))
+        dec = eigendecompose(moment_pair(random_spd(rng, 7), rng.standard_normal((7, 7))))
         norms = [
-            np.linalg.norm(tikhonov_fit(coords, a, moments=pair).matrix, 2)
+            np.linalg.norm(tikhonov_fit(coords, a, decomposition=dec).matrix, 2)
             for a in HOLDOUT_ALPHAS
         ]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
@@ -132,10 +132,11 @@ class TestTikhonovFit:
     def test_large_alpha_bound(self, rng):
         c0t = random_spd(rng, 6)
         c1t = rng.standard_normal((6, 6))
-        pair = moment_pair(c0t, c1t)
+        dec = eigendecompose(moment_pair(c0t, c1t))
         lam1 = np.linalg.eigvalsh(c0t).max()
         alpha = 1e6 * lam1
-        norm = np.linalg.norm(tikhonov_fit(rotation_coordinates(6), alpha, moments=pair).matrix, 2)
+        est = tikhonov_fit(rotation_coordinates(6), alpha, decomposition=dec)
+        norm = np.linalg.norm(est.matrix, 2)
         assert norm <= np.linalg.norm(c1t, 2) / alpha * (1 + 1e-10)
 
 
