@@ -14,7 +14,7 @@ Output files by command:
                    regret.csv   (regime,n,method,mean_misfe,count,regret_pct)
                    worst_case.csv (method,n,worst_mean_misfe)
                    tuning.csv   (regime,n,method,mean_tuning)
-                   summary.json (rate slope, wall clock, stage seconds, span ranks,
+                   summary.json (rate slope, wall clock, stage seconds,
                    single-member refits, CV grid-edge selections per regime,
                    resolved config)
 * ``rolling``   -> forecasts.csv (date,method,ise,alpha_or_k,refit_flag)
@@ -105,11 +105,19 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
+def _read_json(path):
+    """The parsed JSON file at ``path``; a file that does not parse raises ValueError naming it."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_meta(path: Path) -> dict | None:
     if not path.exists():
         return None
-    with open(path) as handle:
-        meta = json.load(handle)
+    meta = _read_json(path)
     version = meta.get("schema_version") if isinstance(meta, dict) else None
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {version!r}")
@@ -219,10 +227,7 @@ def cmd_fit(args) -> int:
 
 
 def _load_benchmark_config(args) -> BenchmarkConfig:
-    data = {}
-    if args.config:
-        with open(args.config) as handle:
-            data = json.load(handle)
+    data = _read_json(args.config) if args.config else {}
     config = BenchmarkConfig.from_dict(data)
     # command-line flags override config-file values override defaults
     flags = dict(replications=args.replications, master_seed=args.seed)
@@ -303,7 +308,6 @@ def cmd_benchmark(args) -> int:
             "wall_clock_seconds": wall_clock,
             "failed_fits": int(report.failed.sum()),
             "failures_by_class": _failures_by_class(report.errors.flat),
-            "span_ranks": log.span_ranks,
             "single_member_refits": log.single_member_refits,
             "cv_edge_selections": log.cv_edge_selections,
             "stage_seconds": log.stage_seconds,
@@ -440,8 +444,7 @@ _PROBE_PARAMETERS = {"beta": float, "n_components": int, "eigen_decay": float, "
 
 
 def _load_probes(path) -> list:
-    with open(path) as handle:
-        data = json.load(handle)
+    data = _read_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("probes"), list):
         raise ValueError("probe config must be a JSON object with a nonempty 'probes' list")
     if not data["probes"]:

@@ -32,7 +32,6 @@ from .moments import (
     SpanCoordinates,
     apply_kernel_matrix,
     centre_curves,
-    full_rank_certified,
     span_coordinates,
     weighted_moments,
 )
@@ -316,30 +315,22 @@ def misfe(op: OperatorEstimate, test: FunctionalSample) -> float:
     coords = op.coordinates
     if test.grid.size != coords.grid.size or coords.stacked:
         raise GridError("test path must be on the grid of an estimate of one sample")
-    return float(_path_misfe(op.matrix[None], *_encode_path(coords, test.values[None]))[0])
-
-
-def _encode_path(coords: SpanCoordinates, values: np.ndarray):
-    """Span coordinates (B, T, r) of B paths (B, T, M) and each path's out-of-span energy (B,).
-
-    The energy ``sum_w x^2 - ||enc x||^2`` of a path's curves 2..T is 0
-    when the span fills the grid.
-    """
-    encoded = coords.encode(values)
-    outside = np.zeros(len(values))
+    encoded = coords.encode(test.values)
+    # the energy sum_w x^2 - ||enc x||^2 of curves 2..T, 0 when the span fills the grid
+    outside = 0.0
     if coords.dim < coords.grid.size:
-        inside = (encoded[:, 1:] ** 2).reshape(len(values), -1)
-        outside = np.sum(values[:, 1:] ** 2 @ coords.grid.weights, axis=-1) - inside.sum(axis=-1)
-    return encoded, outside
+        outside = np.sum(test.values[1:] ** 2 @ coords.grid.weights) - np.sum(encoded[1:] ** 2)
+    return float(_path_misfe(op.matrix[None], encoded[None], outside)[0])
 
 
-def _path_misfe(matrices: np.ndarray, encoded: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    """``misfe`` (B,) of B r x r operator matrices, each on its path encoded by ``_encode_path``.
+def _path_misfe(matrices: np.ndarray, encoded: np.ndarray, outside=0.0) -> np.ndarray:
+    """``misfe`` (B,) of B r x r operator matrices, each on its path (B, T, r) in their coordinates.
 
-    Numpy's stacked matmul calls BLAS once per path, with the shapes of
-    that path scored alone, and each path's squares are summed as one
-    contiguous row, so every error has the bits of its path scored alone.
-    A matrix of NaN (a failed fit) gives NaN.
+    ``outside`` adds each path's energy outside the span. Numpy's stacked
+    matmul calls BLAS once per path, with the shapes of that path scored
+    alone, and each path's squares are summed as one contiguous row, so
+    every error has the bits of its path scored alone. A matrix of NaN (a
+    failed fit) gives NaN.
     """
     product = encoded[:, :-1] @ matrices.swapaxes(-1, -2)
     squares = np.square(np.subtract(encoded[:, 1:], product, out=product), out=product)
@@ -443,15 +434,13 @@ class RunLog:
 
     ``lap(stage)`` adds the seconds since the previous lap, or since the
     log was made, to ``stage``, so the stages add up to the run's wall
-    time. ``count`` adds one fitted group: its members by the rank of
-    their span (``span_ranks``), those refitted alone after their stack's
-    step raised (``single_member_refits``), and under ``key`` its
-    ``tikhonov:cv`` fits whose strength is the first or last candidate of
-    their grid (``cv_edge_selections``).
+    time. ``count`` adds one fitted group: its members refitted alone
+    after their stack's step raised (``single_member_refits``), and under
+    ``key`` its ``tikhonov:cv`` fits whose strength is the first or last
+    candidate of their grid (``cv_edge_selections``).
     """
 
     stage_seconds: Counter = field(default_factory=Counter)
-    span_ranks: Counter = field(default_factory=Counter)
     single_member_refits: int = 0
     cv_edge_selections: Counter = field(default_factory=Counter)
     mark: float = field(default_factory=time.perf_counter)
@@ -461,9 +450,8 @@ class RunLog:
         self.stage_seconds[stage] += now - self.mark
         self.mark = now
 
-    def count(self, key, rank: int, fitted) -> None:
-        """Count one group: ``fitted`` holds each method's ``FitOutcome`` for members of span ``rank``."""
-        self.span_ranks[rank] += len(fitted[0].errors)
+    def count(self, key, fitted) -> None:
+        """Count one group: ``fitted`` holds each method's ``FitOutcome`` for its members."""
         # a member counts once, however many of its methods were refit alone
         self.single_member_refits += int(np.any([o.refit_alone for o in fitted], axis=0).sum())
         self.cv_edge_selections[key] += sum(int(o.cv_at_grid_edge.sum()) for o in fitted)
@@ -510,19 +498,18 @@ def run_benchmark(config: BenchmarkConfig) -> BenchmarkReport:
     forecast error and the resolved tuning value. Fit failures are
     recorded on the cell and never abort the run. The report is a pure
     function of the config (timings aside). Besides its columns its
-    ``log`` counts the training paths, and per regime the CV grid-edge
-    selections, and laps the stages ``simulate``, ``decompose``,
+    ``log`` counts the members refitted alone, and per regime the CV
+    grid-edge selections, and laps the stages ``simulate``, ``decompose``,
     ``fit:<method id>`` and ``score``.
 
     Paths stay in the simulator's J Fourier coefficients, on a unit-weight
     grid of J points: the basis is orthonormal under the regime grid's
     quadrature, so fits and forecast errors there equal those of the
     expanded curves up to rounding. A cell's replications are simulated
-    ``BATCH_SIZE`` at a time by one recursion and fitted by
-    ``_batch_records``: as stacks of at most ``STACK_CURVES`` training
-    curves when every path of the batch is certified to have full rank,
-    otherwise each path alone. Either way each path's results have the
-    bits of the path fitted alone.
+    ``BATCH_SIZE`` at a time by one recursion and fitted and scored by
+    ``_batch_records`` in those J centred coefficients, as stacks of at
+    most ``STACK_CURVES`` training curves; each path's results have the
+    bits of the path fitted alone in them.
     """
     log = RunLog()
     methods = [parse_method(label) for label in config.methods]
@@ -563,38 +550,30 @@ def _batch_records(regime, train, test, grid, methods, log: RunLog, columns) -> 
     ``columns`` are the batch's (R, methods) rows of the report's
     ``misfe``, ``tuning`` and ``errors``, written in place.
 
-    When ``full_rank_certified`` certifies every training path, ``train``
-    is centred in place and fitted as stacks of at most ``STACK_CURVES``
-    curves in the identity basis, each stack in one ``fit_methods`` call;
-    otherwise each path is fitted alone in its ``span_coordinates``. A
-    stack member's fit has the bits of the path alone, and so have its
-    results. Each group of paths is scored as soon as it is fitted: its
-    test paths are encoded once in their training paths' coordinates, and
-    each method scores them in one stacked product, with the bits
-    ``misfe`` gives each path alone. The fits lap into ``log``, which
-    counts them under ``regime``; certifying and centring lap as ``decompose``.
+    ``train`` is centred in place and fitted in the identity basis of the
+    unit-weight ``grid``, whatever the paths' rank, as stacks of at most
+    ``STACK_CURVES`` curves, each stack in one ``fit_methods`` call. A
+    stack member's fit has the bits of its path fitted alone in that
+    basis, and so have its results. Each stack is scored as soon as it is
+    fitted: its test paths are already in those coordinates, and each
+    method scores them in one stacked product, with the bits ``misfe``
+    gives each path alone. The fits lap into ``log``, which counts them
+    under ``regime``; centring laps as ``decompose``.
     """
+    centre_curves(train, grid, out=train)
+    m = grid.size
     size = max(1, STACK_CURVES // train.shape[1])
-    stacks = [slice(i, i + size) for i in range(0, len(train), size)]
-    # the stacks are certified on copies, so that a batch that fails keeps its raw paths
-    if all(full_rank_certified(centre_curves(train[s], grid)).all() for s in stacks):
-        centre_curves(train, grid, out=train)
-        m = grid.size
-        groups = [(SpanCoordinates(train[s], np.eye(m), grid, m), s) for s in stacks]
-    else:
-        groups = [(span_coordinates(FunctionalSample(train[i], grid)), slice(i, i + 1))
-                  for i in range(len(train))]
     misfe, tuning, errors = columns
-    for coords, paths in groups:
-        fitted = fit_methods(coords, methods, log=log)
-        log.count(regime, coords.rank, fitted)
-        encoded = _encode_path(coords, test[paths])
+    for start in range(0, len(train), size):
+        paths = slice(start, start + size)
+        fitted = fit_methods(SpanCoordinates(train[paths], np.eye(m), grid, m), methods, log=log)
+        log.count(regime, fitted)
         for p, outcome in enumerate(fitted):
-            misfe[paths, p] = _path_misfe(outcome.matrices, *encoded)
+            misfe[paths, p] = _path_misfe(outcome.matrices, test[paths])
             tuning[paths, p], errors[paths, p] = outcome.tuning, outcome.errors
         log.lap("score")
-        # drop this group's fits before the next group is fitted
-        del fitted, encoded
+        # drop this stack's fits before the next stack is fitted
+        del fitted
 
 
 def _successes(report: BenchmarkReport, column: np.ndarray) -> dict:

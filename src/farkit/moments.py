@@ -5,9 +5,9 @@ centred curves, built once by ``span_coordinates``: there the L2 inner
 product is the Euclidean one, so the moment matrices and estimators see
 unit weights, and the quadrature weights enter only where curves are
 encoded, forecasts decoded, or a grid kernel is formed. Samples that
-share a basis, such as the windows of a rolling backtest or samples that
-``full_rank_certified`` gives the identity basis, can be stacked along a
-leading axis; the moments of a stack are computed in one pass.
+share a basis, such as the windows of a rolling backtest or the Monte
+Carlo benchmark's paths in their simulator coefficients, can be stacked
+along a leading axis; the moments of a stack are computed in one pass.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def centre_curves(values: np.ndarray, grid: QuadratureGrid, out=None) -> np.ndar
     return z
 
 
-def full_rank_certified(z: np.ndarray) -> np.ndarray:
+def full_rank_certified(z: np.ndarray) -> bool:
     """Whether centred sqrt-weighted curves ``z`` (n x M) certainly have rank M.
 
     The certificate: more curves than grid points, a finite Gram
@@ -174,30 +174,21 @@ def full_rank_certified(z: np.ndarray) -> np.ndarray:
     factor exists only if the smallest eigenvalue of G exceeds
     1e-10 tr(G), which is at least 1e-10 times the largest, so the
     smallest singular value is over 1e-5 times the largest, far above
-    ``span_coordinates``'s rank tolerance. A (B, n, M) stack gets one
-    answer per member, each the one it gets alone: every member is
-    factored on its own, and a rank-deficient one fails at its first
-    vanishing pivot.
+    ``span_coordinates``'s rank tolerance.
     """
-    n, m = z.shape[-2:]
-    certified = np.zeros(z.shape[:-2], dtype=bool)
+    n, m = z.shape
     if n <= m:
-        return certified
+        return False
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = z.swapaxes(-1, -2) @ z
-        finite = np.isfinite(gram).all(axis=(-2, -1))
-        # a member with a non-finite Gram is not certified: its zeros have no factor
-        gram = np.where(finite[..., None, None], gram, 0.0)
-        shift = 1e-10 * np.trace(gram, axis1=-2, axis2=-1)
-    diagonal = np.arange(m)
-    gram[..., diagonal, diagonal] -= shift[..., None]
-    for member in np.ndindex(certified.shape):
-        try:
-            np.linalg.cholesky(gram[member])
-        except np.linalg.LinAlgError:
-            continue
-        certified[member] = True
-    return certified
+        gram = z.T @ z
+        if not np.isfinite(gram).all():
+            return False
+        gram[np.diag_indices(m)] -= 1e-10 * np.trace(gram)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -523,7 +523,7 @@ def rolling_forecast(
         chunk = starts[first : first + BATCH_SIZE]
         stack = coords.windows(chunk - config.window, config.window)
         fitted = fit_methods(stack, methods, cv_scheme="k-fold-forward", log=log)
-        log.count("tikhonov:cv", coords.rank, fitted)
+        log.count("tikhonov:cv", fitted)
         for i, outcome in enumerate(fitted):
             tuning[i, first : first + len(chunk)] = outcome.tuning
             errors[i, first : first + len(chunk)] = outcome.errors

@@ -201,8 +201,8 @@ class TestBenchmarkCommand:
         }
         assert set(summary) == {
             "schema_version", "kind", "config", "rate_slope_log10_alpha_vs_log10_n",
-            "wall_clock_seconds", "failed_fits", "failures_by_class", "span_ranks",
-            "single_member_refits", "cv_edge_selections", "stage_seconds",
+            "wall_clock_seconds", "failed_fits", "failures_by_class", "single_member_refits",
+            "cv_edge_selections", "stage_seconds",
         }
 
     @pytest.mark.parametrize("table", ["mean_misfe_table", "tuning_summary"])
@@ -598,6 +598,29 @@ def test_bad_outside_input_exits_cleanly(tmp_path, monkeypatch, capsys, argv, fi
     assert err.startswith("error: ") and err.count("\n") == 1
     if argv[0] == "fit":
         assert json.loads((tmp_path / "out" / "fit.meta.json").read_text())["kind"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv, name, code",
+    [
+        (["benchmark", "--config", "bad.json"], "bad.json", 2),
+        (["verify", "--probes", "bad.json"], "bad.json", 2),
+        # the sidecar the fit command reads beside its input, unnamed on the command line
+        (FIT, "sample.meta.json", 1),
+    ],
+    ids=["benchmark-config", "verify-probes", "fit-sidecar"],
+)
+def test_json_that_does_not_parse_is_named(tmp_path, monkeypatch, capsys, argv, name, code):
+    monkeypatch.chdir(tmp_path)
+    spectrum_sample_csv(tmp_path / "sample.csv", [0.6, 0.3, 0.1], m=6, n=40)
+    (tmp_path / name).write_text("{bad")
+    assert main(argv + ["--out", "out"]) == code
+    err = capsys.readouterr().err
+    assert err == f"error: {name}: Expecting property name enclosed in double quotes: " \
+                  "line 1 column 2 (char 1)\n"
+    if argv[0] == "fit":
+        meta = json.loads((tmp_path / "out" / "fit.meta.json").read_text())
+        assert meta["error"] == err[len("error: "):-1]
 
 
 # every token of the method-id grammar, recombined at random, plus ids that

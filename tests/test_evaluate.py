@@ -42,6 +42,7 @@ from farkit.moments import (
     OperatorEstimate,
     SpanCoordinates,
     apply_kernel_matrix,
+    centre_curves,
     span_coordinates,
     weighted_moments,
 )
@@ -673,26 +674,28 @@ class TestRunBenchmark:
         assert STACK_CURVES // 800 == 5
         report = run_benchmark(config)
         assert record_fields(report) == per_replication_records(config)
-        assert report.log.span_ranks == {40: 2 * 2 * (BATCH_SIZE + 2)}
         assert report.log.single_member_refits == 0
         assert set(report.log.stage_seconds) == {
             "simulate", "decompose", *(f"fit:{label}" for label in config.methods), "score"
         }
 
-    def test_batch_with_an_uncertified_path_fits_each_path_alone(self):
+    def test_a_collinear_path_is_stacked_with_the_others(self):
         config = BenchmarkConfig(regimes=("II",), n_values=(100,), replications=BATCH_SIZE)
         regime, n, reps = next(batches(config))
         train, test = simulate_batch(config, regime, n, reps)
-        # path 3 loses a dimension, so no path of the batch is stacked
+        # path 3 spans 39 of the 40 coefficients; alone it is fitted in an SVD basis
         train[3][:, 7] = train[3][:, 2]
         raw = train.copy()
         report = batch_report(config, train, test)
-        assert record_fields(report) == replication_records(
-            regime, n, reps, raw, test, config.methods
-        )
-        assert report.log.span_ranks == {40: BATCH_SIZE - 1, 39: 1}
-        # the uncertified batch was fitted from its raw paths, left as they were
-        assert np.array_equal(train, raw)
+        stacked = record_fields(report)
+        alone = replication_records(regime, n, reps, raw, test, config.methods)
+        # tunings and error texts exactly, errors to rounding
+        assert [r[:4] + r[5:] for r in stacked] == [r[:4] + r[5:] for r in alone]
+        misfe = np.array([float(r[4]) for r in stacked])
+        assert np.allclose(misfe, [float(r[4]) for r in alone], rtol=1e-12, atol=0, equal_nan=True)
+        assert report.log.single_member_refits == 0
+        # the batch was centred in place
+        assert np.array_equal(train, centre_curves(raw, coefficient_grid(regime)))
 
     def test_cv_edge_selections_counted_per_regime(self):
         config = BenchmarkConfig(regimes=("I",), n_values=(100,), replications=BATCH_SIZE)

@@ -176,37 +176,6 @@ class TestSpanCoordinates:
         assert coords.rank == 8
         assert not np.array_equal(coords.basis, np.eye(8))
 
-
-    def test_stacked_certificate_agrees_with_each_sample(self, rng):
-        # full rank, a duplicated column, an overflowing Gram, too few curves
-        g = uniform_grid(8)
-        duplicated = rng.standard_normal((60, 8))
-        duplicated[:, 5] = duplicated[:, 1]
-        members = [
-            rng.standard_normal((60, 8)),
-            duplicated,
-            rng.standard_normal((60, 8)) * 1e156,
-            np.cos(np.arange(60))[:, None] * rng.standard_normal(8),
-        ]
-        stack = np.stack(members)
-        with np.errstate(over="ignore", invalid="ignore"):
-            certified = full_rank_certified(centre_curves(stack, g))
-            each = [bool(full_rank_certified(centre_curves(v, g))) for v in members]
-        alone = [
-            np.array_equal(span_coordinates(FunctionalSample(v, g)).basis, np.eye(8))
-            for v in members
-        ]
-        assert certified.tolist() == each == alone == [True, False, False, False]
-        assert not full_rank_certified(centre_curves(stack[:, :8], g)).any()
-        # members on both sides of the threshold and a non-finite one, as a (2, 3) stack
-        graded = [gram_with_smallest_eigenvalue(rng, 60, 8, ratio) for ratio in (1e-9, 1e-11)]
-        nonfinite = rng.standard_normal((60, 8))
-        nonfinite[3, 4] = np.nan
-        stack = np.stack([graded + [nonfinite], [nonfinite] + graded[::-1]])
-        assert full_rank_certified(stack).tolist() == [
-            [bool(full_rank_certified(z)) for z in row] for row in stack
-        ] == [[True, False, False], [False, False, True]]
-
     @pytest.mark.parametrize("ratio, certified", [(1e-9, True), (1e-11, False)])
     def test_certificate_threshold_on_the_trace(self, rng, ratio, certified):
         # the rule: the smallest Gram eigenvalue must exceed 1e-10 of the trace
@@ -222,8 +191,6 @@ class TestSpanCoordinates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not full_rank_certified(z)
-            stack = np.stack([z, rng.standard_normal((40, 6))])
-            assert full_rank_certified(stack).tolist() == [False, True]
 
     def test_in_place_centring_keeps_the_bits(self, rng):
         g = make_trapezoid_grid(np.sort(rng.uniform(size=9)))
