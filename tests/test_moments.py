@@ -182,7 +182,13 @@ class TestSpanCoordinates:
         z = gram_with_smallest_eigenvalue(rng, 80, 12, ratio)
         lam = np.linalg.eigvalsh(z.T @ z)
         assert lam[0] == pytest.approx(ratio * lam.sum(), rel=1e-3)
-        assert bool(full_rank_certified(z)) is certified
+        assert full_rank_certified(z) is certified
+
+    def test_no_more_curves_than_grid_points_is_not_certified(self, rng):
+        # a centred sample of n curves has rank at most n - 1, whatever its Gram
+        z = rng.standard_normal((12, 12))
+        assert np.linalg.matrix_rank(z) == 12
+        assert not full_rank_certified(z)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
     def test_nonfinite_gram_is_not_certified_without_warnings(self, rng, bad):
